@@ -12,9 +12,9 @@ from typing import Iterator, Mapping
 from . import netgen
 from .engine import StopCriterion, answer_query
 from .intervals import ConflictingEvidenceError
-from .loops import CutsetOverflowError, propagate_mixed
+from .loops import CutsetOverflowError
 from .network import BeliefNetwork, is_polytree, parse_network
-from .oracle import StateSpaceError, polytree_exact
+from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
 
 DEFAULT_BUDGET_MS = 60_000.0
 
@@ -62,19 +62,16 @@ def _suite_network(entry: Mapping) -> BeliefNetwork:
 
 
 def _baseline_ms(net: BeliefNetwork, evidence, query) -> float | None:
-    """Time for an exact answer: point propagation on polytrees, full
-    conditioning otherwise.  None when neither is feasible."""
+    """Time for an exact answer: point propagation on polytrees, joint
+    enumeration otherwise.  None when neither is feasible."""
     try:
         t0 = time.perf_counter()
         if is_polytree(net):
             polytree_exact(net, evidence, query)
         else:
-            from .engine import ActiveSet
-
-            full = ActiveSet(frozenset(net.node_ids()), frozenset(net.arcs))
-            propagate_mixed(net, full, evidence, query)
+            enumerate_marginal(net, evidence, query)
         return (time.perf_counter() - t0) * 1000.0
-    except (CutsetOverflowError, StateSpaceError, ConflictingEvidenceError):
+    except (StateSpaceError, ConflictingEvidenceError, RecursionError):
         return None
 
 
@@ -108,7 +105,11 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
                         iterations = result.iterations
                         active_size = result.active_nodes[-1]
                         visits = result.node_visits
-                    except (CutsetOverflowError, ConflictingEvidenceError) as exc:
+                    except (
+                        CutsetOverflowError,
+                        ConflictingEvidenceError,
+                        RecursionError,
+                    ) as exc:
                         status = f"error:{type(exc).__name__}"
                         achieved = None
                         iterations = 0

@@ -16,7 +16,6 @@ from .engine import (
     BUDGET,
     SATISFIED,
     SATURATED,
-    DelayedLoops,
     StopCriterion,
     answer_query,
     make_strategy,
@@ -84,9 +83,7 @@ def _cmd_query(args) -> int:
             raise ValueError("--node is required without --threshold")
         query = args.node
         stop = StopCriterion.width(args.target_width)
-    strategy = (
-        DelayedLoops(args.delay) if args.strategy == "delayed" else make_strategy(args.strategy)
-    )
+    strategy = make_strategy(args.strategy, args.delay)
     result = answer_query(
         net, query, evidence, strategy=strategy, stop=stop, budget_ms=args.budget_ms
     )

@@ -32,7 +32,7 @@ from .intervals import (
     simplex_dot,
     vacuous,
 )
-from .network import BeliefNetwork, Evidence, relevant_set
+from .network import BeliefNetwork, Evidence, Node, UnionFind, relevant_set, skeleton_acyclic
 
 SATISFIED = "satisfied"
 SATURATED = "saturated"
@@ -81,23 +81,6 @@ class ActiveSet:
                     stack.append(w)
         if seen != set(self.nodes):
             raise ValueError("active set is not connected")
-
-
-def _skeleton_acyclic(nodes: Iterable[str], arcs: Iterable[tuple[str, str]]) -> bool:
-    parent = {v: v for v in nodes}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for p, c in arcs:
-        rp, rc = find(p), find(c)
-        if rp == rc:
-            return False
-        parent[rp] = rc
-    return True
 
 
 # -- messages and cache -------------------------------------------------------
@@ -155,6 +138,69 @@ def cache_update(cache: MessageCache, message: Message) -> bool:
     re-propagating along that path when iterating.
     """
     return cache.update((message.kind, message.arc), message.value)
+
+
+# -- message kernels ------------------------------------------------------------
+#
+# One body per message formula.  ``_Run`` gathers the inputs over the
+# active set and the public single-step functions take them from the
+# caller; both then call these.  Each returns a normalized vector with
+# the mass its normalization discarded.
+
+
+def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
+    """Product weights of every joint configuration, last message fastest."""
+    entries = []
+    for config in itertools.product(*[range(len(m)) for m in msgs]):
+        e = ONE
+        for m, s in zip(msgs, config):
+            e = iv_mul(e, m[s])
+        entries.append(e)
+    return IntervalVector(entries)
+
+
+def _column_mass(node: Node, state: int, weights: IntervalVector) -> Interval:
+    """Bounds on P(node = state) under interval parent-configuration weights."""
+    column = IntervalVector(Interval.point(row[state]) for row in node.cpt)
+    return simplex_dot(column, weights)
+
+
+def _pi_value_kernel(node: Node, parent_msgs: Sequence[IntervalVector]):
+    weights = _joint_weights(parent_msgs)
+    out = [_column_mass(node, i, weights) for i in range(len(node.states))]
+    return normalize_scaled(IntervalVector(out))
+
+
+def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
+    """Lambda value, pi message and belief: an entrywise product, normalized."""
+    for f in factors:
+        vec = vec.product(f)
+    return normalize_scaled(vec)
+
+
+def _lambda_message_kernel(
+    net: BeliefNetwork,
+    x: str,
+    u: str,
+    lam: IntervalVector,
+    coparent_msgs: Sequence[IntervalVector],
+):
+    """The inner pass bounds the likelihood for each joint configuration
+    of x's parents; the outer pass sums out the co-parents of u under
+    their message weights."""
+    parents = net.parents(x)
+    j = parents.index(u)
+    weights = _joint_weights(coparent_msgs)
+    other_ranges = [range(net.state_count(p)) for p in parents if p != u]
+    out = []
+    for y in range(net.state_count(u)):
+        a_entries = []
+        for oc in itertools.product(*other_ranges):
+            row = net.cpt_row(x, oc[:j] + (y,) + oc[j:])
+            column = IntervalVector(Interval.point(v) for v in row)
+            a_entries.append(simplex_dot(column, lam))
+        out.append(simplex_dot(IntervalVector(a_entries), weights))
+    return normalize_scaled(IntervalVector(out))
 
 
 # -- propagation core ---------------------------------------------------------
@@ -257,12 +303,13 @@ class _Run:
             return self._lambda_message(key[1], key[2])
         raise AssertionError(key)
 
-    def _parent_inputs(self, x: str):
+    def _parent_inputs(self, x: str, scale: Interval, skip: str | None = None):
         """Messages over parent arcs; vacuous where the arc is absent."""
         net = self.ctx.net
         msgs: list[IntervalVector] = []
-        scale = ONE
         for p in net.parents(x):
+            if p == skip:
+                continue
             if (p, x) in self.ctx.arcs:
                 vec, s = self.pull(("pi_msg", p, x))
                 msgs.append(vec)
@@ -271,99 +318,57 @@ class _Run:
                 msgs.append(vacuous(net.state_count(p)))
         return msgs, scale
 
-    def _joint_weights(self, msgs: Sequence[IntervalVector]) -> IntervalVector:
-        entries = []
-        for config in itertools.product(*[range(len(m)) for m in msgs]):
-            e = ONE
-            for m, s in zip(msgs, config):
-                e = iv_mul(e, m[s])
-            entries.append(e)
-        return IntervalVector(entries)
+    def _child_inputs(self, x: str, scale: Interval, skip: str | None = None):
+        """Messages over child arcs; vacuous where an absent arc leads to
+        evidence or the query."""
+        net = self.ctx.net
+        msgs: list[IntervalVector] = []
+        for w in net.children(x):
+            if w == skip:
+                continue
+            if (x, w) in self.ctx.arcs:
+                vec, s = self.pull(("lam_msg", w, x))
+                msgs.append(vec)
+                scale = iv_mul(scale, s)
+            elif w in self.ctx.ancestral:
+                msgs.append(vacuous(net.state_count(x)))
+            # Otherwise the branch under w holds no evidence and no query:
+            # its true likelihood message is exactly flat, so it drops out.
+        return msgs, scale
 
     def _pi_value(self, x: str):
-        net = self.ctx.net
-        node = net.node(x)
-        msgs, scale = self._parent_inputs(x)
-        weights = self._joint_weights(msgs)
-        out = []
-        for i in range(len(node.states)):
-            column = IntervalVector(Interval.point(row[i]) for row in node.cpt)
-            out.append(simplex_dot(column, weights))
-        vec, z = normalize_scaled(IntervalVector(out))
+        msgs, scale = self._parent_inputs(x, ONE)
+        vec, z = _pi_value_kernel(self.ctx.net.node(x), msgs)
         return vec, iv_mul(scale, z)
 
     def _lambda_value(self, x: str):
-        net = self.ctx.net
-        n = net.state_count(x)
+        n = self.ctx.net.state_count(x)
         pinned = self._pinned(x)
         if pinned is not None:
             return IntervalVector.indicator(n, pinned), ONE
-        prod = IntervalVector.ones(n)
-        scale = ONE
-        for w in net.children(x):
-            if (x, w) in self.ctx.arcs:
-                vec, s = self.pull(("lam_msg", w, x))
-                prod = prod.product(vec)
-                scale = iv_mul(scale, s)
-            elif w in self.ctx.ancestral:
-                prod = prod.product(vacuous(n))
-            # Otherwise the branch under w holds no evidence and no query:
-            # its true likelihood message is exactly flat, so it drops out.
-        vec, z = normalize_scaled(prod)
+        msgs, scale = self._child_inputs(x, ONE)
+        vec, z = _normalized_product(IntervalVector.ones(n), msgs)
         return vec, iv_mul(scale, z)
 
     def _pi_message(self, u: str, x: str):
-        net = self.ctx.net
         pinned = self._pinned(u)
         if pinned is not None:
-            return IntervalVector.indicator(net.state_count(u), pinned), ONE
+            return IntervalVector.indicator(self.ctx.net.state_count(u), pinned), ONE
         prod, scale = self.pull(("pi_val", u))
-        for w in net.children(u):
-            if w == x:
-                continue
-            if (u, w) in self.ctx.arcs:
-                vec, s = self.pull(("lam_msg", w, u))
-                prod = prod.product(vec)
-                scale = iv_mul(scale, s)
-            elif w in self.ctx.ancestral:
-                prod = prod.product(vacuous(len(prod)))
-        vec, z = normalize_scaled(prod)
+        msgs, scale = self._child_inputs(u, scale, skip=x)
+        vec, z = _normalized_product(prod, msgs)
         return vec, iv_mul(scale, z)
 
     def _lambda_message(self, x: str, u: str):
-        net = self.ctx.net
-        node = net.node(x)
         lam, scale = self.pull(("lam_val", x))
-        j = node.parents.index(u)
-        others = [p for p in node.parents if p != u]
-        msgs: list[IntervalVector] = []
-        for p in others:
-            if (p, x) in self.ctx.arcs:
-                vec, s = self.pull(("pi_msg", p, x))
-                msgs.append(vec)
-                scale = iv_mul(scale, s)
-            else:
-                msgs.append(vacuous(net.state_count(p)))
-        weights = self._joint_weights(msgs)
-        other_ranges = [range(net.state_count(p)) for p in others]
-        out = []
-        for y in range(net.state_count(u)):
-            a_entries = []
-            for oc in itertools.product(*other_ranges):
-                config = list(oc[:j]) + [y] + list(oc[j:])
-                row = net.cpt_row(x, config)
-                column = IntervalVector(Interval.point(v) for v in row)
-                a_entries.append(simplex_dot(column, lam))
-            out.append(simplex_dot(IntervalVector(a_entries), weights))
-        vec, z = normalize_scaled(IntervalVector(out))
+        msgs, scale = self._parent_inputs(x, scale, skip=u)
+        vec, z = _lambda_message_kernel(self.ctx.net, x, u, lam, msgs)
         return vec, iv_mul(scale, z)
 
     def belief(self, x: str):
         """Belief bounds at x plus the evidence-mass interval of this run."""
-        net = self.ctx.net
         if x in self.clamps:
             raise ValueError("belief of a clamped node is fixed by construction")
-        n = net.state_count(x)
         if x in self.ctx.evidence:
             k = self.ctx.evidence[x]
             pvec, ps = self.pull(("pi_val", x))
@@ -371,12 +376,11 @@ class _Run:
                 raise ConflictingEvidenceError(
                     f"observed state {k} of {x!r} has zero probability"
                 )
-            return IntervalVector.indicator(n, k), iv_mul(ps, pvec[k])
-        lam, ls = self.pull(("lam_val", x))
-        pvec, ps = self.pull(("pi_val", x))
-        vec, _ = normalize_scaled(lam.product(pvec))
-        mass = iv_mul(iv_mul(ls, ps), simplex_dot(lam, pvec))
-        return vec, mass
+            return IntervalVector.indicator(len(pvec), k), iv_mul(ps, pvec[k])
+        lam, _ = self.pull(("lam_val", x))
+        pvec, _ = self.pull(("pi_val", x))
+        vec, _ = _normalized_product(lam, [pvec])
+        return vec, self.component_mass(x)
 
     def component_mass(self, x: str) -> Interval:
         """Evidence mass of the piece of the working graph holding x.
@@ -401,15 +405,8 @@ def pi_hat(
 
     Missing parents default to vacuous messages.  Result is normalized.
     """
-    active = ActiveSet(
-        frozenset({node, *parent_messages}),
-        frozenset((p, node) for p in parent_messages),
-    )
-    ctx = _Context(net, active, {}, node)
-    run = _Run(ctx)
-    for p, vec in parent_messages.items():
-        run._memo[("pi_msg", p, node)] = ((vec, ONE), False)
-    vec, _ = run._pi_value(node)
+    msgs = [parent_messages.get(p, vacuous(net.state_count(p))) for p in net.parents(node)]
+    vec, _ = _pi_value_kernel(net.node(node), msgs)
     return vec
 
 
@@ -426,16 +423,13 @@ def lambda_hat(
     n = net.state_count(node)
     if observed_state is not None:
         return IntervalVector.indicator(n, observed_state)
-    prod = IntervalVector.ones(n)
-    for vec in child_messages.values():
-        prod = prod.product(vec)
-    vec, _ = normalize_scaled(prod)
+    vec, _ = _normalized_product(IntervalVector.ones(n), child_messages.values())
     return vec
 
 
 def bel_hat(pi_vec: IntervalVector, lam_vec: IntervalVector) -> IntervalVector:
     """Normalized entrywise product of the two directional summaries."""
-    vec, _ = normalize_scaled(lam_vec.product(pi_vec))
+    vec, _ = _normalized_product(lam_vec, [pi_vec])
     return vec
 
 
@@ -452,12 +446,8 @@ def pi_msg(
     n = net.state_count(node)
     if observed_state is not None:
         return Message("pi", (node, child), IntervalVector.indicator(n, observed_state))
-    prod = pi_vec
-    for w, vec in sibling_messages.items():
-        if w == child:
-            continue
-        prod = prod.product(vec)
-    vec, _ = normalize_scaled(prod)
+    others = [vec for w, vec in sibling_messages.items() if w != child]
+    vec, _ = _normalized_product(pi_vec, others)
     return Message("pi", (node, child), vec)
 
 
@@ -468,35 +458,14 @@ def lambda_msg(
     lam_vec: IntervalVector,
     coparent_messages: Mapping[str, IntervalVector],
 ) -> Message:
-    """Message a node sends up to one parent.
-
-    The inner pass bounds the likelihood for each joint configuration of
-    the node's parents; the outer pass sums out the co-parents under
-    their message weights.
-    """
-    j = net.parents(node).index(parent)
-    others = [p for p in net.parents(node) if p != parent]
-    run_msgs = [
-        coparent_messages.get(p, vacuous(net.state_count(p))) for p in others
+    """Message a node sends up to one parent; co-parents without a
+    message count as vacuous."""
+    msgs = [
+        coparent_messages.get(p, vacuous(net.state_count(p)))
+        for p in net.parents(node)
+        if p != parent
     ]
-    entries = []
-    for config in itertools.product(*[range(len(m)) for m in run_msgs]):
-        e = ONE
-        for m, s in zip(run_msgs, config):
-            e = iv_mul(e, m[s])
-        entries.append(e)
-    weights = IntervalVector(entries)
-    other_ranges = [range(net.state_count(p)) for p in others]
-    out = []
-    for y in range(net.state_count(parent)):
-        a_entries = []
-        for oc in itertools.product(*other_ranges):
-            full = list(oc[:j]) + [y] + list(oc[j:])
-            row = net.cpt_row(node, full)
-            column = IntervalVector(Interval.point(v) for v in row)
-            a_entries.append(simplex_dot(column, lam_vec))
-        out.append(simplex_dot(IntervalVector(a_entries), weights))
-    vec, _ = normalize_scaled(IntervalVector(out))
+    vec, _ = _lambda_message_kernel(net, node, parent, lam_vec, msgs)
     return Message("lambda", (parent, node), vec)
 
 
@@ -515,7 +484,7 @@ def propagate(
     ``loops.propagate_mixed``.
     """
     active.validate(net, query)
-    if not _skeleton_acyclic(active.nodes, active.arcs):
+    if not skeleton_acyclic(active.arcs):
         raise ValueError("active set contains loops; use propagate_mixed")
     run = _Run(_Context(net, active, evidence, query), {}, cache)
     vec, _ = run.belief(query)
@@ -587,8 +556,25 @@ class QueryResult:
 # -- active-set expansion -------------------------------------------------------
 
 
-class BreadthFirst:
-    """Add every relevant neighbor of the current set, with all induced arcs."""
+class DelayedLoops:
+    """Breadth-first growth where an arc that would close a loop waits.
+
+    Each round adds every relevant neighbor of the active set, then
+    scans the induced arcs not yet active in network order.  An arc
+    joining two separate pieces enters at once.  An arc whose endpoints
+    are already connected inside the active set enters once it has
+    waited ``delay`` rounds, or never when ``delay`` is None, which
+    keeps the active set a polytree.  ``delay=0`` is plain breadth-first
+    growth.
+
+    The object counts the rounds of one growth; ``answer_query`` builds
+    a fresh one for every query.
+    """
+
+    def __init__(self, delay: int | None = 5):
+        self.delay = delay
+        self.round = 0
+        self.first_seen: dict[tuple[str, str], int] = {}
 
     def step(
         self,
@@ -598,128 +584,59 @@ class BreadthFirst:
         evidence: Mapping[str, int],
         relevant: set[str],
     ) -> ActiveSet | None:
-        new_nodes = {
-            w
-            for v in active.nodes
-            for w in net.skeleton_neighbors(v)
-            if w in relevant and w not in active.nodes
-        }
-        nodes = set(active.nodes) | new_nodes
-        arcs = {(p, c) for (p, c) in net.arcs if p in nodes and c in nodes}
-        if nodes == set(active.nodes) and arcs == set(active.arcs):
-            return None
-        return ActiveSet(frozenset(nodes), frozenset(arcs))
-
-
-class NoLoops:
-    """Breadth-first growth that never closes an undirected cycle.
-
-    Candidate arcs are scanned in network order each round; an arc
-    whose endpoints are already connected inside the active set stays
-    out permanently, so the active set remains a polytree.
-    """
-
-    def step(self, net, active, query, evidence, relevant) -> ActiveSet | None:
-        new_nodes = {
-            w
-            for v in active.nodes
-            for w in net.skeleton_neighbors(v)
-            if w in relevant and w not in active.nodes
-        }
-        nodes = set(active.nodes) | new_nodes
-        candidates = sorted(
-            (
-                (p, c)
-                for (p, c) in net.arcs
-                if p in nodes and c in nodes and (p, c) not in active.arcs
-            ),
-            key=lambda a: (net.order(a[0]), net.order(a[1])),
-        )
-        parent = {v: v for v in nodes}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for p, c in active.arcs:
-            parent[find(p)] = find(c)
-        arcs = set(active.arcs)
-        for p, c in candidates:
-            rp, rc = find(p), find(c)
-            if rp != rc:
-                parent[rp] = rc
-                arcs.add((p, c))
-        if nodes == set(active.nodes) and arcs == set(active.arcs):
-            return None
-        return ActiveSet(frozenset(nodes), frozenset(arcs))
-
-
-class DelayedLoops:
-    """Breadth-first growth where cycle-closing arcs wait a few rounds."""
-
-    def __init__(self, delay: int = 5):
-        self.delay = delay
-        self.round = 0
-        self.first_seen: dict[tuple[str, str], int] = {}
-
-    def step(self, net, active, query, evidence, relevant) -> ActiveSet | None:
+        """The next active set; ``active`` itself while an arc still
+        waits, None at a fixed point."""
         self.round += 1
-        new_nodes = {
-            w
-            for v in active.nodes
-            for w in net.skeleton_neighbors(v)
-            if w in relevant and w not in active.nodes
-        }
-        nodes = set(active.nodes) | new_nodes
+        nodes = set(active.nodes)
+        nodes.update(
+            w for v in active.nodes for w in net.skeleton_neighbors(v) if w in relevant
+        )
         candidates = sorted(
             (
                 (p, c)
-                for (p, c) in net.arcs
-                if p in nodes and c in nodes and (p, c) not in active.arcs
+                for c in nodes
+                for p in net.parents(c)
+                if p in nodes and (p, c) not in active.arcs
             ),
             key=lambda a: (net.order(a[0]), net.order(a[1])),
         )
-        parent = {v: v for v in nodes}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        sets = UnionFind()
         for p, c in active.arcs:
-            parent[find(p)] = find(c)
+            sets.union(p, c)
         arcs = set(active.arcs)
         pending = False
-        for p, c in candidates:
-            rp, rc = find(p), find(c)
-            if rp != rc:
-                parent[rp] = rc
-                arcs.add((p, c))
-                continue
-            seen = self.first_seen.setdefault((p, c), self.round)
-            if self.round - seen >= self.delay:
-                arcs.add((p, c))
-            else:
-                pending = True
-        if nodes == set(active.nodes) and arcs == set(active.arcs):
+        for arc in candidates:
+            if sets.union(*arc):
+                arcs.add(arc)
+            elif self.delay is not None:
+                seen = self.first_seen.setdefault(arc, self.round)
+                if self.round - seen >= self.delay:
+                    arcs.add(arc)
+                else:
+                    pending = True
+        if nodes == active.nodes and arcs == active.arcs:
             return active if pending else None
         return ActiveSet(frozenset(nodes), frozenset(arcs))
+
+
+def BreadthFirst() -> DelayedLoops:
+    """Add every relevant neighbor of the current set, with all induced arcs."""
+    return DelayedLoops(0)
+
+
+def NoLoops() -> DelayedLoops:
+    """Breadth-first growth that never closes an undirected cycle."""
+    return DelayedLoops(None)
 
 
 def make_strategy(spec, delay: int = 5):
     if not isinstance(spec, str):
         return spec
+    delays = {"bfs": 0, "breadth-first": 0, "no-loops": None, "delayed": delay}
     name = spec.replace("_", "-").lower()
-    if name in ("bfs", "breadth-first"):
-        return BreadthFirst()
-    if name == "no-loops":
-        return NoLoops()
-    if name == "delayed":
-        return DelayedLoops(delay)
-    raise ValueError(f"unknown strategy {spec!r}")
+    if name not in delays:
+        raise ValueError(f"unknown strategy {spec!r}")
+    return DelayedLoops(delays[name])
 
 
 def expand(
@@ -768,6 +685,9 @@ def answer_query(
             raise ValueError(f"evidence state {s} out of range for {v!r}")
     stop = stop if stop is not None else StopCriterion.width(0.0)
     strategy_obj = make_strategy(strategy)
+    if isinstance(strategy_obj, DelayedLoops):
+        # Waiting rounds belong to one query; a caller's object is never advanced.
+        strategy_obj = DelayedLoops(strategy_obj.delay)
     relevant = relevant_set(net, query, eff)
     active = ActiveSet.initial(query)
     cache = MessageCache() if use_cache else None

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .engine import ActiveSet, MessageCache, _Context, _Run
+from .engine import ActiveSet, MessageCache, _Context, _Run, _column_mass, _joint_weights
 from .intervals import (
     ZERO,
     ConflictingEvidenceError,
@@ -30,7 +30,7 @@ from .intervals import (
     simplex_dot,
     vacuous,
 )
-from .network import BeliefNetwork, LoopCluster, find_loop_clusters
+from .network import BeliefNetwork, LoopCluster, UnionFind, find_loop_clusters, skeleton_acyclic
 
 DEFAULT_INSTANCE_CAP = 65536
 
@@ -77,27 +77,6 @@ def clusters_by_coverage(
     return tuple(whole), tuple(partial)
 
 
-def _split_acyclic(nodes, arcs, split: set[str]) -> bool:
-    # Clamping a node silences its outgoing arcs only; flow between its
-    # parents survives (explaining away), so those edges stay.
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for p, c in arcs:
-        if p in split:
-            continue
-        rp, rc = find(p), find(c)
-        if rp == rc:
-            return False
-        parent[rp] = rc
-    return True
-
-
 def select_loop_cutset(
     net: BeliefNetwork,
     cluster: LoopCluster,
@@ -128,11 +107,11 @@ def select_loop_cutset(
     chosen: list[str] = []
     split = set(presplit)
     for v in candidates:
-        if _split_acyclic(nodes, arcs, split):
+        if skeleton_acyclic(arcs, split):
             break
         split.add(v)
         chosen.append(v)
-    if not _split_acyclic(nodes, arcs, split):
+    if not skeleton_acyclic(arcs, split):
         raise RuntimeError(f"could not cut all loops in cluster {sorted(cluster.nodes)}")
     return tuple(chosen)
 
@@ -146,23 +125,13 @@ def _pinned_column_factor(
 ) -> Interval:
     # Table mass of a clamped node whose parents are all pinned or outside
     # the active set: sum of its column under indicator or vacuous weights.
-    parents = net.parents(node)
     msgs = []
-    for p in parents:
+    for p in net.parents(node):
         if (p, node) in ctx.arcs and p in pinned:
             msgs.append(IntervalVector.indicator(net.state_count(p), pinned[p]))
         else:
             msgs.append(vacuous(net.state_count(p)))
-    entries = []
-    for config in itertools.product(*[range(len(m)) for m in msgs]):
-        e = Interval.point(1.0)
-        for m, s in zip(msgs, config):
-            e = iv_mul(e, m[s])
-        entries.append(e)
-    column = IntervalVector(
-        Interval.point(row[state]) for row in net.node(node).cpt
-    )
-    return simplex_dot(column, IntervalVector(entries))
+    return _column_mass(net.node(node), state, _joint_weights(msgs))
 
 
 def _mass_plan(net: BeliefNetwork, ctx: _Context, cut: list[str], query: str):
@@ -180,31 +149,24 @@ def _mass_plan(net: BeliefNetwork, ctx: _Context, cut: list[str], query: str):
     active_nodes = ctx.active.nodes
     split = set(cut) | {v for v in ctx.evidence if v in active_nodes}
     nodes = sorted(active_nodes, key=net.order)
-    parent = {v: v for v in nodes}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    sets = UnionFind()
     # A pinned node's table still ties it to its unpinned parents, so
     # only arcs leaving a pinned node break connectivity.
     for p, c in ctx.arcs:
         if p not in split:
-            parent[find(p)] = find(c)
-    query_root = find(query)
+            sets.union(p, c)
+    query_root = sets.find(query)
     touched: set[str] = set()
     for c in cut:
-        touched.add(find(c))
+        touched.add(sets.find(c))
         for w in net.children(c):
             if (c, w) in ctx.arcs:
-                touched.add(find(w))
+                touched.add(sets.find(w))
     representatives: list[str] = []
     direct_factors: list[str] = []
     members: dict[str, list[str]] = {}
     for v in nodes:
-        members.setdefault(find(v), []).append(v)
+        members.setdefault(sets.find(v), []).append(v)
     for root in touched:
         if root == query_root:
             continue
@@ -307,7 +269,7 @@ def evaluate(
             select_loop_cutset(net, cl, exclude=frozenset({query}), presplit=observed)
         )
     cut = sorted(set(cut), key=net.order)
-    if not _split_acyclic(nodes, arcs, set(cut) | set(observed)):
+    if not skeleton_acyclic(arcs, set(cut) | set(observed)):
         raise RuntimeError("cutset failed to cut the active set")
     bel, visits, _ = _conditioned_bel(net, ctx, cut, query, instance_cap, cache)
     return bel, visits
@@ -357,9 +319,7 @@ def condition_cluster(
     cut = list(
         select_loop_cutset(net, cluster, exclude=frozenset({target}), presplit=observed)
     )
-    nodes = sorted(active.nodes, key=net.order)
-    arcs = sorted(active.arcs, key=lambda a: (net.order(a[0]), net.order(a[1])))
-    if not _split_acyclic(nodes, arcs, set(cut) | set(observed)):
+    if not skeleton_acyclic(active.arcs, set(cut) | set(observed)):
         raise ValueError("active set has loops outside this cluster; use propagate_mixed")
     bel, _, table = _conditioned_bel(net, ctx, cut, target, instance_cap, None)
     if return_table:

@@ -175,22 +175,44 @@ class BeliefNetwork:
         return {node: self.state_index(node, state) for node, state in pairs.items()}
 
 
-def is_polytree(net: BeliefNetwork) -> bool:
-    """True when the undirected skeleton has no cycle."""
-    parent = {n.id: n.id for n in net.nodes}
+class UnionFind:
+    """Disjoint sets over hashable items; an unseen item is its own set."""
 
-    def find(v: str) -> str:
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, v):
+        parent = self.parent
+        parent.setdefault(v, v)
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    for p, c in net.arcs:
-        rp, rc = find(p), find(c)
-        if rp == rc:
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
             return False
-        parent[rp] = rc
-    return True
+        self.parent[ra] = rb
+        return True
+
+
+def skeleton_acyclic(arcs: Iterable[tuple[str, str]], split: Iterable[str] = ()) -> bool:
+    """True when the undirected skeleton of ``arcs`` has no cycle.
+
+    Arcs leaving a ``split`` node are ignored: clamping a node silences
+    its outgoing arcs only, while flow between its parents survives
+    (explaining away), so those edges stay.
+    """
+    split = set(split)
+    sets = UnionFind()
+    return all(sets.union(p, c) for p, c in arcs if p not in split)
+
+
+def is_polytree(net: BeliefNetwork) -> bool:
+    """True when the undirected skeleton has no cycle."""
+    return skeleton_acyclic(net.arcs)
 
 
 # -- d-separation ---------------------------------------------------------
@@ -336,21 +358,12 @@ def find_loop_clusters(
         arc_list = list(arcs or ())
     bridges = _skeleton_bridges(nodes, arc_list)
     cyclic = [(p, c) for (p, c) in arc_list if frozenset((p, c)) not in bridges]
-    # Union-find over endpoints of cycle arcs.
-    parent: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    sets = UnionFind()
     for p, c in cyclic:
-        parent[find(p)] = find(c)
+        sets.union(p, c)
     groups: dict[str, tuple[set[str], set[tuple[str, str]]]] = {}
     for p, c in cyclic:
-        root = find(p)
+        root = sets.find(p)
         ns, es = groups.setdefault(root, (set(), set()))
         ns.update((p, c))
         es.add((p, c))
@@ -498,9 +511,8 @@ def parse_network(text: str) -> BeliefNetwork:
         )
         for v in node_order
     ]
-    net = BeliefNetwork(name, nodes)
     return BeliefNetwork(
-        name, nodes, evidence={v: net.state_index(v, s) for v, s in evidence.items()}
+        name, nodes, evidence={v: states[v].index(s) for v, s in evidence.items()}
     )
 
 

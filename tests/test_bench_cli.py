@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from boundprop import bench
 from boundprop.bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from boundprop.cli import main
 from boundprop.netgen import GenSpec, gen_loopy
@@ -146,3 +147,38 @@ def test_cli_bench(tmp_path, capsys):
     csv_path = tmp_path / "results.csv"
     assert main(["bench", "--suite", str(suite_path), "--out", str(csv_path), "--csv"]) == 0
     assert csv_path.read_text().startswith("network,")
+
+
+def _fail_with_recursion(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
+    net = gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.3, seed=2))
+    seen = []
+
+    def enumerate_marginal(net, evidence, query):
+        seen.append(query)
+        return (0.5, 0.5)
+
+    monkeypatch.setattr(bench, "enumerate_marginal", enumerate_marginal)
+    assert bench._baseline_ms(net, {}, "n3") is not None
+    assert seen == ["n3"]
+
+
+def test_baseline_recursion_error_is_recorded_as_none(monkeypatch):
+    monkeypatch.setattr(bench, "polytree_exact", _fail_with_recursion)
+    monkeypatch.setattr(bench, "enumerate_marginal", _fail_with_recursion)
+    records = list(run_bench(load_suite(json.dumps(SUITE))))
+    assert records and all(r["baseline_ms"] is None for r in records)
+    assert all(not r["status"].startswith("error") for r in records)
+
+
+def test_bench_recursion_error_becomes_error_status(monkeypatch):
+    monkeypatch.setattr(bench, "answer_query", _fail_with_recursion)
+    records = list(run_bench(load_suite(json.dumps(SUITE)), with_baseline=False))
+    assert records
+    for r in records:
+        assert r["status"] == "error:RecursionError"
+        assert r["baseline_ms"] is None
+        assert r["iterations"] == 0

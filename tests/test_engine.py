@@ -21,7 +21,15 @@ from boundprop import (
     propagate,
     relevant_set,
 )
-from boundprop.engine import SATISFIED, SATURATED, BUDGET, BreadthFirst, NoLoops
+from boundprop.engine import (
+    BUDGET,
+    SATISFIED,
+    SATURATED,
+    BreadthFirst,
+    DelayedLoops,
+    NoLoops,
+    make_strategy,
+)
 from boundprop.intervals import Interval, IntervalVector, normalize, vacuous
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 
@@ -310,6 +318,29 @@ def test_no_loops_stays_polytree_on_random_networks():
             if nxt is None or nxt == active:
                 break
             active = nxt
+
+
+def test_strategy_names_are_one_growth_rule_by_loop_delay():
+    assert make_strategy("bfs").delay == 0
+    assert make_strategy("no-loops").delay is None
+    assert make_strategy("delayed", 3).delay == 3
+    assert BreadthFirst().delay == 0 and NoLoops().delay is None
+    with pytest.raises(ValueError, match="unknown strategy"):
+        make_strategy("depth-first")
+
+
+def test_reused_strategy_object_gives_identical_queries():
+    # Waiting rounds must not carry over from one query into the next.
+    for seed in range(6):
+        net = gen_loopy(GenSpec(node_count=14, topology="loopy", arc_ratio=1.2, seed=seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        strat = DelayedLoops(2)
+        first = answer_query(net, q, ev, strategy=strat)
+        second = answer_query(net, q, ev, strategy=strat)
+        assert first.bels == second.bels
+        assert first.bels == answer_query(net, q, ev, strategy=DelayedLoops(2)).bels
 
 
 def test_expansion_saturates_at_relevant_set():

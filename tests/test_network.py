@@ -3,6 +3,7 @@ import random
 import pytest
 
 from boundprop import (
+    BeliefNetwork,
     NetworkFormatError,
     d_separated,
     find_loop_clusters,
@@ -21,6 +22,22 @@ def test_parse_two_node_chain(chain_ab):
     assert chain_ab.arcs == (("A", "B"),)
     assert chain_ab.parents("B") == ("A",)
     assert chain_ab.cpt_row("B", (0,)) == (0.9, 0.1)
+
+
+def test_parse_builds_the_network_once(monkeypatch):
+    calls = []
+    init = BeliefNetwork.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BeliefNetwork, "__init__", counting_init)
+    net = parse_network(
+        "network x\nnode A states t f\nparents A\ncpt A\n0.5 0.5\nevidence A f\n"
+    )
+    assert len(calls) == 1
+    assert net.evidence == {"A": 1}
 
 
 def test_parse_rejects_bad_row_sum():

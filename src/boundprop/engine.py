@@ -7,17 +7,20 @@ only to childless unobserved territory contributes an exact
 uninformative message (that branch sums out of the posterior, so
 treating it as unknown would only widen the result for no reason).
 
-Messages are pulled recursively toward the query, so each directed
-message is computed once per evaluation.  Every computed vector is
+Each message the query needs is evaluated once per evaluation, after
+its inputs, from an explicit stack: the schedule is a post-order walk
+of the message dependencies toward the query, so its depth is not
+bounded by the interpreter's call stack.  Every computed vector is
 paired with a scale interval bracketing the mass its normalization
 discarded; conditioned evaluations (see ``loops``) use those scales to
-weight cutset instances.
+weight cutset instances.  A ``MessageCache`` carries values from one
+evaluation to the next and hands one back only for the same kernel
+arguments.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -61,9 +64,8 @@ class ActiveSet:
     def validate(self, net: BeliefNetwork, query: str) -> None:
         if query not in self.nodes:
             raise ValueError("active set must contain the query node")
-        net_arcs = set(net.arcs)
         for p, c in self.arcs:
-            if (p, c) not in net_arcs:
+            if c not in net or p not in net.parents(c):
                 raise ValueError(f"arc {(p, c)} not in network")
             if p not in self.nodes or c not in self.nodes:
                 raise ValueError(f"arc {(p, c)} endpoint outside active set")
@@ -104,28 +106,31 @@ class Message:
         return Message(kind, arc, vacuous(n), vacuous=True)
 
 
-@dataclass
-class _CacheEntry:
-    value: object
-    fp: object
-    deps: tuple
-
-
 class MessageCache:
-    """Message store keyed by (kind, arc), with exact change detection."""
+    """Message store keyed by (kind, arc), with exact change detection.
+
+    Each entry is ``(signature, value)``.  The engine records as a
+    message's signature its pinned state and the arguments its kernel
+    was called with: each input message's value, or a vacuous marker
+    for an absent arc.  It reuses a stored value only when the current
+    signature is ``==`` to the recorded one, which is memoization of a
+    pure function and so sound whatever evidence, query or active set
+    the cache saw before.  Values stored through ``update`` carry no
+    signature and are never reused by the engine.
+    """
 
     def __init__(self) -> None:
         self.entries: dict = {}
 
-    def update(self, key, value, fp=None, deps=()) -> bool:
+    def update(self, key, value) -> bool:
         old = self.entries.get(key)
-        changed = old is None or old.value != value
-        self.entries[key] = _CacheEntry(value, fp, tuple(deps))
+        changed = old is None or old[1] != value
+        self.entries[key] = (None, value)
         return changed
 
     def get(self, key):
         entry = self.entries.get(key)
-        return None if entry is None else entry.value
+        return None if entry is None else entry[1]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -142,7 +147,7 @@ def cache_update(cache: MessageCache, message: Message) -> bool:
 
 # -- message kernels ------------------------------------------------------------
 #
-# One body per message formula.  ``_Run`` gathers the inputs over the
+# One body per message formula.  ``_Run`` lists the inputs over the
 # active set and the public single-step functions take them from the
 # caller; both then call these.  Each returns a normalized vector with
 # the mass its normalization discarded.
@@ -207,163 +212,121 @@ def _lambda_message_kernel(
 
 
 class _Context:
-    """Per-query constants shared by every instance evaluation."""
+    """Per-query constants shared by every evaluation of one query."""
 
-    def __init__(
-        self,
-        net: BeliefNetwork,
-        active: ActiveSet,
-        evidence: Mapping[str, int],
-        query: str,
-    ):
+    def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int], query: str):
         self.net = net
-        self.active = active
         self.evidence = dict(evidence)
         self.query = query
-        self.arcs = set(active.arcs)
         self.ancestral = net.ancestral_closure({query, *self.evidence})
-
-    def node_fingerprint(self, node_id: str):
-        net = self.net
-        return (
-            self.evidence.get(node_id),
-            tuple((p, (p, node_id) in self.arcs) for p in net.parents(node_id)),
-            tuple((w, (node_id, w) in self.arcs) for w in net.children(node_id)),
-        )
 
 
 class _Run:
-    """One pull-based evaluation, optionally under cutset clamps."""
+    """One evaluation over an active set, optionally under cutset clamps."""
 
     def __init__(
         self,
         ctx: _Context,
+        active: ActiveSet,
         clamps: Mapping[str, int] | None = None,
         cache: MessageCache | None = None,
     ):
         self.ctx = ctx
+        self.arcs = active.arcs
         self.clamps = dict(clamps or {})
         self.cache = cache if not self.clamps else None
         self._memo: dict = {}
-        self._frames: list[list] = []
         self.visits = 0
-        self.touched: set[str] = set()
-        needed = 4 * len(ctx.active.nodes) + 500
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
 
-    # pinned nodes are split: they emit indicator messages downward and a
-    # bare indicator likelihood upward, which is what cuts loops.
     def _pinned(self, x: str) -> int | None:
         if x in self.clamps:
             return self.clamps[x]
         return self.ctx.evidence.get(x)
 
-    def pull(self, key, record: bool = True):
-        if record and self._frames:
-            self._frames[-1].append(key)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        fp = None
-        if self.cache is not None:
-            fp = self.ctx.node_fingerprint(key[1])
-            entry = self.cache.entries.get(key)
-            if entry is not None and entry.fp == fp:
-                reusable = True
-                for d in entry.deps:
-                    self.pull(d, record=False)
-                    if self._memo[d][1]:
-                        reusable = False
-                        break
-                if reusable:
-                    self._memo[key] = (entry.value, False)
-                    return entry.value
-        frame: list = []
-        self._frames.append(frame)
-        value = self._compute(key)
-        self._frames.pop()
-        changed = True
-        if self.cache is not None:
-            changed = self.cache.update(key, value, fp, frame)
-        self._memo[key] = (value, changed)
-        self.visits += 1
-        self.touched.add(key[1])
-        return value
+    def _inputs(self, key):
+        """The pinned state and the inputs of one message, in kernel order.
 
-    def _compute(self, key):
-        kind = key[0]
-        if kind == "pi_val":
-            return self._pi_value(key[1])
-        if kind == "lam_val":
-            return self._lambda_value(key[1])
-        if kind == "pi_msg":
-            return self._pi_message(key[1], key[2])
-        if kind == "lam_msg":
-            return self._lambda_message(key[1], key[2])
-        raise AssertionError(key)
-
-    def _parent_inputs(self, x: str, scale: Interval, skip: str | None = None):
-        """Messages over parent arcs; vacuous where the arc is absent."""
+        Keys are ``("pi_val", x)``, ``("lam_val", x)``, ``("pi_msg", u, x)``
+        and ``("lam_msg", x, u)``.  An input is the key of another message
+        or, for an absent arc, the state count of the vacuous vector that
+        stands in for it.  An absent child arc counts only where it leads
+        to evidence or the query; otherwise the branch under the child
+        sums out exactly and drops from the inputs.  A pinned node is
+        split: it emits indicator messages downward and a bare indicator
+        likelihood upward, with no inputs, which is what cuts loops.
+        """
+        kind, x = key[0], key[1]
         net = self.ctx.net
-        msgs: list[IntervalVector] = []
-        for p in net.parents(x):
-            if p == skip:
-                continue
-            if (p, x) in self.ctx.arcs:
-                vec, s = self.pull(("pi_msg", p, x))
-                msgs.append(vec)
-                scale = iv_mul(scale, s)
-            else:
-                msgs.append(vacuous(net.state_count(p)))
-        return msgs, scale
-
-    def _child_inputs(self, x: str, scale: Interval, skip: str | None = None):
-        """Messages over child arcs; vacuous where an absent arc leads to
-        evidence or the query."""
-        net = self.ctx.net
-        msgs: list[IntervalVector] = []
+        skip = key[2] if len(key) == 3 else None
+        if kind == "pi_val" or kind == "lam_msg":
+            ins: list = [] if skip is None else [("lam_val", x)]
+            for p in net.parents(x):
+                if p != skip:
+                    ins.append(("pi_msg", p, x) if (p, x) in self.arcs else net.state_count(p))
+            return None, tuple(ins)
+        pinned = self._pinned(x)
+        if pinned is not None:
+            return pinned, ()
+        ins = [] if skip is None else [("pi_val", x)]
         for w in net.children(x):
             if w == skip:
                 continue
-            if (x, w) in self.ctx.arcs:
-                vec, s = self.pull(("lam_msg", w, x))
-                msgs.append(vec)
-                scale = iv_mul(scale, s)
+            if (x, w) in self.arcs:
+                ins.append(("lam_msg", w, x))
             elif w in self.ctx.ancestral:
-                msgs.append(vacuous(net.state_count(x)))
-            # Otherwise the branch under w holds no evidence and no query:
-            # its true likelihood message is exactly flat, so it drops out.
-        return msgs, scale
+                ins.append(net.state_count(x))
+        return None, tuple(ins)
 
-    def _pi_value(self, x: str):
-        msgs, scale = self._parent_inputs(x, ONE)
-        vec, z = _pi_value_kernel(self.ctx.net.node(x), msgs)
-        return vec, iv_mul(scale, z)
+    def value(self, key):
+        """(vector, scale) of one message, evaluating its inputs first."""
+        memo = self._memo
+        cache = self.cache
+        stack: list = [(key, None)]
+        while stack:
+            k, ins = stack.pop()
+            if ins is None:
+                if k not in memo:
+                    ins = self._inputs(k)
+                    stack.append((k, ins))
+                    stack.extend((i, None) for i in ins[1] if type(i) is tuple and i not in memo)
+                continue
+            pinned, inputs = ins
+            args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
+            if cache is not None:
+                entry = cache.entries.get(k)
+                if entry is not None and entry[0] == (pinned, args):
+                    memo[k] = entry[1]
+                    continue
+            memo[k] = value = self._compute(k, pinned, args)
+            self.visits += 1
+            if cache is not None:
+                cache.entries[k] = ((pinned, args), value)
+        return memo[key]
 
-    def _lambda_value(self, x: str):
-        n = self.ctx.net.state_count(x)
-        pinned = self._pinned(x)
+    def _compute(self, key, pinned: int | None, args: tuple):
+        """Call the message's kernel; its scale is the product of the
+        input scales and the mass the kernel's normalization discarded."""
+        net = self.ctx.net
+        kind, x = key[0], key[1]
         if pinned is not None:
-            return IntervalVector.indicator(n, pinned), ONE
-        msgs, scale = self._child_inputs(x, ONE)
-        vec, z = _normalized_product(IntervalVector.ones(n), msgs)
-        return vec, iv_mul(scale, z)
-
-    def _pi_message(self, u: str, x: str):
-        pinned = self._pinned(u)
-        if pinned is not None:
-            return IntervalVector.indicator(self.ctx.net.state_count(u), pinned), ONE
-        prod, scale = self.pull(("pi_val", u))
-        msgs, scale = self._child_inputs(u, scale, skip=x)
-        vec, z = _normalized_product(prod, msgs)
-        return vec, iv_mul(scale, z)
-
-    def _lambda_message(self, x: str, u: str):
-        lam, scale = self.pull(("lam_val", x))
-        msgs, scale = self._parent_inputs(x, scale, skip=u)
-        vec, z = _lambda_message_kernel(self.ctx.net, x, u, lam, msgs)
-        return vec, iv_mul(scale, z)
+            return IntervalVector.indicator(net.state_count(x), pinned), ONE
+        msgs: list[IntervalVector] = []
+        scale = None
+        for a in args:
+            if type(a) is int:
+                msgs.append(vacuous(a))
+            else:
+                msgs.append(a[0])
+                scale = a[1] if scale is None else iv_mul(scale, a[1])
+        if kind == "pi_val":
+            vec, z = _pi_value_kernel(net.node(x), msgs)
+        elif kind == "lam_val":
+            vec, z = _normalized_product(IntervalVector.ones(net.state_count(x)), msgs)
+        elif kind == "pi_msg":
+            vec, z = _normalized_product(msgs[0], msgs[1:])
+        else:
+            vec, z = _lambda_message_kernel(net, x, key[2], msgs[0], msgs[1:])
+        return vec, z if scale is None else iv_mul(scale, z)
 
     def belief(self, x: str):
         """Belief bounds at x plus the evidence-mass interval of this run."""
@@ -371,14 +334,14 @@ class _Run:
             raise ValueError("belief of a clamped node is fixed by construction")
         if x in self.ctx.evidence:
             k = self.ctx.evidence[x]
-            pvec, ps = self.pull(("pi_val", x))
+            pvec, ps = self.value(("pi_val", x))
             if pvec[k].hi <= 0.0:
                 raise ConflictingEvidenceError(
                     f"observed state {k} of {x!r} has zero probability"
                 )
             return IntervalVector.indicator(len(pvec), k), iv_mul(ps, pvec[k])
-        lam, _ = self.pull(("lam_val", x))
-        pvec, _ = self.pull(("pi_val", x))
+        lam, _ = self.value(("lam_val", x))
+        pvec, _ = self.value(("pi_val", x))
         vec, _ = _normalized_product(lam, [pvec])
         return vec, self.component_mass(x)
 
@@ -390,8 +353,8 @@ class _Run:
         """
         if x in self.clamps or x in self.ctx.evidence:
             raise ValueError("mass must be read at an unpinned node")
-        lam, ls = self.pull(("lam_val", x))
-        pvec, ps = self.pull(("pi_val", x))
+        lam, ls = self.value(("lam_val", x))
+        pvec, ps = self.value(("pi_val", x))
         return iv_mul(iv_mul(ls, ps), simplex_dot(lam, pvec))
 
 
@@ -486,7 +449,7 @@ def propagate(
     active.validate(net, query)
     if not skeleton_acyclic(active.arcs):
         raise ValueError("active set contains loops; use propagate_mixed")
-    run = _Run(_Context(net, active, evidence, query), {}, cache)
+    run = _Run(_Context(net, evidence, query), active, {}, cache)
     vec, _ = run.belief(query)
     return vec
 
@@ -689,6 +652,7 @@ def answer_query(
         # Waiting rounds belong to one query; a caller's object is never advanced.
         strategy_obj = DelayedLoops(strategy_obj.delay)
     relevant = relevant_set(net, query, eff)
+    ctx = _Context(net, eff, query)
     active = ActiveSet.initial(query)
     cache = MessageCache() if use_cache else None
 
@@ -702,7 +666,7 @@ def answer_query(
     bel = vacuous(net.state_count(query))
     while True:
         t0 = time.perf_counter()
-        bel, v = evaluate(net, active, eff, query, instance_cap=instance_cap, cache=cache)
+        bel, v = evaluate(net, active, ctx, instance_cap=instance_cap, cache=cache)
         timings.append(time.perf_counter() - t0)
         bels.append(bel)
         widths.append(bel.max_width)

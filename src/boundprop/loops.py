@@ -118,7 +118,7 @@ def select_loop_cutset(
 
 def _pinned_column_factor(
     net: BeliefNetwork,
-    ctx: _Context,
+    active: ActiveSet,
     node: str,
     state: int,
     pinned: Mapping[str, int],
@@ -127,14 +127,14 @@ def _pinned_column_factor(
     # the active set: sum of its column under indicator or vacuous weights.
     msgs = []
     for p in net.parents(node):
-        if (p, node) in ctx.arcs and p in pinned:
+        if (p, node) in active.arcs and p in pinned:
             msgs.append(IntervalVector.indicator(net.state_count(p), pinned[p]))
         else:
             msgs.append(vacuous(net.state_count(p)))
     return _column_mass(net.node(node), state, _joint_weights(msgs))
 
 
-def _mass_plan(net: BeliefNetwork, ctx: _Context, cut: list[str], query: str):
+def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
     """Where each instance's mass is accounted for.
 
     Clamping silences a node's outgoing arcs, which can split the
@@ -146,21 +146,21 @@ def _mass_plan(net: BeliefNetwork, ctx: _Context, cut: list[str], query: str):
     the clamps never touch contribute the same factor to every
     instance, which the joint weight normalization cancels.
     """
-    active_nodes = ctx.active.nodes
-    split = set(cut) | {v for v in ctx.evidence if v in active_nodes}
-    nodes = sorted(active_nodes, key=net.order)
+    net = ctx.net
+    split = set(cut) | {v for v in ctx.evidence if v in active.nodes}
+    nodes = sorted(active.nodes, key=net.order)
     sets = UnionFind()
     # A pinned node's table still ties it to its unpinned parents, so
     # only arcs leaving a pinned node break connectivity.
-    for p, c in ctx.arcs:
+    for p, c in active.arcs:
         if p not in split:
             sets.union(p, c)
-    query_root = sets.find(query)
+    query_root = sets.find(ctx.query)
     touched: set[str] = set()
     for c in cut:
         touched.add(sets.find(c))
         for w in net.children(c):
-            if (c, w) in ctx.arcs:
+            if (c, w) in active.arcs:
                 touched.add(sets.find(w))
     representatives: list[str] = []
     direct_factors: list[str] = []
@@ -180,13 +180,13 @@ def _mass_plan(net: BeliefNetwork, ctx: _Context, cut: list[str], query: str):
 
 
 def _conditioned_bel(
-    net: BeliefNetwork,
     ctx: _Context,
+    active: ActiveSet,
     cut: list[str],
-    query: str,
     instance_cap: int,
     cache: MessageCache | None,
 ):
+    net, query = ctx.net, ctx.query
     n_q = net.state_count(query)
     total = 1
     for c in cut:
@@ -195,14 +195,14 @@ def _conditioned_bel(
         raise CutsetOverflowError(
             f"{total} cutset instances exceed the cap of {instance_cap}"
         )
-    representatives, direct_factors = _mass_plan(net, ctx, cut, query)
-    observed = {v: s for v, s in ctx.evidence.items() if v in ctx.active.nodes}
+    representatives, direct_factors = _mass_plan(ctx, active, cut)
+    observed = {v: s for v, s in ctx.evidence.items() if v in active.nodes}
     # A clamped node's indicator suppresses its own boundary: evidence
     # hanging off its absent arcs would have scaled each instance by an
     # unknown likelihood, so the instance weights must absorb a [0, 1]
     # factor until those arcs join the active set.
     boundary_unknown = any(
-        (c, w) not in ctx.arcs and w in ctx.ancestral
+        (c, w) not in active.arcs and w in ctx.ancestral
         for c in cut
         for w in net.children(c)
     )
@@ -213,13 +213,13 @@ def _conditioned_bel(
     for inst in instances:
         clamps = dict(zip(cut, inst))
         pinned = {**observed, **clamps}
-        run = _Run(ctx, clamps, cache if not clamps else None)
+        run = _Run(ctx, active, clamps, cache)
         try:
             vec, mass = run.belief(query)
             for r in representatives:
                 mass = iv_mul(mass, run.component_mass(r))
             for c in direct_factors:
-                mass = iv_mul(mass, _pinned_column_factor(net, ctx, c, pinned[c], pinned))
+                mass = iv_mul(mass, _pinned_column_factor(net, active, c, pinned[c], pinned))
             if boundary_unknown:
                 mass = Interval(0.0, mass.hi)
         except ConflictingEvidenceError:
@@ -248,21 +248,20 @@ def _conditioned_bel(
 def evaluate(
     net: BeliefNetwork,
     active: ActiveSet,
-    evidence: Mapping[str, int],
-    query: str,
+    ctx: _Context,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
     cache: MessageCache | None = None,
 ) -> tuple[IntervalVector, int]:
-    """Belief bounds at the query over any active set, plus work count."""
-    ctx = _Context(net, active, evidence, query)
+    """Belief bounds at ``ctx.query`` over any active set, plus work count."""
+    query = ctx.query
     nodes = sorted(active.nodes, key=net.order)
     arcs = sorted(active.arcs, key=lambda a: (net.order(a[0]), net.order(a[1])))
     clusters = find_loop_clusters(nodes, arcs)
     if not clusters:
-        run = _Run(ctx, {}, cache)
+        run = _Run(ctx, active, {}, cache)
         vec, _ = run.belief(query)
         return vec, run.visits
-    observed = frozenset(v for v in evidence if v in active.nodes)
+    observed = frozenset(v for v in ctx.evidence if v in active.nodes)
     cut: list[str] = []
     for cl in clusters:
         cut.extend(
@@ -271,7 +270,7 @@ def evaluate(
     cut = sorted(set(cut), key=net.order)
     if not skeleton_acyclic(arcs, set(cut) | set(observed)):
         raise RuntimeError("cutset failed to cut the active set")
-    bel, visits, _ = _conditioned_bel(net, ctx, cut, query, instance_cap, cache)
+    bel, visits, _ = _conditioned_bel(ctx, active, cut, instance_cap, cache)
     return bel, visits
 
 
@@ -290,7 +289,7 @@ def propagate_mixed(
     active set this coincides with ``engine.propagate``.
     """
     active.validate(net, query)
-    bel, _ = evaluate(net, active, evidence, query, instance_cap=instance_cap)
+    bel, _ = evaluate(net, active, _Context(net, evidence, query), instance_cap=instance_cap)
     return bel
 
 
@@ -314,14 +313,14 @@ def condition_cluster(
     active.validate(net, target)
     if not (cluster.nodes <= active.nodes and cluster.arcs <= active.arcs):
         raise ValueError("cluster is not wholly contained in the active set")
-    ctx = _Context(net, active, evidence, target)
+    ctx = _Context(net, evidence, target)
     observed = frozenset(v for v in evidence if v in active.nodes)
     cut = list(
         select_loop_cutset(net, cluster, exclude=frozenset({target}), presplit=observed)
     )
     if not skeleton_acyclic(active.arcs, set(cut) | set(observed)):
         raise ValueError("active set has loops outside this cluster; use propagate_mixed")
-    bel, _, table = _conditioned_bel(net, ctx, cut, target, instance_cap, None)
+    bel, _, table = _conditioned_bel(ctx, active, cut, instance_cap, None)
     if return_table:
         return bel, table
     return bel

@@ -44,7 +44,7 @@ def joint_table(net: BeliefNetwork) -> np.ndarray:
         full_shape = [1] * len(shape)
         for i in perm:
             full_shape[axis[involved[i]]] = net.state_count(involved[i])
-        joint = joint * table.reshape(full_shape)
+        joint *= table.reshape(full_shape)
     return joint
 
 

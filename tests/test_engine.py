@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -253,6 +254,40 @@ def test_cache_saves_visits():
     uncached = answer_query(net, q, {}, use_cache=False)
     assert cached.bels == uncached.bels
     assert cached.node_visits < uncached.node_visits
+
+
+def test_shared_cache_reuses_nothing_across_evidence():
+    # A -> B -> C with the active set {A, B}.  Without evidence C sums out
+    # of the posterior; with C observed, the absent arc B -> C leads to
+    # evidence and B's likelihood turns vacuous, so no stored message
+    # from the first call fits the second.
+    net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
+    active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
+    cache = MessageCache()
+    propagate(net, active, {}, "A", cache=cache)
+    bel = propagate(net, active, {"C": 0}, "A", cache=cache)
+    assert bel.contains_point(enumerate_marginal(net, {"C": 0}, "A"))
+    assert bel == propagate(net, active, {"C": 0}, "A")
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    n = 5000
+    net = build_net("long", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(n)}, seed=8)
+    return net, full_active(net), {f"n{n - 1}": 0}
+
+
+def test_long_chain_cached_and_uncached_agree(long_chain):
+    net, active, ev = long_chain
+    assert propagate(net, active, ev, "n0", cache=MessageCache()) == propagate(net, active, ev, "n0")
+
+
+def test_propagation_leaves_the_recursion_limit_alone(long_chain):
+    net, active, ev = long_chain
+    before = sys.getrecursionlimit()
+    propagate(net, active, ev, "n0", cache=MessageCache())
+    propagate(net, active, ev, "n0")
+    assert sys.getrecursionlimit() == before
 
 
 # -- expansion ----------------------------------------------------------------

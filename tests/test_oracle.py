@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,18 @@ def test_polytree_exact_rejects_loops():
 def test_joint_table_sums_to_one():
     net = gen_loopy(GenSpec(node_count=7, topology="loopy", arc_ratio=1.3, seed=9))
     assert float(joint_table(net).sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_joint_table_builds_no_second_full_array():
+    net = build_net("c20", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(20)}, seed=4)
+    tracemalloc.start()
+    try:
+        table = joint_table(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 * 2 ** 20
+    assert peak < 1.5 * table.nbytes
 
 
 def test_state_space_cap():

@@ -12,8 +12,6 @@ from .intervals import (
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
-    incremental_sort_cursor,
-    iv_add,
     iv_mul,
     normalize,
     simplex_dot,
@@ -34,17 +32,11 @@ from .network import (
 )
 from .engine import (
     ActiveSet,
-    BreadthFirst,
     DelayedLoops,
-    Message,
-    MessageCache,
-    NoLoops,
     QueryResult,
     StopCriterion,
     answer_query,
     bel_hat,
-    cache_update,
-    expand,
     lambda_hat,
     lambda_msg,
     pi_hat,
@@ -52,10 +44,7 @@ from .engine import (
     propagate,
 )
 from .loops import (
-    ConditioningTable,
-    CutsetAssignment,
     CutsetOverflowError,
-    clusters_by_coverage,
     condition_cluster,
     propagate_mixed,
     select_loop_cutset,
@@ -67,37 +56,26 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSet",
     "BeliefNetwork",
-    "BreadthFirst",
     "COHERENCE_TOL",
     "CoherenceError",
-    "ConditioningTable",
     "ConflictingEvidenceError",
-    "CutsetAssignment",
     "CutsetOverflowError",
     "DelayedLoops",
     "Evidence",
     "Interval",
     "IntervalVector",
     "LoopCluster",
-    "Message",
-    "MessageCache",
     "NetworkFormatError",
     "Node",
-    "NoLoops",
     "QueryResult",
     "StopCriterion",
     "answer_query",
     "bel_hat",
-    "cache_update",
-    "clusters_by_coverage",
     "condition_cluster",
     "d_separated",
     "enumerate_marginal",
-    "expand",
     "find_loop_clusters",
-    "incremental_sort_cursor",
     "is_polytree",
-    "iv_add",
     "iv_mul",
     "lambda_hat",
     "lambda_msg",

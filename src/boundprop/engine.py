@@ -13,9 +13,16 @@ of the message dependencies toward the query, so its depth is not
 bounded by the interpreter's call stack.  Every computed vector is
 paired with a scale interval bracketing the mass its normalization
 discarded; conditioned evaluations (see ``loops``) use those scales to
-weight cutset instances.  A ``MessageCache`` carries values from one
-evaluation to the next and hands one back only for the same kernel
-arguments.
+weight cutset instances.
+
+A cache is a plain ``dict`` that carries values from one evaluation to
+the next.  Each entry maps a message key to ``(signature, value)``,
+where the signature is the message's pinned state and the arguments its
+kernel was called with: each input message's value, or a vacuous
+marker for an absent arc.  A stored value is reused only when the
+current signature is ``==`` to the recorded one, which is memoization
+of a pure function and so sound whatever evidence, query or active set
+the cache saw before.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ from .network import BeliefNetwork, Evidence, Node, UnionFind, relevant_set, ske
 SATISFIED = "satisfied"
 SATURATED = "saturated"
 BUDGET = "budget"
+# Most joint cutset instances one conditioned evaluation may run.
+DEFAULT_INSTANCE_CAP = 65536
 
 
 # -- active set -------------------------------------------------------------
@@ -83,66 +92,6 @@ class ActiveSet:
                     stack.append(w)
         if seen != set(self.nodes):
             raise ValueError("active set is not connected")
-
-
-# -- messages and cache -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: str  # "pi" or "lambda"
-    arc: tuple[str, str]
-    value: IntervalVector
-    vacuous: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("pi", "lambda"):
-            raise ValueError("message kind must be 'pi' or 'lambda'")
-        if self.vacuous and not self.value.is_vacuous():
-            raise ValueError("vacuous flag on a non-vacuous value")
-
-    @staticmethod
-    def vacuous_message(kind: str, arc: tuple[str, str], n: int) -> "Message":
-        return Message(kind, arc, vacuous(n), vacuous=True)
-
-
-class MessageCache:
-    """Message store keyed by (kind, arc), with exact change detection.
-
-    Each entry is ``(signature, value)``.  The engine records as a
-    message's signature its pinned state and the arguments its kernel
-    was called with: each input message's value, or a vacuous marker
-    for an absent arc.  It reuses a stored value only when the current
-    signature is ``==`` to the recorded one, which is memoization of a
-    pure function and so sound whatever evidence, query or active set
-    the cache saw before.  Values stored through ``update`` carry no
-    signature and are never reused by the engine.
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-
-    def update(self, key, value) -> bool:
-        old = self.entries.get(key)
-        changed = old is None or old[1] != value
-        self.entries[key] = (None, value)
-        return changed
-
-    def get(self, key):
-        entry = self.entries.get(key)
-        return None if entry is None else entry[1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def cache_update(cache: MessageCache, message: Message) -> bool:
-    """Store a message; report whether it differs from the cached value.
-
-    Comparison is exact, so an unchanged message lets the caller stop
-    re-propagating along that path when iterating.
-    """
-    return cache.update((message.kind, message.arc), message.value)
 
 
 # -- message kernels ------------------------------------------------------------
@@ -212,9 +161,18 @@ def _lambda_message_kernel(
 
 
 class _Context:
-    """Per-query constants shared by every evaluation of one query."""
+    """Per-query constants shared by every evaluation of one query.
+
+    Every entry point builds one, so the query and the evidence are
+    checked here: an unknown node raises ``KeyError`` and an evidence
+    state out of range raises ``ValueError``.
+    """
 
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int], query: str):
+        net.node(query)
+        for v, s in evidence.items():
+            if not 0 <= s < net.state_count(v):
+                raise ValueError(f"evidence state {s} out of range for {v!r}")
         self.net = net
         self.evidence = dict(evidence)
         self.query = query
@@ -222,14 +180,20 @@ class _Context:
 
 
 class _Run:
-    """One evaluation over an active set, optionally under cutset clamps."""
+    """One evaluation over an active set, optionally under cutset clamps.
+
+    ``cache`` maps a message key to ``(signature, value)`` as described
+    in the module docstring; it is consulted and filled only in runs
+    without clamps, so a stored value never depends on a cutset
+    instance.
+    """
 
     def __init__(
         self,
         ctx: _Context,
         active: ActiveSet,
         clamps: Mapping[str, int] | None = None,
-        cache: MessageCache | None = None,
+        cache: dict | None = None,
     ):
         self.ctx = ctx
         self.arcs = active.arcs
@@ -293,14 +257,14 @@ class _Run:
             pinned, inputs = ins
             args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
             if cache is not None:
-                entry = cache.entries.get(k)
+                entry = cache.get(k)
                 if entry is not None and entry[0] == (pinned, args):
                     memo[k] = entry[1]
                     continue
             memo[k] = value = self._compute(k, pinned, args)
             self.visits += 1
             if cache is not None:
-                cache.entries[k] = ((pinned, args), value)
+                cache[k] = ((pinned, args), value)
         return memo[key]
 
     def _compute(self, key, pinned: int | None, args: tuple):
@@ -403,15 +367,14 @@ def pi_msg(
     pi_vec: IntervalVector,
     sibling_messages: Mapping[str, IntervalVector],
     observed_state: int | None = None,
-) -> Message:
-    """Message a node sends to one child: its prior side times the
+) -> IntervalVector:
+    """The message a node sends to one child: its prior side times the
     likelihood messages from every other child."""
-    n = net.state_count(node)
     if observed_state is not None:
-        return Message("pi", (node, child), IntervalVector.indicator(n, observed_state))
+        return IntervalVector.indicator(net.state_count(node), observed_state)
     others = [vec for w, vec in sibling_messages.items() if w != child]
     vec, _ = _normalized_product(pi_vec, others)
-    return Message("pi", (node, child), vec)
+    return vec
 
 
 def lambda_msg(
@@ -420,8 +383,8 @@ def lambda_msg(
     parent: str,
     lam_vec: IntervalVector,
     coparent_messages: Mapping[str, IntervalVector],
-) -> Message:
-    """Message a node sends up to one parent; co-parents without a
+) -> IntervalVector:
+    """The message a node sends up to one parent; co-parents without a
     message count as vacuous."""
     msgs = [
         coparent_messages.get(p, vacuous(net.state_count(p)))
@@ -429,7 +392,7 @@ def lambda_msg(
         if p != parent
     ]
     vec, _ = _lambda_message_kernel(net, node, parent, lam_vec, msgs)
-    return Message("lambda", (parent, node), vec)
+    return vec
 
 
 def propagate(
@@ -437,14 +400,16 @@ def propagate(
     active: ActiveSet,
     evidence: Mapping[str, int],
     query: str,
-    cache: MessageCache | None = None,
+    cache: dict | None = None,
 ) -> IntervalVector:
     """Belief bounds at the query over a singly connected active set.
 
     Messages are computed in one pass toward the query; arcs absent
     from the active set contribute boundary messages as described in
     the module docstring.  Multiply connected active sets need
-    ``loops.propagate_mixed``.
+    ``loops.propagate_mixed``.  A ``cache`` dict, empty at first, can
+    be passed to successive calls; the module docstring says when an
+    entry in it is reused.
     """
     active.validate(net, query)
     if not skeleton_acyclic(active.arcs):
@@ -530,7 +495,7 @@ class DelayedLoops:
     keeps the active set a polytree.  ``delay=0`` is plain breadth-first
     growth.
 
-    The object counts the rounds of one growth; ``answer_query`` builds
+    The object counts the rounds of one growth; ``make_strategy`` builds
     a fresh one for every query.
     """
 
@@ -582,40 +547,20 @@ class DelayedLoops:
         return ActiveSet(frozenset(nodes), frozenset(arcs))
 
 
-def BreadthFirst() -> DelayedLoops:
-    """Add every relevant neighbor of the current set, with all induced arcs."""
-    return DelayedLoops(0)
+def make_strategy(spec, delay: int = 5) -> DelayedLoops:
+    """A fresh growth rule from a strategy name or a ``DelayedLoops``.
 
-
-def NoLoops() -> DelayedLoops:
-    """Breadth-first growth that never closes an undirected cycle."""
-    return DelayedLoops(None)
-
-
-def make_strategy(spec, delay: int = 5):
-    if not isinstance(spec, str):
-        return spec
+    ``delay`` is the loop delay of the name ``"delayed"``.  Waiting
+    rounds belong to one growth, so a caller's object is copied and
+    never advanced.
+    """
+    if isinstance(spec, DelayedLoops):
+        return DelayedLoops(spec.delay)
     delays = {"bfs": 0, "breadth-first": 0, "no-loops": None, "delayed": delay}
-    name = spec.replace("_", "-").lower()
+    name = spec.replace("_", "-").lower() if isinstance(spec, str) else None
     if name not in delays:
         raise ValueError(f"unknown strategy {spec!r}")
     return DelayedLoops(delays[name])
-
-
-def expand(
-    active: ActiveSet,
-    strategy,
-    net: BeliefNetwork,
-    query: str,
-    evidence: Mapping[str, int],
-) -> ActiveSet | None:
-    """One expansion round.  Returns None at a fixed point."""
-    strategy = make_strategy(strategy)
-    relevant = relevant_set(net, query, evidence)
-    grown = strategy.step(net, active, query, evidence, relevant)
-    if grown is not None and grown == active:
-        return active
-    return grown
 
 
 # -- the anytime loop -----------------------------------------------------------
@@ -628,7 +573,7 @@ def answer_query(
     strategy="bfs",
     stop: StopCriterion | None = None,
     budget_ms: float | None = None,
-    instance_cap: int = 65536,
+    instance_cap: int = DEFAULT_INSTANCE_CAP,
     use_cache: bool = True,
 ) -> QueryResult:
     """Iteratively expand and propagate until the stop criterion holds.
@@ -640,21 +585,16 @@ def answer_query(
     """
     from .loops import evaluate
 
-    net.node(query)
     eff: Evidence = dict(net.evidence)
     eff.update(evidence or {})
-    for v, s in eff.items():
-        if not 0 <= s < net.state_count(v):
-            raise ValueError(f"evidence state {s} out of range for {v!r}")
-    stop = stop if stop is not None else StopCriterion.width(0.0)
-    strategy_obj = make_strategy(strategy)
-    if isinstance(strategy_obj, DelayedLoops):
-        # Waiting rounds belong to one query; a caller's object is never advanced.
-        strategy_obj = DelayedLoops(strategy_obj.delay)
-    relevant = relevant_set(net, query, eff)
     ctx = _Context(net, eff, query)
+    stop = stop if stop is not None else StopCriterion.width(0.0)
+    if stop.threshold is not None and not 0 <= stop.threshold[0] < net.state_count(query):
+        raise ValueError(f"threshold state {stop.threshold[0]} out of range for {query!r}")
+    strategy_obj = make_strategy(strategy)
+    relevant = relevant_set(net, query, eff)
     active = ActiveSet.initial(query)
-    cache = MessageCache() if use_cache else None
+    cache: dict | None = {} if use_cache else None
 
     widths: list[float] = []
     sizes: list[int] = []

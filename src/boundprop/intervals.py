@@ -63,9 +63,6 @@ class Interval:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
-    def encloses(self, other: "Interval", slack: float = 0.0) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
     def __repr__(self) -> str:
         return f"[{self.lo:.6g}, {self.hi:.6g}]"
 
@@ -84,10 +81,6 @@ def prob_interval(lo: float, hi: float) -> Interval:
     """Interval clamped into [0, 1], with outward repair of rounding."""
     lo, hi = _outward(lo, hi)
     return Interval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
-
-
-def iv_add(x: Interval, y: Interval) -> Interval:
-    return Interval(x.lo + y.lo, x.hi + y.hi)
 
 
 def iv_mul(x: Interval, y: Interval) -> Interval:
@@ -165,16 +158,10 @@ class IntervalVector:
     def is_coherent(self, tol: float = COHERENCE_TOL) -> bool:
         return self.lo_sum <= 1.0 + tol and self.hi_sum >= 1.0 - tol
 
-    def is_vacuous(self) -> bool:
-        return all(e.lo == 0.0 and e.hi == 1.0 for e in self.entries)
-
     def contains_point(self, values: Sequence[float], slack: float = 0.0) -> bool:
         if len(values) != len(self.entries):
             return False
         return all(e.contains(v, slack) for e, v in zip(self.entries, values))
-
-    def encloses(self, other: "IntervalVector", slack: float = 0.0) -> bool:
-        return all(a.encloses(b, slack) for a, b in zip(self.entries, other.entries))
 
     def product(self, other: "IntervalVector") -> "IntervalVector":
         if len(other) != len(self.entries):
@@ -188,30 +175,6 @@ class IntervalVector:
 def vacuous(n: int) -> IntervalVector:
     """Vector of [0, 1] intervals standing in for an uncomputed message."""
     return IntervalVector.vacuous(n)
-
-
-def incremental_sort_cursor(keys: Sequence[float]) -> Iterator[int]:
-    """Yield indices of ``keys`` in nondecreasing order, lazily.
-
-    Quicksort that only refines the partition currently being consumed,
-    so asking for the first few indices costs far less than a full sort.
-    Ties are broken by ascending index, making the order deterministic.
-    """
-    items = [(k, i) for i, k in enumerate(keys)]
-    stack = [items]
-    while stack:
-        seg = stack.pop()
-        if len(seg) <= 16:
-            for _, i in sorted(seg):
-                yield i
-            continue
-        a, b, c = seg[0], seg[len(seg) // 2], seg[-1]
-        pivot = sorted((a, b, c))[1]
-        less = [t for t in seg if t < pivot]
-        greater = [t for t in seg if t > pivot]
-        stack.append(greater)
-        stack.append([pivot])
-        stack.append(less)
 
 
 def _check_simplex_args(a: IntervalVector, b: IntervalVector) -> None:
@@ -235,6 +198,7 @@ def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
     remaining mass (up to each b_i.hi) on the smallest a_i.lo first; the
     upper bound mirrors this with descending a_i.hi.  Both greedy
     assignments are exact optima of the underlying linear program.
+    Tied keys are visited in ascending index order.
 
     Against a fully vacuous b this reduces to [min_i a_i.lo, max_i a_i.hi].
     """
@@ -245,7 +209,7 @@ def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
         bstar = [e.lo for e in b]
         remaining = 1.0 - sum(bstar)
         if remaining > 0.0:
-            for i in incremental_sort_cursor(order_keys):
+            for i in sorted(range(n), key=order_keys.__getitem__):
                 room = b[i].hi - b[i].lo
                 if room <= 0.0:
                     continue

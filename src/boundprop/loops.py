@@ -16,10 +16,9 @@ keeps the true instance distribution inside it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
-from .engine import ActiveSet, MessageCache, _Context, _Run, _column_mass, _joint_weights
+from .engine import DEFAULT_INSTANCE_CAP, ActiveSet, _Context, _Run, _column_mass, _joint_weights
 from .intervals import (
     ZERO,
     ConflictingEvidenceError,
@@ -32,49 +31,9 @@ from .intervals import (
 )
 from .network import BeliefNetwork, LoopCluster, UnionFind, find_loop_clusters, skeleton_acyclic
 
-DEFAULT_INSTANCE_CAP = 65536
-
 
 class CutsetOverflowError(RuntimeError):
     """The joint cutset instance space exceeds the configured cap."""
-
-
-@dataclass(frozen=True)
-class CutsetAssignment:
-    cutset: tuple[str, ...]
-    instance: tuple[int, ...]
-    weight: Interval
-
-
-@dataclass(frozen=True)
-class ConditioningTable:
-    """Per-instance conditional bounds and mixing weights."""
-
-    cutset: tuple[str, ...]
-    assignments: tuple[CutsetAssignment, ...]
-    conditionals: tuple[IntervalVector, ...]
-
-    def weight_vector(self) -> IntervalVector:
-        return IntervalVector(a.weight for a in self.assignments)
-
-
-def clusters_by_coverage(
-    clusters: tuple[LoopCluster, ...], active: ActiveSet
-) -> tuple[tuple[LoopCluster, ...], tuple[LoopCluster, ...]]:
-    """Split loop clusters into wholly contained and partially contained.
-
-    A cluster counts as whole only when all of its nodes and all of its
-    arcs are in the active set; clusters the active set does not touch
-    at all appear in neither list.
-    """
-    whole = []
-    partial = []
-    for cl in clusters:
-        if cl.nodes <= active.nodes and cl.arcs <= active.arcs:
-            whole.append(cl)
-        elif cl.nodes & active.nodes:
-            partial.append(cl)
-    return tuple(whole), tuple(partial)
 
 
 def select_loop_cutset(
@@ -184,8 +143,8 @@ def _conditioned_bel(
     active: ActiveSet,
     cut: list[str],
     instance_cap: int,
-    cache: MessageCache | None,
-):
+    cache: dict | None,
+) -> tuple[IntervalVector, int]:
     net, query = ctx.net, ctx.query
     n_q = net.state_count(query)
     total = 1
@@ -209,8 +168,7 @@ def _conditioned_bel(
     bels: list[IntervalVector] = []
     masses: list[Interval] = []
     visits = 0
-    instances = list(itertools.product(*[range(net.state_count(c)) for c in cut]))
-    for inst in instances:
+    for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
         clamps = dict(zip(cut, inst))
         pinned = {**observed, **clamps}
         run = _Run(ctx, active, clamps, cache)
@@ -233,24 +191,15 @@ def _conditioned_bel(
     for i in range(n_q):
         column = IntervalVector(b[i] for b in bels)
         out.append(simplex_dot(column, weights))
-    bel = normalize(IntervalVector(out))
-    table = ConditioningTable(
-        cutset=tuple(cut),
-        assignments=tuple(
-            CutsetAssignment(tuple(cut), inst, w)
-            for inst, w in zip(instances, weights)
-        ),
-        conditionals=tuple(bels),
-    )
-    return bel, visits, table
+    return normalize(IntervalVector(out)), visits
 
 
 def evaluate(
     net: BeliefNetwork,
     active: ActiveSet,
     ctx: _Context,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
-    cache: MessageCache | None = None,
+    instance_cap: int,
+    cache: dict | None = None,
 ) -> tuple[IntervalVector, int]:
     """Belief bounds at ``ctx.query`` over any active set, plus work count."""
     query = ctx.query
@@ -270,8 +219,7 @@ def evaluate(
     cut = sorted(set(cut), key=net.order)
     if not skeleton_acyclic(arcs, set(cut) | set(observed)):
         raise RuntimeError("cutset failed to cut the active set")
-    bel, visits, _ = _conditioned_bel(ctx, active, cut, instance_cap, cache)
-    return bel, visits
+    return _conditioned_bel(ctx, active, cut, instance_cap, cache)
 
 
 def propagate_mixed(
@@ -300,8 +248,7 @@ def condition_cluster(
     evidence: Mapping[str, int],
     target: str,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
-    return_table: bool = False,
-):
+) -> IntervalVector:
     """Evaluate a wholly contained loop cluster toward a target node.
 
     Per cutset instance, the whole active set is propagated as usual:
@@ -320,7 +267,5 @@ def condition_cluster(
     )
     if not skeleton_acyclic(active.arcs, set(cut) | set(observed)):
         raise ValueError("active set has loops outside this cluster; use propagate_mixed")
-    bel, _, table = _conditioned_bel(ctx, active, cut, instance_cap, None)
-    if return_table:
-        return bel, table
+    bel, _ = _conditioned_bel(ctx, active, cut, instance_cap, None)
     return bel

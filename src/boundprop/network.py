@@ -171,9 +171,6 @@ class BeliefNetwork:
             stack.extend(self.node(v).parents)
         return out
 
-    def evidence_from_names(self, pairs: Mapping[str, str]) -> Evidence:
-        return {node: self.state_index(node, state) for node, state in pairs.items()}
-
 
 class UnionFind:
     """Disjoint sets over hashable items; an unseen item is its own set."""

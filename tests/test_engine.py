@@ -5,15 +5,10 @@ import pytest
 
 from boundprop import (
     ActiveSet,
-    Message,
-    MessageCache,
     StopCriterion,
     answer_query,
     bel_hat,
-    cache_update,
     enumerate_marginal,
-    expand,
-    is_polytree,
     lambda_hat,
     lambda_msg,
     pi_hat,
@@ -26,9 +21,7 @@ from boundprop.engine import (
     BUDGET,
     SATISFIED,
     SATURATED,
-    BreadthFirst,
     DelayedLoops,
-    NoLoops,
     make_strategy,
 )
 from boundprop.intervals import Interval, IntervalVector, normalize, vacuous
@@ -100,29 +93,27 @@ def test_bel_hat_normalized_product():
 def test_pi_msg_single_child_is_pi(chain_ab):
     pi = IntervalVector.point([0.3, 0.7])
     msg = pi_msg(chain_ab, "A", "B", pi, {})
-    assert msg.kind == "pi" and msg.arc == ("A", "B")
-    assert msg.value == normalize(pi)
+    assert msg == normalize(pi)
 
 
 def test_pi_msg_vacuous_siblings_widen():
     net = build_net("u", {"A": [], "B": ["A"], "C": ["A"]}, seed=2)
     pi = IntervalVector.point([0.3, 0.7])
     msg = pi_msg(net, "A", "B", pi, {"C": vacuous(2)})
-    assert msg.value.contains_point((0.3, 0.7), 1e-12)
-    assert msg.value.max_width > 0.2
+    assert msg.contains_point((0.3, 0.7), 1e-12)
+    assert msg.max_width > 0.2
 
 
 def test_pi_msg_observed_is_indicator(chain_ab):
     msg = pi_msg(chain_ab, "A", "B", vacuous(2), {}, observed_state=0)
-    assert msg.value == IntervalVector.indicator(2, 0)
+    assert msg == IntervalVector.indicator(2, 0)
 
 
 def test_lambda_msg_vacuous_child_spans_rows(chain_ab):
     # message B sends to A when nothing is known below B
     got = lambda_msg(chain_ab, "B", "A", vacuous(2), {})
     want = normalize(IntervalVector([Interval(0.1, 0.9), Interval(0.2, 0.8)]))
-    assert got.kind == "lambda" and got.arc == ("A", "B")
-    assert got.value == want
+    assert got == want
 
 
 def test_lambda_msg_point_inputs_match_point_solver(chain_ab):
@@ -130,8 +121,8 @@ def test_lambda_msg_point_inputs_match_point_solver(chain_ab):
     got = lambda_msg(chain_ab, "B", "A", IntervalVector.indicator(2, 0), {})
     raw = [0.9, 0.2]
     total = sum(raw)
-    assert got.value.contains_point([x / total for x in raw], 1e-12)
-    assert got.value.max_width <= 1e-12
+    assert got.contains_point([x / total for x in raw], 1e-12)
+    assert got.max_width <= 1e-12
 
 
 # -- propagate ----------------------------------------------------------------
@@ -219,15 +210,6 @@ def test_active_set_validation(chain_ab):
 # -- cache --------------------------------------------------------------------
 
 
-def test_cache_update_semantics():
-    cache = MessageCache()
-    msg = Message("pi", ("A", "B"), IntervalVector([Interval(0.2, 0.6), Interval(0.4, 0.8)]))
-    assert cache_update(cache, msg) is True
-    assert cache_update(cache, msg) is False
-    narrowed = Message("pi", ("A", "B"), IntervalVector([Interval(0.3, 0.6), Interval(0.4, 0.7)]))
-    assert cache_update(cache, narrowed) is True
-
-
 def test_cached_and_uncached_runs_identical():
     for seed in range(10):
         net = gen_polytree(GenSpec(node_count=10, seed=seed))
@@ -263,7 +245,7 @@ def test_shared_cache_reuses_nothing_across_evidence():
     # from the first call fits the second.
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
-    cache = MessageCache()
+    cache = {}
     propagate(net, active, {}, "A", cache=cache)
     bel = propagate(net, active, {"C": 0}, "A", cache=cache)
     assert bel.contains_point(enumerate_marginal(net, {"C": 0}, "A"))
@@ -279,13 +261,13 @@ def long_chain():
 
 def test_long_chain_cached_and_uncached_agree(long_chain):
     net, active, ev = long_chain
-    assert propagate(net, active, ev, "n0", cache=MessageCache()) == propagate(net, active, ev, "n0")
+    assert propagate(net, active, ev, "n0", cache={}) == propagate(net, active, ev, "n0")
 
 
 def test_propagation_leaves_the_recursion_limit_alone(long_chain):
     net, active, ev = long_chain
     before = sys.getrecursionlimit()
-    propagate(net, active, ev, "n0", cache=MessageCache())
+    propagate(net, active, ev, "n0", cache={})
     propagate(net, active, ev, "n0")
     assert sys.getrecursionlimit() == before
 
@@ -295,13 +277,14 @@ def test_propagation_leaves_the_recursion_limit_alone(long_chain):
 
 def test_expand_chain_one_step():
     net = build_net("c", {"A": [], "B": ["A"], "C": ["B"]}, seed=1)
-    grown = expand(ActiveSet.initial("C"), "bfs", net, "C", {"A": 0})
+    rel = relevant_set(net, "C", {"A": 0})
+    grown = DelayedLoops(0).step(net, ActiveSet.initial("C"), "C", {"A": 0}, rel)
     assert grown.nodes == frozenset({"B", "C"})
     assert grown.arcs == frozenset({("B", "C")})
 
 
 def test_expand_no_loops_excludes_closing_arc(figure_net):
-    strat = NoLoops()
+    strat = DelayedLoops(None)
     rel = relevant_set(figure_net, "C", {"X": 0})
     active = ActiveSet.initial("C")
     while True:
@@ -335,7 +318,8 @@ def is_polytree_subgraph(active):
 def test_expand_fixed_point_returns_none():
     net = build_net("c", {"A": [], "B": ["A"]}, seed=1)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
-    assert expand(active, BreadthFirst(), net, "B", {}) is None
+    rel = relevant_set(net, "B", {})
+    assert DelayedLoops(0).step(net, active, "B", {}, rel) is None
 
 
 def test_no_loops_stays_polytree_on_random_networks():
@@ -345,7 +329,7 @@ def test_no_loops_stays_polytree_on_random_networks():
         ev = sample_evidence(net, rng)
         q = rng.choice(net.node_ids())
         rel = relevant_set(net, q, ev)
-        strat = NoLoops()
+        strat = DelayedLoops(None)
         active = ActiveSet.initial(q)
         while True:
             assert is_polytree_subgraph(active)
@@ -359,9 +343,19 @@ def test_strategy_names_are_one_growth_rule_by_loop_delay():
     assert make_strategy("bfs").delay == 0
     assert make_strategy("no-loops").delay is None
     assert make_strategy("delayed", 3).delay == 3
-    assert BreadthFirst().delay == 0 and NoLoops().delay is None
+    mine = DelayedLoops(2)
+    fresh = make_strategy(mine)
+    assert fresh is not mine and fresh.delay == 2
     with pytest.raises(ValueError, match="unknown strategy"):
         make_strategy("depth-first")
+
+
+def test_strategy_must_be_a_name_or_growth_rule(chain_ab):
+    # A width of 1 is met by the first evaluation, so a bad strategy
+    # must be caught before it.
+    for bad in (3, None):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            answer_query(chain_ab, "B", {}, strategy=bad, stop=StopCriterion.width(1.0))
 
 
 def test_reused_strategy_object_gives_identical_queries():
@@ -447,10 +441,7 @@ def test_stop_criterion_validation():
         StopCriterion(threshold=(0, ">=", 0.5))
 
 
-def test_message_invariants():
-    with pytest.raises(ValueError):
-        Message("rho", ("A", "B"), vacuous(2))
-    with pytest.raises(ValueError):
-        Message("pi", ("A", "B"), IntervalVector.point([0.5, 0.5]), vacuous=True)
-    msg = Message.vacuous_message("lambda", ("A", "B"), 3)
-    assert msg.vacuous and msg.value == vacuous(3)
+def test_threshold_state_out_of_range_rejected(chain_ab):
+    stop = StopCriterion.prob_threshold(2, ">", 0.5)
+    with pytest.raises(ValueError, match="threshold state 2 out of range"):
+        answer_query(chain_ab, "B", {}, stop=stop)

@@ -11,8 +11,6 @@ from boundprop.intervals import (
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
-    incremental_sort_cursor,
-    iv_add,
     iv_mul,
     normalize,
     normalize_scaled,
@@ -23,12 +21,6 @@ from boundprop.intervals import (
 
 def iv(lo, hi):
     return Interval(lo, hi)
-
-
-def test_add_basic():
-    assert iv_add(iv(0.1, 0.2), iv(0.3, 0.5)) == iv(0.4, 0.7)
-    assert iv_add(iv(0.0, 0.0), iv(0.25, 0.6)) == iv(0.25, 0.6)
-    assert iv_add(iv(0.25, 0.25), iv(0.25, 0.25)) == iv(0.5, 0.5)
 
 
 def test_mul_basic():
@@ -238,44 +230,6 @@ def test_joint_product_of_coherent_factors_is_coherent():
                 e = iv_mul(e, f[i])
             joint.append(e)
         assert IntervalVector(joint).is_coherent()
-
-
-def test_sort_cursor_first_element():
-    cursor = incremental_sort_cursor([3.0, 1.0, 2.0])
-    assert next(cursor) == 1
-
-
-def test_sort_cursor_singleton():
-    assert list(incremental_sort_cursor([5.0])) == [0]
-
-
-def test_sort_cursor_full_matches_sorted():
-    rng = random.Random(8)
-    keys = [rng.random() for _ in range(1000)]
-    got = list(incremental_sort_cursor(keys))
-    want = sorted(range(len(keys)), key=lambda i: keys[i])
-    assert got == want
-
-
-def test_sort_cursor_ties_by_index():
-    keys = [1.0, 0.5, 1.0, 0.5, 0.5]
-    assert list(incremental_sort_cursor(keys)) == [1, 3, 4, 0, 2]
-
-
-def test_sort_cursor_is_lazy():
-    calls = []
-
-    class Loud(float):
-        def __lt__(self, other):
-            calls.append(1)
-            return float.__lt__(self, other)
-
-    keys = [Loud(x) for x in range(200, 0, -1)]
-    cursor = incremental_sort_cursor(list(keys))
-    next(cursor)
-    partial = len(calls)
-    list(cursor)
-    assert partial < len(calls)
 
 
 @given(

@@ -7,7 +7,6 @@ from boundprop import (
     ConflictingEvidenceError,
     CutsetOverflowError,
     answer_query,
-    clusters_by_coverage,
     condition_cluster,
     enumerate_marginal,
     find_loop_clusters,
@@ -24,23 +23,6 @@ from conftest import build_net
 
 def full_active(net):
     return ActiveSet(frozenset(net.node_ids()), frozenset(net.arcs))
-
-
-def test_coverage_classification(diamond):
-    clusters = find_loop_clusters(diamond)
-    full = full_active(diamond)
-    whole, partial = clusters_by_coverage(clusters, full)
-    assert len(whole) == 1 and not partial
-    missing = ActiveSet(
-        frozenset(diamond.node_ids()),
-        frozenset(a for a in diamond.arcs if a != ("B", "D")),
-    )
-    whole, partial = clusters_by_coverage(clusters, missing)
-    assert not whole and len(partial) == 1
-    untouched = ActiveSet(frozenset({"D"}), frozenset())
-    # single node of the cluster still counts as touching it
-    whole, partial = clusters_by_coverage(clusters, untouched)
-    assert not whole and len(partial) == 1
 
 
 def test_select_cutset_diamond(diamond):
@@ -108,21 +90,20 @@ def test_condition_cluster_exact_on_diamond(diamond):
             if q in ev:
                 continue
             want = enumerate_marginal(diamond, ev, q)
-            bel, table = condition_cluster(
-                diamond, cluster, full_active(diamond), ev, q, return_table=True
-            )
+            bel = condition_cluster(diamond, cluster, full_active(diamond), ev, q)
             assert bel.contains_point(want, 1e-9)
             assert bel.max_width <= 1e-6
-            assert table.weight_vector().is_coherent()
+            cutset = select_loop_cutset(
+                diamond, cluster, exclude=frozenset({q}), presplit=frozenset(ev)
+            )
             if "B" in ev:
                 # the observed node already cuts the loop for free
-                assert table.cutset == ()
+                assert cutset == ()
             elif q != "A":
                 # greedy picks the fork; the query itself is never clamped
-                assert table.cutset == ("A",)
-                assert len(table.assignments) == 2
+                assert cutset == ("A",)
             else:
-                assert len(table.cutset) == 1
+                assert len(cutset) == 1
 
 
 def test_condition_cluster_vacuous_boundary_contains(figure_net):
@@ -154,6 +135,22 @@ def test_condition_cluster_requires_whole(diamond):
     )
     with pytest.raises(ValueError, match="wholly"):
         condition_cluster(diamond, cluster, partial, {}, "D")
+
+
+def test_evidence_is_checked_at_every_entry_point(diamond):
+    net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
+    active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
+    for entry in (propagate, propagate_mixed):
+        for ev in ({"C": 7}, {"B": 5}, {"A": -1}):
+            with pytest.raises(ValueError, match="out of range"):
+                entry(net, active, ev, "A")
+        with pytest.raises(KeyError):
+            entry(net, active, {"Z": 0}, "A")
+    (cluster,) = find_loop_clusters(diamond)
+    with pytest.raises(ValueError, match="out of range"):
+        condition_cluster(diamond, cluster, full_active(diamond), {"B": 2}, "D")
+    with pytest.raises(KeyError):
+        condition_cluster(diamond, cluster, full_active(diamond), {"Z": 0}, "D")
 
 
 def test_instance_cap_enforced():

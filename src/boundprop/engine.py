@@ -23,6 +23,13 @@ marker for an absent arc.  A stored value is reused only when the
 current signature is ``==`` to the recorded one, which is memoization
 of a pure function and so sound whatever evidence, query or active set
 the cache saw before.
+
+A network keeps a bounded memo, at most four evidence sets, of the
+checked evidence and the ancestral closure of its nodes, so a stream of
+queries under one evidence pays for that closure once and each query
+walks only its own ancestors outside it.  The memo is derived from the
+network and the evidence alone: it never changes an answer and holds
+no strategy or query state.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .intervals import (
     simplex_dot,
     vacuous,
 )
-from .network import BeliefNetwork, Evidence, Node, UnionFind, relevant_set, skeleton_acyclic
+from .network import BeliefNetwork, Evidence, Node, UnionFind, _Ancestral, relevant_set, skeleton_acyclic
 
 SATISFIED = "satisfied"
 SATURATED = "saturated"
@@ -165,18 +172,19 @@ class _Context:
 
     Every entry point builds one, so the query and the evidence are
     checked here: an unknown node raises ``KeyError`` and an evidence
-    state out of range raises ``ValueError``.
+    state out of range raises ``ValueError``.  The checked evidence and
+    An(Z), the ancestral closure of the evidence nodes, come from the
+    network's memo of at most four evidence sets; that state is derived
+    from the network and the evidence alone, so it never changes an
+    answer and holds no strategy or query state.  ``ancestral`` adds the
+    query's own ancestors outside An(Z), walked for this query only.
     """
 
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int], query: str):
-        net.node(query)
-        for v, s in evidence.items():
-            if not 0 <= s < net.state_count(v):
-                raise ValueError(f"evidence state {s} out of range for {v!r}")
         self.net = net
-        self.evidence = dict(evidence)
         self.query = query
-        self.ancestral = net.ancestral_closure({query, *self.evidence})
+        self.ancestral = _Ancestral(net, query, net._observe(evidence))
+        self.evidence = self.ancestral.observed.evidence
 
 
 class _Run:
@@ -592,7 +600,7 @@ def answer_query(
     if stop.threshold is not None and not 0 <= stop.threshold[0] < net.state_count(query):
         raise ValueError(f"threshold state {stop.threshold[0]} out of range for {query!r}")
     strategy_obj = make_strategy(strategy)
-    relevant = relevant_set(net, query, eff)
+    relevant = relevant_set(net, query, ctx.ancestral)
     active = ActiveSet.initial(query)
     cache: dict | None = {} if use_cache else None
 

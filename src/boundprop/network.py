@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 ROW_SUM_TOL = 1e-9
+
+# Evidence sets a network keeps checked, with their ancestral closure;
+# the oldest is dropped first.
+_EVIDENCE_MEMO_SIZE = 4
 
 Evidence = dict[str, int]
 
@@ -57,6 +61,8 @@ class BeliefNetwork:
                 raise NetworkFormatError(f"evidence for unknown node {node_id!r}")
             if not 0 <= state < len(self._by_id[node_id].states):
                 raise NetworkFormatError(f"evidence state out of range for {node_id!r}")
+        # frozenset of evidence items -> _Observed, oldest first.
+        self._observed: dict[frozenset, _Observed] = {}
 
     def _validate(self) -> None:
         for n in self.nodes:
@@ -159,17 +165,61 @@ class BeliefNetwork:
         n = self.node(node_id)
         return tuple(dict.fromkeys(n.parents + self._children[node_id]))
 
-    def ancestral_closure(self, seed: Iterable[str]) -> set[str]:
-        """The seed nodes together with all their ancestors."""
+    def ancestral_closure(self, seed: Iterable[str], closed: Container[str] = frozenset()) -> set[str]:
+        """The seed nodes together with all their ancestors, leaving out
+        ``closed``, a set that already holds the ancestors of its members."""
         out: set[str] = set()
-        stack = [s for s in seed]
+        stack = list(seed)
         while stack:
             v = stack.pop()
-            if v in out:
+            if v in out or v in closed:
                 continue
             out.add(v)
             stack.extend(self.node(v).parents)
         return out
+
+    def _observe(self, evidence: Mapping[str, int]) -> "_Observed":
+        """The checked evidence and its ancestral closure, built once while
+        the evidence is among the last few sets asked about.  A check that
+        fails raises before anything is kept."""
+        key = frozenset(evidence.items())
+        memo = self._observed
+        found = memo.get(key)
+        if found is None:
+            found = _Observed(self, evidence)
+            if len(memo) >= _EVIDENCE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = found
+        return found
+
+
+class _Observed:
+    """Evidence checked against one network (an unknown node raises
+    ``KeyError``, a state out of range ``ValueError``) and An(Z), the
+    ancestral closure of its nodes Z: one per evidence, for every query."""
+
+    __slots__ = ("evidence", "ancestors")
+
+    def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int]):
+        for v, s in evidence.items():
+            if not 0 <= s < net.state_count(v):
+                raise ValueError(f"evidence state {s} out of range for {v!r}")
+        self.evidence: Evidence = dict(evidence)
+        self.ancestors = net.ancestral_closure(self.evidence)
+
+
+class _Ancestral:
+    """An({q} ∪ Z) for one query q: the shared An(Z) of the evidence plus
+    the query's own ancestors outside it, tested without copying either."""
+
+    __slots__ = ("observed", "own")
+
+    def __init__(self, net: BeliefNetwork, query: str, observed: _Observed):
+        self.observed = observed
+        self.own = net.ancestral_closure((query,), closed=observed.ancestors)
+
+    def __contains__(self, v: str) -> bool:
+        return v in self.own or v in self.observed.ancestors
 
 
 class UnionFind:
@@ -215,6 +265,33 @@ def is_polytree(net: BeliefNetwork) -> bool:
 # -- d-separation ---------------------------------------------------------
 
 
+def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Container[str],
+            within: Container[str] | None = None) -> set[str]:
+    """Nodes joined to ``source`` by a trail active given ``observed``.
+
+    ``below`` is the ancestral closure of ``observed``.  A trail is
+    active when every intermediate collider is in ``below`` and every
+    other intermediate node is unobserved.  The source never blocks.
+    With ``within``, a trail stops where it leaves that set.
+    """
+    seen: set[tuple[str, bool]] = set()
+    stack = [(source, False)]  # (node, arrived along an arc into it)
+    while stack:
+        v, down = stack.pop()
+        if (v, down) in seen or (within is not None and v not in within):
+            continue
+        seen.add((v, down))
+        if v in observed and v != source:
+            # Only a collider passes on: back up to the other parents.
+            if down:
+                stack.extend((p, False) for p in net.parents(v))
+            continue
+        stack.extend((c, True) for c in net.children(v))
+        if not down or v in below:
+            stack.extend((p, False) for p in net.parents(v))
+    return {v for v, _ in seen}
+
+
 def reachable_from(net: BeliefNetwork, source: str, observed: Iterable[str]) -> set[str]:
     """Nodes joined to ``source`` by a trail active given ``observed``.
 
@@ -225,39 +302,7 @@ def reachable_from(net: BeliefNetwork, source: str, observed: Iterable[str]) -> 
     propagation needs (its observation feeds the source directly).
     """
     z = set(observed)
-    ancestors_of_z = net.ancestral_closure(z)
-    reached = {source}
-    # (node, came_in_along_arc_into_node)
-    frontier: list[tuple[str, bool]] = []
-    seen: set[tuple[str, bool]] = set()
-    for p in net.parents(source):
-        frontier.append((p, False))
-    for c in net.children(source):
-        frontier.append((c, True))
-    while frontier:
-        v, arrived_down = frontier.pop()
-        if (v, arrived_down) in seen:
-            continue
-        seen.add((v, arrived_down))
-        reached.add(v)
-        if arrived_down:
-            # Arrived along an arc into v.  Passing on to a child keeps v a
-            # chain node (must be unobserved); passing back up to a parent
-            # makes v a collider (needs observation at or below v).
-            if v not in z:
-                for c in net.children(v):
-                    frontier.append((c, True))
-            if v in ancestors_of_z:
-                for p in net.parents(v):
-                    frontier.append((p, False))
-        else:
-            # Arrived against an arc out of v: v is a chain or fork node.
-            if v not in z:
-                for p in net.parents(v):
-                    frontier.append((p, False))
-                for c in net.children(v):
-                    frontier.append((c, True))
-    return reached
+    return _trails(net, source, z, net.ancestral_closure(z))
 
 
 def d_separated(net: BeliefNetwork, a: str, b: str, evidence: Mapping[str, int] | Iterable[str]) -> bool:
@@ -275,12 +320,18 @@ def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int] | I
     A node matters only if it is joined to the query by an active trail
     and sits in the ancestral closure of the query and the evidence;
     anything else either cannot pass information or sums out of the
-    posterior exactly (childless unobserved branches).
+    posterior exactly (childless unobserved branches).  Descendants of
+    a node outside that closure are outside it too, so a trail that
+    leaves it never comes back, and one walk that stops there finds
+    them all.
     """
-    observed = set(evidence.keys() if isinstance(evidence, Mapping) else evidence)
-    closure = net.ancestral_closure({query, *observed})
-    reach = reachable_from(net, query, observed)
-    return (reach & closure) | {query}
+    if not isinstance(evidence, _Ancestral):
+        if not isinstance(evidence, Mapping):
+            # Relevance reads only which nodes are observed.
+            evidence = dict.fromkeys(evidence, 0)
+        evidence = _Ancestral(net, query, net._observe(evidence))
+    observed = evidence.observed
+    return _trails(net, query, observed.evidence, observed.ancestors, evidence)
 
 
 # -- loop structure --------------------------------------------------------

@@ -5,17 +5,20 @@ import pytest
 
 from boundprop import (
     ActiveSet,
+    BeliefNetwork,
     StopCriterion,
     answer_query,
     bel_hat,
     enumerate_marginal,
     lambda_hat,
     lambda_msg,
+    parse_network,
     pi_hat,
     pi_msg,
     polytree_exact,
     propagate,
     relevant_set,
+    serialize_network,
 )
 from boundprop.engine import (
     BUDGET,
@@ -250,6 +253,73 @@ def test_shared_cache_reuses_nothing_across_evidence():
     bel = propagate(net, active, {"C": 0}, "A", cache=cache)
     assert bel.contains_point(enumerate_marginal(net, {"C": 0}, "A"))
     assert bel == propagate(net, active, {"C": 0}, "A")
+
+
+def _outcome(net, query, evidence):
+    """Everything an answer reports that the evidence memo could touch."""
+    r = answer_query(net, query, evidence, stop=StopCriterion.width(0.05))
+    return r.status, r.iterations, r.node_visits, r.active_nodes, r.bels
+
+
+def test_evidence_memo_never_changes_an_answer():
+    text = serialize_network(gen_loopy(GenSpec(node_count=12, topology="loopy", arc_ratio=1.2, seed=3)))
+    net = parse_network(text)
+    rng = random.Random(5)
+    ids = net.node_ids()
+    sets = [{v: rng.randrange(net.state_count(v)) for v in rng.sample(ids, 3)} for _ in range(7)]
+    assert len({frozenset(ev.items()) for ev in sets}) == 7
+    a, b, *rest = sets
+    # A, B, A hit the memo; the five after them evict A before it is asked again.
+    for ev in [a, b, a, *rest, a]:
+        for q in [v for v in ids if v not in ev][:2]:
+            assert _outcome(net, q, ev) == _outcome(parse_network(text), q, ev), (q, ev)
+    ev = dict(a)
+    q = next(v for v in ids if v not in ev)
+    _outcome(net, q, ev)
+    v = next(iter(ev))
+    ev[v] = (ev[v] + 1) % net.state_count(v)
+    assert _outcome(net, q, ev) == _outcome(parse_network(text), q, ev)
+
+
+def test_a_failed_evidence_check_is_never_kept():
+    net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
+    active = ActiveSet(frozenset({"A"}), frozenset())
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            answer_query(net, "A", {"C": 2})
+        with pytest.raises(KeyError):
+            answer_query(net, "A", {"X": 0})
+        with pytest.raises(ValueError):
+            propagate(net, active, {"C": 2}, "A")
+        with pytest.raises(ValueError):
+            relevant_set(net, "A", {"B": 0, "C": 2})
+
+
+def test_evidence_closure_is_built_once_per_evidence(monkeypatch):
+    net = gen_polytree(GenSpec(node_count=4000, seed=11))
+    rng = random.Random(11)
+    ev = {v: rng.randrange(net.state_count(v)) for v in rng.sample(net.node_ids(), 120)}
+    queries = rng.sample([v for v in net.node_ids() if v not in ev], 30)
+    closure = BeliefNetwork.ancestral_closure
+    calls = []
+
+    def spy(self, seed, **kwargs):
+        seed = list(seed)
+        out = closure(self, seed, **kwargs)
+        calls.append((seed, out))
+        return out
+
+    monkeypatch.setattr(BeliefNetwork, "ancestral_closure", spy)
+    for q in queries:
+        answer_query(net, q, ev, stop=StopCriterion.width(0.05))
+    evidence_walks = [out for seed, out in calls if set(seed) == set(ev)]
+    assert len(evidence_walks) == 1
+    below = evidence_walks[0]
+    query_walks = [(seed, out) for seed, out in calls if set(seed) != set(ev)]
+    assert [seed for seed, _ in query_walks] == [[q] for q in queries]
+    for (q,), out in query_walks:
+        assert out.isdisjoint(below)
+        assert out | below == closure(net, {q, *ev})
 
 
 @pytest.fixture(scope="module")

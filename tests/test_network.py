@@ -13,6 +13,7 @@ from boundprop import (
     serialize_network,
 )
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree
+from boundprop.network import reachable_from
 
 from conftest import build_net
 
@@ -200,6 +201,40 @@ def test_relevant_set_examples():
     tree = build_net("b", {"A": [], "B": ["A"], "C": ["B"], "D": ["B"]})
     assert relevant_set(tree, "A", {}) == {"A"}
     assert relevant_set(tree, "B", {"C": 0}) == {"A", "B", "C"}
+
+
+def _relevant_reference(net, query, evidence):
+    """The definition: active trails from the query, cut to the ancestral
+    closure of the query and the evidence."""
+    return (reachable_from(net, query, evidence) & net.ancestral_closure({query, *evidence})) | {query}
+
+
+def test_relevant_set_matches_its_definition_on_random_networks():
+    rng = random.Random(7)
+    for seed in range(40):
+        if seed % 2:
+            net = gen_polytree(GenSpec(node_count=rng.randint(10, 40), seed=seed))
+        else:
+            net = gen_loopy(GenSpec(node_count=rng.randint(10, 40), topology="loopy", arc_ratio=1.3, seed=seed))
+        ids = net.node_ids()
+        for _ in range(8):
+            observed = rng.sample(ids, rng.randint(0, len(ids) // 3))
+            evidence = {v: rng.randrange(net.state_count(v)) for v in observed}
+            # Every third query is itself observed, where there is evidence.
+            query = rng.choice(observed) if observed and rng.random() < 1 / 3 else rng.choice(ids)
+            want = _relevant_reference(net, query, evidence)
+            assert relevant_set(net, query, evidence) == want, (net.name, query, evidence)
+            assert relevant_set(net, query, list(evidence)) == want, (net.name, query, evidence)
+
+
+def test_relevant_set_rejects_an_unknown_query():
+    chain = build_net("c", {"A": [], "B": ["A"], "C": ["B"]})
+    with pytest.raises(KeyError):
+        relevant_set(chain, "X", {})
+    # Also when the evidence walk has already been kept for that evidence.
+    relevant_set(chain, "A", {"C": 0})
+    with pytest.raises(KeyError):
+        relevant_set(chain, "X", {"C": 0})
 
 
 def _brute_cycle_arcs(net):

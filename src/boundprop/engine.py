@@ -24,12 +24,12 @@ current signature is ``==`` to the recorded one, which is memoization
 of a pure function and so sound whatever evidence, query or active set
 the cache saw before.
 
-A network keeps a bounded memo, at most four evidence sets, of the
-checked evidence and the ancestral closure of its nodes, so a stream of
-queries under one evidence pays for that closure once and each query
-walks only its own ancestors outside it.  The memo is derived from the
-network and the evidence alone: it never changes an answer and holds
-no strategy or query state.
+A network keeps the last evidence it was asked about, checked, with the
+ancestral closure of its nodes, so a stream of queries under one
+evidence pays for that closure once and each query walks only its own
+ancestors outside it.  That one slot is derived from the network and
+the evidence alone: it never changes an answer and holds no strategy
+or query state.
 """
 
 from __future__ import annotations
@@ -174,10 +174,11 @@ class _Context:
     checked here: an unknown node raises ``KeyError`` and an evidence
     state out of range raises ``ValueError``.  The checked evidence and
     An(Z), the ancestral closure of the evidence nodes, come from the
-    network's memo of at most four evidence sets; that state is derived
-    from the network and the evidence alone, so it never changes an
-    answer and holds no strategy or query state.  ``ancestral`` adds the
-    query's own ancestors outside An(Z), walked for this query only.
+    network, which keeps them for the last evidence asked about; that
+    state is derived from the network and the evidence alone, so it
+    never changes an answer and holds no strategy or query state.
+    ``ancestral`` adds the query's own ancestors outside An(Z), walked
+    for this query only.
     """
 
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int], query: str):

@@ -14,10 +14,6 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 ROW_SUM_TOL = 1e-9
 
-# Evidence sets a network keeps checked, with their ancestral closure;
-# the oldest is dropped first.
-_EVIDENCE_MEMO_SIZE = 4
-
 Evidence = dict[str, int]
 
 
@@ -61,8 +57,8 @@ class BeliefNetwork:
                 raise NetworkFormatError(f"evidence for unknown node {node_id!r}")
             if not 0 <= state < len(self._by_id[node_id].states):
                 raise NetworkFormatError(f"evidence state out of range for {node_id!r}")
-        # frozenset of evidence items -> _Observed, oldest first.
-        self._observed: dict[frozenset, _Observed] = {}
+        # The last evidence asked about, checked, with its closure.
+        self._observed: _Observed | None = None
 
     def _validate(self) -> None:
         for n in self.nodes:
@@ -179,17 +175,12 @@ class BeliefNetwork:
         return out
 
     def _observe(self, evidence: Mapping[str, int]) -> "_Observed":
-        """The checked evidence and its ancestral closure, built once while
-        the evidence is among the last few sets asked about.  A check that
+        """The checked evidence and its ancestral closure, rebuilt only when
+        the evidence differs from the last set asked about.  A check that
         fails raises before anything is kept."""
-        key = frozenset(evidence.items())
-        memo = self._observed
-        found = memo.get(key)
-        if found is None:
-            found = _Observed(self, evidence)
-            if len(memo) >= _EVIDENCE_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = found
+        found = self._observed
+        if found is None or found.evidence != evidence:
+            found = self._observed = _Observed(self, evidence)
         return found
 
 
@@ -325,13 +316,11 @@ def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int] | I
     leaves it never comes back, and one walk that stops there finds
     them all.
     """
-    if not isinstance(evidence, _Ancestral):
-        if not isinstance(evidence, Mapping):
-            # Relevance reads only which nodes are observed.
-            evidence = dict.fromkeys(evidence, 0)
-        evidence = _Ancestral(net, query, net._observe(evidence))
-    observed = evidence.observed
-    return _trails(net, query, observed.evidence, observed.ancestors, evidence)
+    if isinstance(evidence, _Ancestral):
+        observed = evidence.observed
+        return _trails(net, query, observed.evidence, observed.ancestors, evidence)
+    z = set(evidence)
+    return _trails(net, query, z, net.ancestral_closure(z), net.ancestral_closure({query, *z}))
 
 
 # -- loop structure --------------------------------------------------------

@@ -269,7 +269,8 @@ def test_evidence_memo_never_changes_an_answer():
     sets = [{v: rng.randrange(net.state_count(v)) for v in rng.sample(ids, 3)} for _ in range(7)]
     assert len({frozenset(ev.items()) for ev in sets}) == 7
     a, b, *rest = sets
-    # A, B, A hit the memo; the five after them evict A before it is asked again.
+    # The network keeps one evidence set: each change replaces it, and A
+    # asked again after B is checked and walked afresh.
     for ev in [a, b, a, *rest, a]:
         for q in [v for v in ids if v not in ev][:2]:
             assert _outcome(net, q, ev) == _outcome(parse_network(text), q, ev), (q, ev)
@@ -291,8 +292,9 @@ def test_a_failed_evidence_check_is_never_kept():
             answer_query(net, "A", {"X": 0})
         with pytest.raises(ValueError):
             propagate(net, active, {"C": 2}, "A")
+        answer_query(net, "A", {"B": 0})
         with pytest.raises(ValueError):
-            relevant_set(net, "A", {"B": 0, "C": 2})
+            answer_query(net, "A", {"B": 0, "C": 2})
 
 
 def test_evidence_closure_is_built_once_per_evidence(monkeypatch):

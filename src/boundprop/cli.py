@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import netgen
+from . import loops, netgen
 from .bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from .engine import (
     BUDGET,
@@ -176,6 +176,8 @@ def main(argv=None) -> int:
     except (
         NetworkFormatError,
         ConflictingEvidenceError,
+        loops.CutsetOverflowError,
+        netgen.GenerationError,
         ValueError,
         KeyError,
         OSError,

@@ -103,27 +103,26 @@ class ActiveSet:
 
 # -- message kernels ------------------------------------------------------------
 #
-# One body per message formula.  ``_Run`` lists the inputs over the
-# active set and the public single-step functions take them from the
-# caller; both then call these.  Each returns a normalized vector with
-# the mass its normalization discarded.
+# One body per message formula, called by ``_Run`` and by the public
+# single-step functions.  Each returns a normalized vector with the mass
+# its normalization discarded, and works on the vectors' ``lo``/``hi``
+# tuples, so no per-entry ``Interval`` is built.
 
 
 def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
     """Product weights of every joint configuration, last message fastest."""
-    entries = []
-    for config in itertools.product(*[range(len(m)) for m in msgs]):
-        e = ONE
-        for m, s in zip(msgs, config):
-            e = iv_mul(e, m[s])
-        entries.append(e)
-    return IntervalVector(entries)
+    los, his = [1.0], [1.0]
+    for m in msgs:
+        if min(m.lo) < 0.0:
+            raise ValueError("iv_mul requires nonnegative bounds")
+        los = [x * y for x in los for y in m.lo]
+        his = [x * y for x in his for y in m.hi]
+    return IntervalVector.from_bounds(los, his)
 
 
 def _column_mass(node: Node, state: int, weights: IntervalVector) -> Interval:
     """Bounds on P(node = state) under interval parent-configuration weights."""
-    column = IntervalVector(Interval.point(row[state]) for row in node.cpt)
-    return simplex_dot(column, weights)
+    return simplex_dot(IntervalVector.point(row[state] for row in node.cpt), weights)
 
 
 def _pi_value_kernel(node: Node, parent_msgs: Sequence[IntervalVector]):
@@ -158,8 +157,7 @@ def _lambda_message_kernel(
         a_entries = []
         for oc in itertools.product(*other_ranges):
             row = net.cpt_row(x, oc[:j] + (y,) + oc[j:])
-            column = IntervalVector(Interval.point(v) for v in row)
-            a_entries.append(simplex_dot(column, lam))
+            a_entries.append(simplex_dot(IntervalVector.point(row), lam))
         out.append(simplex_dot(IntervalVector(a_entries), weights))
     return normalize_scaled(IntervalVector(out))
 
@@ -308,7 +306,7 @@ class _Run:
         if x in self.ctx.evidence:
             k = self.ctx.evidence[x]
             pvec, ps = self.value(("pi_val", x))
-            if pvec[k].hi <= 0.0:
+            if pvec.hi[k] <= 0.0:
                 raise ConflictingEvidenceError(
                     f"observed state {k} of {x!r} has zero probability"
                 )

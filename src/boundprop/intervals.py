@@ -1,16 +1,19 @@
 """Interval arithmetic for probability bounds.
 
 All quantities are closed intervals [lo, hi] of binary64 floats with
-lo <= hi.  Probability-typed results are clamped into [0, 1].  When
-rounding makes a computed lower bound cross above the upper bound, the
-pair is widened outward (never inward), so containment survives float
-error at the cost of at most one ulp of width.
+lo <= hi.  A vector stores its bounds flat, as the float tuples ``lo``
+and ``hi``, which the kernels here read and write; ``Interval`` objects
+are built only at the boundary.  Probability-typed results are clamped
+into [0, 1].  When rounding makes a computed lower bound cross above
+the upper bound, the pair is widened outward (never inward), so
+containment survives float error at the cost of at most one ulp of width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le, mul
 from typing import Iterable, Iterator, Sequence
 
 COHERENCE_TOL = 1e-9
@@ -56,31 +59,12 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
     def __repr__(self) -> str:
         return f"[{self.lo:.6g}, {self.hi:.6g}]"
 
 
-UNIT = Interval(0.0, 1.0)
 ONE = Interval(1.0, 1.0)
 ZERO = Interval(0.0, 0.0)
-
-
-def make_interval(lo: float, hi: float) -> Interval:
-    lo, hi = _outward(lo, hi)
-    return Interval(lo, hi)
-
-
-def prob_interval(lo: float, hi: float) -> Interval:
-    """Interval clamped into [0, 1], with outward repair of rounding."""
-    lo, hi = _outward(lo, hi)
-    return Interval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 
 def iv_mul(x: Interval, y: Interval) -> Interval:
@@ -93,100 +77,109 @@ def iv_mul(x: Interval, y: Interval) -> Interval:
 class IntervalVector:
     """Immutable vector of intervals, one entry per state.
 
+    The bounds are the float tuples ``lo`` and ``hi``.  Indexing,
+    iteration, ``entries`` and ``repr`` build ``Interval`` objects.
     A vector is *coherent* when sum(lo) <= 1 <= sum(hi), i.e. its box
     still contains at least one exact probability distribution.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, entries: Iterable[Interval]):
-        object.__setattr__(self, "entries", tuple(entries))
-        if not self.entries:
-            raise ValueError("empty interval vector")
+    def __new__(cls, entries: Iterable[Interval]):
+        entries = tuple(entries)
+        return cls.from_bounds([e.lo for e in entries], [e.hi for e in entries])
+
+    @classmethod
+    def from_bounds(cls, lo: Iterable[float], hi: Iterable[float]) -> "IntervalVector":
+        """The vector of [lo_i, hi_i]; crossed or NaN bounds raise ValueError."""
+        lo, hi = tuple(lo), tuple(hi)
+        if not lo or len(lo) != len(hi):
+            raise ValueError(f"bounds must be nonempty and of equal length: {len(lo)}, {len(hi)}")
+        if not all(map(le, lo, hi)):
+            for a, b in zip(lo, hi):
+                Interval(a, b)  # raises at the first crossed or NaN entry
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "lo", lo)
+        object.__setattr__(vec, "hi", hi)
+        return vec
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("IntervalVector is immutable")
 
     @staticmethod
     def vacuous(n: int) -> "IntervalVector":
+        """Vector of [0, 1] intervals standing in for an uncomputed message."""
         if n < 1:
             raise ValueError("vacuous vector needs at least one state")
-        return IntervalVector(UNIT for _ in range(n))
+        return IntervalVector.from_bounds((0.0,) * n, (1.0,) * n)
 
     @staticmethod
     def ones(n: int) -> "IntervalVector":
-        return IntervalVector(ONE for _ in range(n))
+        return IntervalVector.from_bounds((1.0,) * n, (1.0,) * n)
 
     @staticmethod
-    def point(values: Sequence[float]) -> "IntervalVector":
-        return IntervalVector(Interval.point(v) for v in values)
+    def point(values: Iterable[float]) -> "IntervalVector":
+        values = tuple(values)
+        return IntervalVector.from_bounds(values, values)
 
     @staticmethod
     def indicator(n: int, k: int) -> "IntervalVector":
-        return IntervalVector(ONE if i == k else ZERO for i in range(n))
+        return IntervalVector.point(1.0 if i == k else 0.0 for i in range(n))
+
+    @property
+    def entries(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lo, self.hi))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lo)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.entries)
+        return map(Interval, self.lo, self.hi)
 
     def __getitem__(self, i: int) -> Interval:
-        return self.entries[i]
+        return Interval(self.lo[i], self.hi[i])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalVector) and self.entries == other.entries
+        return isinstance(other, IntervalVector) and self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.lo, self.hi))
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(repr(e) for e in self.entries) + ")"
+        return "(" + ", ".join(repr(e) for e in self) + ")"
 
     @property
     def lo_sum(self) -> float:
-        return sum(e.lo for e in self.entries)
+        return sum(self.lo)
 
     @property
     def hi_sum(self) -> float:
-        return sum(e.hi for e in self.entries)
+        return sum(self.hi)
 
     @property
     def max_width(self) -> float:
-        return max(e.width for e in self.entries)
+        return max(b - a for a, b in zip(self.lo, self.hi))
 
     def is_coherent(self, tol: float = COHERENCE_TOL) -> bool:
         return self.lo_sum <= 1.0 + tol and self.hi_sum >= 1.0 - tol
 
     def contains_point(self, values: Sequence[float], slack: float = 0.0) -> bool:
-        if len(values) != len(self.entries):
+        if len(values) != len(self.lo):
             return False
-        return all(e.contains(v, slack) for e, v in zip(self.entries, values))
+        return all(a - slack <= v <= b + slack for a, b, v in zip(self.lo, self.hi, values))
 
     def product(self, other: "IntervalVector") -> "IntervalVector":
-        if len(other) != len(self.entries):
+        if len(other.lo) != len(self.lo):
             raise ValueError("length mismatch in entrywise product")
-        return IntervalVector(iv_mul(a, b) for a, b in zip(self.entries, other))
+        if min(self.lo) < 0.0 or min(other.lo) < 0.0:
+            raise ValueError("iv_mul requires nonnegative bounds")
+        return IntervalVector.from_bounds(map(mul, self.lo, other.lo), map(mul, self.hi, other.hi))
 
     def midpoints(self) -> tuple[float, ...]:
-        return tuple(e.midpoint for e in self.entries)
+        return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
 
-def vacuous(n: int) -> IntervalVector:
-    """Vector of [0, 1] intervals standing in for an uncomputed message."""
-    return IntervalVector.vacuous(n)
-
-
-def _check_simplex_args(a: IntervalVector, b: IntervalVector) -> None:
-    if len(a) != len(b):
-        raise ValueError("simplex_dot requires equal-length vectors")
-    for e in a:
-        if e.lo < 0.0:
-            raise ValueError("simplex_dot requires nonnegative entries")
-    if b.lo_sum > 1.0 + COHERENCE_TOL or b.hi_sum < 1.0 - COHERENCE_TOL:
-        raise CoherenceError(
-            f"weight vector admits no distribution: sum lo={b.lo_sum}, sum hi={b.hi_sum}"
-        )
+vacuous = IntervalVector.vacuous
 
 
 def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
@@ -202,27 +195,36 @@ def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
 
     Against a fully vacuous b this reduces to [min_i a_i.lo, max_i a_i.hi].
     """
-    _check_simplex_args(a, b)
-    n = len(a)
+    b_lo, b_hi = b.lo, b.hi
+    if len(a.lo) != len(b_lo):
+        raise ValueError("simplex_dot requires equal-length vectors")
+    if min(a.lo) < 0.0:
+        raise ValueError("simplex_dot requires nonnegative entries")
+    lo_sum, hi_sum = sum(b_lo), sum(b_hi)
+    if lo_sum > 1.0 + COHERENCE_TOL or hi_sum < 1.0 - COHERENCE_TOL:
+        raise CoherenceError(f"weights admit no distribution: sum lo={lo_sum}, sum hi={hi_sum}")
+    spare = 1.0 - lo_sum
+    lower = _extreme(a.lo, b_lo, b_hi, spare, descending=False)
+    upper = _extreme(a.hi, b_lo, b_hi, spare, descending=True)
+    if lower > upper:
+        lower, upper = _outward(lower, upper)
+    return Interval(lower, upper)
 
-    def extreme(weights: list[float], order_keys: list[float]) -> float:
-        bstar = [e.lo for e in b]
-        remaining = 1.0 - sum(bstar)
-        if remaining > 0.0:
-            for i in sorted(range(n), key=order_keys.__getitem__):
-                room = b[i].hi - b[i].lo
-                if room <= 0.0:
-                    continue
-                take = room if room < remaining else remaining
-                bstar[i] += take
-                remaining -= take
-                if remaining <= 0.0:
-                    break
-        return sum(w * m for w, m in zip(weights, bstar) if m != 0.0)
 
-    lower = extreme([e.lo for e in a], [e.lo for e in a])
-    upper = extreme([e.hi for e in a], [-e.hi for e in a])
-    return make_interval(lower, upper)
+def _extreme(weights: tuple, b_lo: tuple, b_hi: tuple, spare: float, descending: bool) -> float:
+    bstar = b_lo
+    if spare > 0.0 and b_lo != b_hi:
+        bstar = list(b_lo)
+        for i in sorted(range(len(weights)), key=weights.__getitem__, reverse=descending):
+            room = b_hi[i] - b_lo[i]
+            if room <= 0.0:
+                continue
+            take = room if room < spare else spare
+            bstar[i] += take
+            spare -= take
+            if spare <= 0.0:
+                break
+    return sum([w * m for w, m in zip(weights, bstar) if m != 0.0])
 
 
 def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
@@ -238,20 +240,21 @@ def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
     selection from ``v``; callers that track unnormalized magnitudes
     multiply it back in.
     """
-    his = [e.hi for e in v]
-    los = [e.lo for e in v]
+    los, his = v.lo, v.hi
     hi_sum = sum(his)
     lo_sum = sum(los)
     if hi_sum <= 0.0:
         raise ConflictingEvidenceError("cannot normalize an all-zero vector")
-    out = []
+    out_lo, out_hi = [], []
     for lo, hi in zip(los, his):
-        denom_lo = lo + (hi_sum - hi)
-        denom_hi = hi + (lo_sum - lo)
-        new_lo = lo / denom_lo if lo > 0.0 else 0.0
-        new_hi = hi / denom_hi if hi > 0.0 else 0.0
-        out.append(prob_interval(new_lo, new_hi))
-    return IntervalVector(out), Interval(max(lo_sum, 0.0), hi_sum)
+        new_lo = lo / (lo + (hi_sum - hi)) if lo > 0.0 else 0.0
+        new_hi = hi / (hi + (lo_sum - lo)) if hi > 0.0 else 0.0
+        if new_lo > new_hi:
+            new_lo, new_hi = _outward(new_lo, new_hi)
+        # Clamped into [0, 1]; a NaN passes, for from_bounds to reject.
+        out_lo.append(0.0 if new_lo < 0.0 else 1.0 if new_lo > 1.0 else new_lo)
+        out_hi.append(0.0 if new_hi < 0.0 else 1.0 if new_hi > 1.0 else new_hi)
+    return IntervalVector.from_bounds(out_lo, out_hi), Interval(max(lo_sum, 0.0), hi_sum)
 
 
 def normalize(v: IntervalVector) -> IntervalVector:

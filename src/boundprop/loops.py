@@ -186,11 +186,8 @@ def _conditioned_bel(
         masses.append(mass)
         visits += run.visits
     weights = normalize(IntervalVector(masses))
-    assert weights.is_coherent()  # joint normalization guarantees this
-    out = []
-    for i in range(n_q):
-        column = IntervalVector(b[i] for b in bels)
-        out.append(simplex_dot(column, weights))
+    columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
+    out = [simplex_dot(IntervalVector.from_bounds(lo, hi), weights) for lo, hi in columns]
     return normalize(IntervalVector(out)), visits
 
 

@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from boundprop import bench
+from boundprop import bench, cli
 from boundprop.bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from boundprop.cli import main
 from boundprop.netgen import GenSpec, gen_loopy
@@ -130,6 +131,20 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     assert main(["query", str(path), "--node", "n1", "--evidence", "garbage"]) == 1
     assert main(["exact", str(tmp_path / "missing.txt"), "--node", "n1"]) == 1
     capsys.readouterr()
+
+
+def test_cli_generation_error_is_reported(capsys):
+    assert main(["gen", "--nodes", "1", "--topology", "loopy"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_cutset_overflow_is_reported(tmp_path, capsys, monkeypatch):
+    net = gen_loopy(GenSpec(node_count=40, topology="loopy", arc_ratio=1.3, seed=4))
+    path = tmp_path / "loopy.txt"
+    path.write_text(serialize_network(net))
+    monkeypatch.setattr(cli, "answer_query", functools.partial(cli.answer_query, instance_cap=1))
+    assert main(["query", str(path), "--node", "n15"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_bench(tmp_path, capsys):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boundprop.engine import _joint_weights
 from boundprop.intervals import (
     CoherenceError,
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
+    _outward,
     iv_mul,
     normalize,
     normalize_scaled,
@@ -254,3 +256,200 @@ def test_simplex_dot_contains_true_mixtures(raw, rnd):
     point = [e.lo + rnd.random() * e.width for e in a]
     val = sum(x * w for x, w in zip(point, weights))
     assert got.lo - 1e-9 <= val <= got.hi + 1e-9
+
+
+# -- the flat kernels against the per-entry bodies they replaced ---------------
+#
+# The references below are the kernels as they were when a vector held one
+# ``Interval`` per entry: every entry an object, every product an ``iv_mul``.
+# They take lists of ``Interval``; the flat kernels must give the same floats.
+
+
+def _ref_simplex_dot(a, b):
+    n = len(a)
+
+    def extreme(weights, order_keys):
+        bstar = [e.lo for e in b]
+        remaining = 1.0 - sum(bstar)
+        if remaining > 0.0:
+            for i in sorted(range(n), key=order_keys.__getitem__):
+                room = b[i].hi - b[i].lo
+                if room <= 0.0:
+                    continue
+                take = room if room < remaining else remaining
+                bstar[i] += take
+                remaining -= take
+                if remaining <= 0.0:
+                    break
+        return sum(w * m for w, m in zip(weights, bstar) if m != 0.0)
+
+    lower = extreme([e.lo for e in a], [e.lo for e in a])
+    upper = extreme([e.hi for e in a], [-e.hi for e in a])
+    return Interval(*_outward(lower, upper))
+
+
+def _ref_normalize_scaled(v):
+    his = [e.hi for e in v]
+    los = [e.lo for e in v]
+    hi_sum = sum(his)
+    lo_sum = sum(los)
+    out = []
+    for lo, hi in zip(los, his):
+        denom_lo = lo + (hi_sum - hi)
+        denom_hi = hi + (lo_sum - lo)
+        new_lo = lo / denom_lo if lo > 0.0 else 0.0
+        new_hi = hi / denom_hi if hi > 0.0 else 0.0
+        new_lo, new_hi = _outward(new_lo, new_hi)
+        out.append(Interval(min(max(new_lo, 0.0), 1.0), min(max(new_hi, 0.0), 1.0)))
+    return out, Interval(max(lo_sum, 0.0), hi_sum)
+
+
+def _ref_joint_weights(msgs):
+    entries = []
+    for config in itertools.product(*[range(len(m)) for m in msgs]):
+        e = Interval(1.0, 1.0)
+        for m, s in zip(msgs, config):
+            e = iv_mul(e, m[s])
+        entries.append(e)
+    return entries
+
+
+def _hex(entries):
+    return [(e.lo.hex(), e.hi.hex()) for e in entries]
+
+
+def _random_values(rng, n):
+    """Nonnegative intervals with frequent zeros, ties and points."""
+    pool = [0.0, 0.125, 0.25, 0.5, 1.0]
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(iv(0.0, 0.0))
+        elif kind < 0.45:
+            x, y = sorted(rng.sample(pool, 2))
+            out.append(iv(x, y) if rng.random() < 0.5 else iv(y, y))
+        elif kind < 0.6:
+            x = rng.random()
+            out.append(iv(x, x))
+        else:
+            lo = rng.random()
+            out.append(iv(lo, lo + rng.random() * (1.0 - lo)))
+    return out
+
+
+def _random_weights(rng, n):
+    """Coherent weights: vacuous, indicator, point, or a box around a point."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [iv(0.0, 1.0)] * n
+    if kind == 1:
+        k = rng.randrange(n)
+        return [iv(1.0, 1.0) if i == k else iv(0.0, 0.0) for i in range(n)]
+    p = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(n)]
+    p[rng.randrange(n)] += 1e-3
+    s = sum(p)
+    p = [x / s for x in p]
+    if kind == 2:
+        return [iv(x, x) for x in p]
+    out = []
+    for x in p:
+        if rng.random() < 0.3:
+            out.append(iv(x, x))
+        else:
+            out.append(iv(x * rng.random(), x + (1.0 - x) * rng.random()))
+    return out
+
+
+def test_flat_kernels_bit_identical_to_per_entry_bodies():
+    rng = random.Random(8)
+    for _ in range(10_000):
+        n = rng.randint(2, 64) if rng.random() < 0.25 else rng.randint(2, 8)
+        a = _random_values(rng, n)
+        b = _random_weights(rng, n)
+        got = simplex_dot(IntervalVector(a), IntervalVector(b))
+        assert _hex([got]) == _hex([_ref_simplex_dot(a, b)])
+        if sum(e.hi for e in a) > 0.0:
+            vec, scale = normalize_scaled(IntervalVector(a))
+            want, want_scale = _ref_normalize_scaled(a)
+            assert _hex(vec) == _hex(want)
+            assert _hex([scale]) == _hex([want_scale])
+        else:
+            with pytest.raises(ConflictingEvidenceError):
+                normalize_scaled(IntervalVector(a))
+        sizes = []
+        while not sizes or math.prod(sizes) * 2 <= 64 and rng.random() < 0.6:
+            sizes.append(rng.randint(2, min(4, 64 // math.prod(sizes))))
+        msgs = [_random_values(rng, k) if rng.random() < 0.5 else _random_weights(rng, k) for k in sizes]
+        got = _joint_weights([IntervalVector(m) for m in msgs])
+        assert _hex(got) == _hex(_ref_joint_weights(msgs))
+
+
+# -- the flat vector at its boundary -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ([0.1, math.nan], [0.2, 0.3]),
+        ([0.1, 0.2], [0.2, math.nan]),
+        ([0.1, 0.4], [0.2, 0.3]),
+    ],
+)
+def test_from_bounds_rejects_what_interval_rejects(lo, hi):
+    with pytest.raises(ValueError) as built:
+        IntervalVector.from_bounds(lo, hi)
+    with pytest.raises(ValueError) as entry:
+        Interval(lo[1], hi[1])
+    assert str(built.value) == str(entry.value)
+
+
+def test_from_bounds_rejects_empty_and_ragged_bounds():
+    for lo, hi in (([], []), ([0.1], [0.2, 0.3])):
+        with pytest.raises(ValueError):
+            IntervalVector.from_bounds(lo, hi)
+    with pytest.raises(ValueError):
+        IntervalVector([])
+
+
+def test_entries_and_bounds_construction_agree():
+    rng = random.Random(12)
+    for _ in range(200):
+        entries = _random_values(rng, rng.randint(1, 8))
+        a = IntervalVector(entries)
+        b = IntervalVector.from_bounds([e.lo for e in entries], [e.hi for e in entries])
+        assert a == b and hash(a) == hash(b)
+        assert a.lo == b.lo == tuple(e.lo for e in entries)
+        assert a.hi == b.hi == tuple(e.hi for e in entries)
+        assert a.entries == b.entries == tuple(entries)
+        assert [a[i] for i in range(len(a))] == list(b) == entries
+        assert a[-1] == entries[-1]
+        assert (a.lo_sum, a.hi_sum) == (b.lo_sum, b.hi_sum) == (
+            sum(e.lo for e in entries),
+            sum(e.hi for e in entries),
+        )
+        assert a.max_width == b.max_width == max(e.width for e in entries)
+        assert a.midpoints() == b.midpoints() == tuple(0.5 * (e.lo + e.hi) for e in entries)
+        x = [e.lo + rng.random() * e.width for e in entries]
+        assert a.contains_point(x) and b.contains_point(x)
+        assert not a.contains_point(x + [0.5])
+        assert repr(a) == repr(b) == "(" + ", ".join(repr(e) for e in entries) + ")"
+    assert IntervalVector([iv(0.0, 1.0)]) != IntervalVector([iv(0.0, 0.5)])
+    assert IntervalVector([iv(0.0, 1.0)]) != (iv(0.0, 1.0),)
+
+
+def test_constructors_equal_their_per_entry_definitions():
+    for n in (1, 2, 5):
+        assert IntervalVector.vacuous(n) == IntervalVector([iv(0.0, 1.0)] * n)
+        assert IntervalVector.ones(n) == IntervalVector([iv(1.0, 1.0)] * n)
+        for k in range(n):
+            want = [iv(1.0, 1.0) if i == k else iv(0.0, 0.0) for i in range(n)]
+            assert IntervalVector.indicator(n, k) == IntervalVector(want)
+    values = [0.0, 0.3, 0.7, 1.0]
+    assert IntervalVector.point(values) == IntervalVector([iv(v, v) for v in values])
+    assert IntervalVector.point(iter(values)) == IntervalVector.point(values)
+    with pytest.raises(ValueError):
+        IntervalVector.point([0.2, math.nan])
+    for build in (IntervalVector.ones, lambda n: IntervalVector.indicator(n, 0)):
+        with pytest.raises(ValueError):
+            build(0)

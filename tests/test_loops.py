@@ -4,8 +4,11 @@ import pytest
 
 from boundprop import (
     ActiveSet,
+    CoherenceError,
     ConflictingEvidenceError,
     CutsetOverflowError,
+    Interval,
+    IntervalVector,
     answer_query,
     condition_cluster,
     enumerate_marginal,
@@ -15,6 +18,7 @@ from boundprop import (
     propagate_mixed,
     select_loop_cutset,
 )
+from boundprop import loops
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 from boundprop.oracle import clamped_state_range
 
@@ -151,6 +155,17 @@ def test_evidence_is_checked_at_every_entry_point(diamond):
         condition_cluster(diamond, cluster, full_active(diamond), {"B": 2}, "D")
     with pytest.raises(KeyError):
         condition_cluster(diamond, cluster, full_active(diamond), {"Z": 0}, "D")
+
+
+def test_incoherent_mixing_weights_raise(diamond, monkeypatch):
+    # Joint normalization makes the instance weights coherent; the check
+    # that stands behind it is the one simplex_dot makes, in every mode.
+    def incoherent(v):
+        return IntervalVector([Interval(0.0, 0.1 / len(v))] * len(v))
+
+    monkeypatch.setattr(loops, "normalize", incoherent)
+    with pytest.raises(CoherenceError):
+        propagate_mixed(diamond, full_active(diamond), {}, "D")
 
 
 def test_instance_cap_enforced():

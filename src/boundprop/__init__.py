@@ -41,12 +41,10 @@ from .engine import (
     lambda_msg,
     pi_hat,
     pi_msg,
-    propagate,
 )
 from .loops import (
     CutsetOverflowError,
-    condition_cluster,
-    propagate_mixed,
+    propagate,
     select_loop_cutset,
 )
 from .oracle import enumerate_marginal, polytree_exact
@@ -71,7 +69,6 @@ __all__ = [
     "StopCriterion",
     "answer_query",
     "bel_hat",
-    "condition_cluster",
     "d_separated",
     "enumerate_marginal",
     "find_loop_clusters",
@@ -85,7 +82,6 @@ __all__ = [
     "pi_msg",
     "polytree_exact",
     "propagate",
-    "propagate_mixed",
     "relevant_set",
     "select_loop_cutset",
     "serialize_network",

@@ -21,8 +21,11 @@ where the signature is the message's pinned state and the arguments its
 kernel was called with: each input message's value, or a vacuous
 marker for an absent arc.  A stored value is reused only when the
 current signature is ``==`` to the recorded one, which is memoization
-of a pure function and so sound whatever evidence, query or active set
-the cache saw before.
+of a pure function and so sound whatever evidence, query, active set or
+cutset instance the cache saw before.  Runs under cutset clamps share
+the one cache with the runs without them, so a message the clamps do
+not reach is computed once for every instance.  A cache belongs to one
+network: ``answer_query`` keeps one for the iterations of one query.
 
 A network keeps the last evidence it was asked about, checked, with the
 ancestral closure of its nodes, so a stream of queries under one
@@ -34,7 +37,6 @@ or query state.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -49,7 +51,7 @@ from .intervals import (
     simplex_dot,
     vacuous,
 )
-from .network import BeliefNetwork, Evidence, Node, UnionFind, _Ancestral, relevant_set, skeleton_acyclic
+from .network import BeliefNetwork, Evidence, Node, UnionFind, _Ancestral, relevant_set
 
 SATISFIED = "satisfied"
 SATURATED = "saturated"
@@ -149,15 +151,22 @@ def _lambda_message_kernel(
     of x's parents; the outer pass sums out the co-parents of u under
     their message weights."""
     parents = net.parents(x)
-    j = parents.index(u)
+    n_u = net.state_count(u)
+    # Rows are stored last parent fastest, so the rows with u in state y
+    # are the runs of ``stride`` rows starting at y * stride in every
+    # block of stride * n_u, read in order.
+    stride = 1
+    for p in parents[parents.index(u) + 1 :]:
+        stride *= net.state_count(p)
+    rows = net.node(x).cpt
     weights = _joint_weights(coparent_msgs)
-    other_ranges = [range(net.state_count(p)) for p in parents if p != u]
     out = []
-    for y in range(net.state_count(u)):
-        a_entries = []
-        for oc in itertools.product(*other_ranges):
-            row = net.cpt_row(x, oc[:j] + (y,) + oc[j:])
-            a_entries.append(simplex_dot(IntervalVector.point(row), lam))
+    for y in range(n_u):
+        a_entries = [
+            simplex_dot(IntervalVector.point(row), lam)
+            for b in range(y * stride, len(rows), stride * n_u)
+            for row in rows[b : b + stride]
+        ]
         out.append(simplex_dot(IntervalVector(a_entries), weights))
     return normalize_scaled(IntervalVector(out))
 
@@ -190,9 +199,9 @@ class _Run:
     """One evaluation over an active set, optionally under cutset clamps.
 
     ``cache`` maps a message key to ``(signature, value)`` as described
-    in the module docstring; it is consulted and filled only in runs
-    without clamps, so a stored value never depends on a cutset
-    instance.
+    in the module docstring.  Runs with and without clamps share it: a
+    clamp is the pinned state of the clamped node's messages, so it is
+    in the signature of every message it reaches.
     """
 
     def __init__(
@@ -205,7 +214,7 @@ class _Run:
         self.ctx = ctx
         self.arcs = active.arcs
         self.clamps = dict(clamps or {})
-        self.cache = cache if not self.clamps else None
+        self.cache = cache
         self._memo: dict = {}
         self.visits = 0
 
@@ -402,30 +411,6 @@ def lambda_msg(
     return vec
 
 
-def propagate(
-    net: BeliefNetwork,
-    active: ActiveSet,
-    evidence: Mapping[str, int],
-    query: str,
-    cache: dict | None = None,
-) -> IntervalVector:
-    """Belief bounds at the query over a singly connected active set.
-
-    Messages are computed in one pass toward the query; arcs absent
-    from the active set contribute boundary messages as described in
-    the module docstring.  Multiply connected active sets need
-    ``loops.propagate_mixed``.  A ``cache`` dict, empty at first, can
-    be passed to successive calls; the module docstring says when an
-    entry in it is reused.
-    """
-    active.validate(net, query)
-    if not skeleton_acyclic(active.arcs):
-        raise ValueError("active set contains loops; use propagate_mixed")
-    run = _Run(_Context(net, evidence, query), active, {}, cache)
-    vec, _ = run.belief(query)
-    return vec
-
-
 # -- stopping and results ------------------------------------------------------
 
 
@@ -507,21 +492,15 @@ class DelayedLoops:
     """
 
     def __init__(self, delay: int | None = 5):
+        if delay is not None and delay < 0:
+            raise ValueError(f"loop delay must be nonnegative or None, not {delay}")
         self.delay = delay
         self.round = 0
         self.first_seen: dict[tuple[str, str], int] = {}
 
-    def step(
-        self,
-        net: BeliefNetwork,
-        active: ActiveSet,
-        query: str,
-        evidence: Mapping[str, int],
-        relevant: set[str],
-    ) -> ActiveSet | None:
-        """The next active set; ``active`` itself while an arc still
-        waits, None at a fixed point."""
-        self.round += 1
+    def step(self, net: BeliefNetwork, active: ActiveSet, relevant: set[str]) -> ActiveSet | None:
+        """The next different active set, after as many rounds as the
+        waiting arcs need; None at a fixed point."""
         nodes = set(active.nodes)
         nodes.update(
             w for v in active.nodes for w in net.skeleton_neighbors(v) if w in relevant
@@ -538,20 +517,25 @@ class DelayedLoops:
         sets = UnionFind()
         for p, c in active.arcs:
             sets.union(p, c)
-        arcs = set(active.arcs)
-        pending = False
-        for arc in candidates:
-            if sets.union(*arc):
-                arcs.add(arc)
-            elif self.delay is not None:
-                seen = self.first_seen.setdefault(arc, self.round)
-                if self.round - seen >= self.delay:
+        # A round that is repeated added no arc, so it joined no pieces
+        # and the next round starts from the same nodes and pieces.
+        while True:
+            self.round += 1
+            arcs = set(active.arcs)
+            pending = False
+            for arc in candidates:
+                if sets.union(*arc):
                     arcs.add(arc)
-                else:
-                    pending = True
-        if nodes == active.nodes and arcs == active.arcs:
-            return active if pending else None
-        return ActiveSet(frozenset(nodes), frozenset(arcs))
+                elif self.delay is not None:
+                    seen = self.first_seen.setdefault(arc, self.round)
+                    if self.round - seen >= self.delay:
+                        arcs.add(arc)
+                    else:
+                        pending = True
+            if nodes != active.nodes or arcs != active.arcs:
+                return ActiveSet(frozenset(nodes), frozenset(arcs))
+            if not pending:
+                return None
 
 
 def make_strategy(spec, delay: int = 5) -> DelayedLoops:
@@ -625,9 +609,7 @@ def answer_query(
         if budget_ms is not None and (time.perf_counter() - started) * 1000.0 >= budget_ms:
             status = BUDGET
             break
-        grown = strategy_obj.step(net, active, query, eff, relevant)
-        while grown is not None and grown == active:
-            grown = strategy_obj.step(net, active, query, eff, relevant)
+        grown = strategy_obj.step(net, active, relevant)
         if grown is None:
             status = SATURATED
             break

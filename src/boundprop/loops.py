@@ -219,50 +219,19 @@ def evaluate(
     return _conditioned_bel(ctx, active, cut, instance_cap, cache)
 
 
-def propagate_mixed(
+def propagate(
     net: BeliefNetwork,
     active: ActiveSet,
     evidence: Mapping[str, int],
     query: str,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> IntervalVector:
-    """Belief bounds over an active set that may contain loops.
+    """Belief bounds at the query from one evaluation over any active set.
 
     Loops wholly inside the active set are conditioned away; loops the
     active set only grazes are already singly connected there and
-    propagate with vacuous messages on every absent arc.  On a loop-free
-    active set this coincides with ``engine.propagate``.
+    propagate with vacuous messages on every absent arc.
     """
     active.validate(net, query)
     bel, _ = evaluate(net, active, _Context(net, evidence, query), instance_cap=instance_cap)
-    return bel
-
-
-def condition_cluster(
-    net: BeliefNetwork,
-    cluster: LoopCluster,
-    active: ActiveSet,
-    evidence: Mapping[str, int],
-    target: str,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
-) -> IntervalVector:
-    """Evaluate a wholly contained loop cluster toward a target node.
-
-    Per cutset instance, the whole active set is propagated as usual:
-    messages arriving from the surrounding tree sections act as found
-    evidence on the cluster boundary, and arcs outside the active set
-    stay vacuous.  The per-instance results are then mixed under the
-    normalized instance-mass weights.
-    """
-    active.validate(net, target)
-    if not (cluster.nodes <= active.nodes and cluster.arcs <= active.arcs):
-        raise ValueError("cluster is not wholly contained in the active set")
-    ctx = _Context(net, evidence, target)
-    observed = frozenset(v for v in evidence if v in active.nodes)
-    cut = list(
-        select_loop_cutset(net, cluster, exclude=frozenset({target}), presplit=observed)
-    )
-    if not skeleton_acyclic(active.arcs, set(cut) | set(observed)):
-        raise ValueError("active set has loops outside this cluster; use propagate_mixed")
-    bel, _ = _conditioned_bel(ctx, active, cut, instance_cap, None)
     return bel

@@ -18,7 +18,7 @@ from boundprop import (
     answer_query,
     enumerate_marginal,
     polytree_exact,
-    propagate_mixed,
+    propagate,
 )
 from boundprop.intervals import Interval, IntervalVector, normalize, simplex_dot, vacuous
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
@@ -178,7 +178,7 @@ def test_acceptance_5_oracle_agreement(soundness_runs):
         pt = polytree_exact(net, ev, q)
         assert pt == pytest.approx(exact, abs=1e-9)
         full = ActiveSet(frozenset(net.node_ids()), frozenset(net.arcs))
-        bel = propagate_mixed(net, full, ev, q)
+        bel = propagate(net, full, ev, q)
         assert bel.max_width <= 1e-9
         for mid, want in zip(bel.midpoints(), exact):
             assert abs(mid - want) <= 1e-9
@@ -201,7 +201,7 @@ def test_acceptance_6_missing_arc_replica():
             frozenset(a for a in net.arcs if a != ("B", "D")),
         )
         want = enumerate_marginal(net, ev, "C")
-        bel = propagate_mixed(net, active, ev, "C")
+        bel = propagate(net, active, ev, "C")
         assert bel.contains_point(want, 1e-9), (seed, bel, want)
         hits += 1
     assert hits == 50

@@ -133,6 +133,14 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_negative_loop_delay(tmp_path, capsys):
+    path = tmp_path / "net.txt"
+    main(["gen", "--nodes", "8", "--seed", "11", "--out", str(path)])
+    code = main(["query", str(path), "--node", "n1", "--strategy", "delayed", "--delay", "-1"])
+    assert code == 1
+    assert "loop delay" in capsys.readouterr().err
+
+
 def test_cli_generation_error_is_reported(capsys):
     assert main(["gen", "--nodes", "1", "--topology", "loopy"]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -20,11 +20,13 @@ from boundprop import (
     relevant_set,
     serialize_network,
 )
+from boundprop import loops
 from boundprop.engine import (
     BUDGET,
     SATISFIED,
     SATURATED,
     DelayedLoops,
+    _Context,
     make_strategy,
 )
 from boundprop.intervals import Interval, IntervalVector, normalize, vacuous
@@ -189,11 +191,6 @@ def test_propagate_random_active_sets_contain_truth():
         assert bel.contains_point(want, 1e-9)
 
 
-def test_propagate_rejects_loopy_active_set(diamond):
-    with pytest.raises(ValueError, match="propagate_mixed"):
-        propagate(diamond, full_active(diamond), {}, "D")
-
-
 def test_root_query_alone_gives_prior():
     net = build_net("r", {"A": [], "B": ["A"], "C": ["B"]}, seed=6)
     bel = propagate(net, ActiveSet.initial("A"), {}, "A")
@@ -213,7 +210,7 @@ def test_active_set_validation(chain_ab):
 # -- cache --------------------------------------------------------------------
 
 
-def test_cached_and_uncached_runs_identical():
+def test_cached_and_uncached_runs_identical(monkeypatch):
     for seed in range(10):
         net = gen_polytree(GenSpec(node_count=10, seed=seed))
         rng = random.Random(seed)
@@ -230,6 +227,24 @@ def test_cached_and_uncached_runs_identical():
         a = answer_query(net, q, ev, strategy="delayed", use_cache=True)
         b = answer_query(net, q, ev, strategy="delayed", use_cache=False)
         assert a.bels == b.bels
+    # Runs under cutset clamps share the cache with the runs without them.
+    conditioned = []
+    inner = loops._conditioned_bel
+
+    def spy(*args):
+        conditioned.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(loops, "_conditioned_bel", spy)
+    for seed in range(5):
+        net = gen_loopy(GenSpec(node_count=9, topology="loopy", arc_ratio=1.3, seed=seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        a = answer_query(net, q, ev, strategy="bfs", use_cache=True)
+        b = answer_query(net, q, ev, strategy="bfs", use_cache=False)
+        assert (a.bels, a.status, a.iterations) == (b.bels, b.status, b.iterations)
+    assert any(conditioned)
 
 
 def test_cache_saves_visits():
@@ -249,10 +264,20 @@ def test_shared_cache_reuses_nothing_across_evidence():
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
     cache = {}
-    propagate(net, active, {}, "A", cache=cache)
-    bel = propagate(net, active, {"C": 0}, "A", cache=cache)
+    loops.evaluate(net, active, _Context(net, {}, "A"), 1, cache)
+    bel, _ = loops.evaluate(net, active, _Context(net, {"C": 0}, "A"), 1, cache)
     assert bel.contains_point(enumerate_marginal(net, {"C": 0}, "A"))
     assert bel == propagate(net, active, {"C": 0}, "A")
+
+
+def test_cache_is_shared_with_clamped_runs(figure_net):
+    # Every cutset instance reuses the messages no clamp reaches.
+    ctx = _Context(figure_net, {"X": 0}, "D")
+    active = full_active(figure_net)
+    cached, cached_visits = loops.evaluate(figure_net, active, ctx, 16, {})
+    fresh, fresh_visits = loops.evaluate(figure_net, active, ctx, 16, None)
+    assert cached == fresh
+    assert cached_visits < fresh_visits
 
 
 def _outcome(net, query, evidence):
@@ -331,15 +356,20 @@ def long_chain():
     return net, full_active(net), {f"n{n - 1}": 0}
 
 
+def _evaluate(net, active, ev, query, cache):
+    bel, _ = loops.evaluate(net, active, _Context(net, ev, query), 1, cache)
+    return bel
+
+
 def test_long_chain_cached_and_uncached_agree(long_chain):
     net, active, ev = long_chain
-    assert propagate(net, active, ev, "n0", cache={}) == propagate(net, active, ev, "n0")
+    assert _evaluate(net, active, ev, "n0", {}) == _evaluate(net, active, ev, "n0", None)
 
 
 def test_propagation_leaves_the_recursion_limit_alone(long_chain):
     net, active, ev = long_chain
     before = sys.getrecursionlimit()
-    propagate(net, active, ev, "n0", cache={})
+    _evaluate(net, active, ev, "n0", {})
     propagate(net, active, ev, "n0")
     assert sys.getrecursionlimit() == before
 
@@ -350,7 +380,7 @@ def test_propagation_leaves_the_recursion_limit_alone(long_chain):
 def test_expand_chain_one_step():
     net = build_net("c", {"A": [], "B": ["A"], "C": ["B"]}, seed=1)
     rel = relevant_set(net, "C", {"A": 0})
-    grown = DelayedLoops(0).step(net, ActiveSet.initial("C"), "C", {"A": 0}, rel)
+    grown = DelayedLoops(0).step(net, ActiveSet.initial("C"), rel)
     assert grown.nodes == frozenset({"B", "C"})
     assert grown.arcs == frozenset({("B", "C")})
 
@@ -359,10 +389,7 @@ def test_expand_no_loops_excludes_closing_arc(figure_net):
     strat = DelayedLoops(None)
     rel = relevant_set(figure_net, "C", {"X": 0})
     active = ActiveSet.initial("C")
-    while True:
-        nxt = strat.step(figure_net, active, "C", {"X": 0}, rel)
-        if nxt is None or nxt == active:
-            break
+    while (nxt := strat.step(figure_net, active, rel)) is not None:
         active = nxt
     assert is_polytree_subgraph(active)
     assert active.nodes == frozenset("YABCDX")
@@ -391,7 +418,7 @@ def test_expand_fixed_point_returns_none():
     net = build_net("c", {"A": [], "B": ["A"]}, seed=1)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
     rel = relevant_set(net, "B", {})
-    assert DelayedLoops(0).step(net, active, "B", {}, rel) is None
+    assert DelayedLoops(0).step(net, active, rel) is None
 
 
 def test_no_loops_stays_polytree_on_random_networks():
@@ -403,12 +430,9 @@ def test_no_loops_stays_polytree_on_random_networks():
         rel = relevant_set(net, q, ev)
         strat = DelayedLoops(None)
         active = ActiveSet.initial(q)
-        while True:
+        while active is not None:
             assert is_polytree_subgraph(active)
-            nxt = strat.step(net, active, q, ev, rel)
-            if nxt is None or nxt == active:
-                break
-            active = nxt
+            active = strat.step(net, active, rel)
 
 
 def test_strategy_names_are_one_growth_rule_by_loop_delay():
@@ -420,6 +444,27 @@ def test_strategy_names_are_one_growth_rule_by_loop_delay():
     assert fresh is not mine and fresh.delay == 2
     with pytest.raises(ValueError, match="unknown strategy"):
         make_strategy("depth-first")
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="loop delay"):
+            DelayedLoops(bad)
+        with pytest.raises(ValueError, match="loop delay"):
+            make_strategy("delayed", bad)
+
+
+def test_waiting_rounds_run_inside_one_step(figure_net):
+    # The closing arc B -> D enters two rounds after it is first seen;
+    # the round in between changes nothing and is not returned.
+    strat = DelayedLoops(2)
+    rel = relevant_set(figure_net, "C", {"X": 0})
+    active = ActiveSet.initial("C")
+    steps = 0
+    while (nxt := strat.step(figure_net, active, rel)) is not None:
+        assert nxt != active
+        active = nxt
+        steps += 1
+    assert active.arcs == frozenset(figure_net.arcs)
+    # a round per returned set, one for the fixed point, one waiting
+    assert strat.round == steps + 2
 
 
 def test_strategy_must_be_a_name_or_growth_rule(chain_ab):

@@ -10,16 +10,14 @@ from boundprop import (
     Interval,
     IntervalVector,
     answer_query,
-    condition_cluster,
     enumerate_marginal,
     find_loop_clusters,
     parse_network,
     propagate,
-    propagate_mixed,
     select_loop_cutset,
 )
 from boundprop import loops
-from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
+from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
 from boundprop.oracle import clamped_state_range
 
 from conftest import build_net
@@ -94,7 +92,7 @@ def test_condition_cluster_exact_on_diamond(diamond):
             if q in ev:
                 continue
             want = enumerate_marginal(diamond, ev, q)
-            bel = condition_cluster(diamond, cluster, full_active(diamond), ev, q)
+            bel = propagate(diamond, full_active(diamond), ev, q)
             assert bel.contains_point(want, 1e-9)
             assert bel.max_width <= 1e-6
             cutset = select_loop_cutset(
@@ -117,7 +115,7 @@ def test_condition_cluster_vacuous_boundary_contains(figure_net):
     ev = {"X": 0, "Y": 1}
     for q in "ABCD":
         want = enumerate_marginal(figure_net, ev, q)
-        bel = condition_cluster(figure_net, cluster, active, ev, q)
+        bel = propagate(figure_net, active, ev, q)
         assert bel.contains_point(want, 1e-9)
         assert bel.max_width > 0.0  # unseen evidence keeps it honest
 
@@ -127,34 +125,22 @@ def test_condition_cluster_observed_inside(figure_net):
     ev = {"B": 1}
     for q in "YACDX":
         want = enumerate_marginal(figure_net, ev, q)
-        bel = condition_cluster(figure_net, cluster, full_active(figure_net), ev, q)
+        bel = propagate(figure_net, full_active(figure_net), ev, q)
         assert bel.contains_point(want, 1e-9)
-
-
-def test_condition_cluster_requires_whole(diamond):
-    (cluster,) = find_loop_clusters(diamond)
-    partial = ActiveSet(
-        frozenset(diamond.node_ids()),
-        frozenset(a for a in diamond.arcs if a != ("B", "D")),
-    )
-    with pytest.raises(ValueError, match="wholly"):
-        condition_cluster(diamond, cluster, partial, {}, "D")
 
 
 def test_evidence_is_checked_at_every_entry_point(diamond):
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
-    for entry in (propagate, propagate_mixed):
-        for ev in ({"C": 7}, {"B": 5}, {"A": -1}):
-            with pytest.raises(ValueError, match="out of range"):
-                entry(net, active, ev, "A")
-        with pytest.raises(KeyError):
-            entry(net, active, {"Z": 0}, "A")
-    (cluster,) = find_loop_clusters(diamond)
-    with pytest.raises(ValueError, match="out of range"):
-        condition_cluster(diamond, cluster, full_active(diamond), {"B": 2}, "D")
+    for ev in ({"C": 7}, {"B": 5}, {"A": -1}):
+        with pytest.raises(ValueError, match="out of range"):
+            propagate(net, active, ev, "A")
     with pytest.raises(KeyError):
-        condition_cluster(diamond, cluster, full_active(diamond), {"Z": 0}, "D")
+        propagate(net, active, {"Z": 0}, "A")
+    with pytest.raises(ValueError, match="out of range"):
+        propagate(diamond, full_active(diamond), {"B": 2}, "D")
+    with pytest.raises(KeyError):
+        propagate(diamond, full_active(diamond), {"Z": 0}, "D")
 
 
 def test_incoherent_mixing_weights_raise(diamond, monkeypatch):
@@ -165,25 +151,14 @@ def test_incoherent_mixing_weights_raise(diamond, monkeypatch):
 
     monkeypatch.setattr(loops, "normalize", incoherent)
     with pytest.raises(CoherenceError):
-        propagate_mixed(diamond, full_active(diamond), {}, "D")
+        propagate(diamond, full_active(diamond), {}, "D")
 
 
 def test_instance_cap_enforced():
     net = gen_loopy(GenSpec(node_count=9, topology="loopy", arc_ratio=1.3, seed=3))
     q = net.node_ids()[0]
     with pytest.raises(CutsetOverflowError):
-        propagate_mixed(net, full_active(net), {}, q, instance_cap=1)
-
-
-def test_propagate_mixed_equals_propagate_on_polytrees():
-    for seed in range(10):
-        net = gen_polytree(GenSpec(node_count=9, seed=seed))
-        rng = random.Random(seed)
-        ev = sample_evidence(net, rng)
-        q = rng.choice([v for v in net.node_ids() if v not in ev])
-        assert propagate_mixed(net, full_active(net), ev, q) == propagate(
-            net, full_active(net), ev, q
-        )
+        propagate(net, full_active(net), {}, q, instance_cap=1)
 
 
 def test_missing_arc_propagation_contains_truth(figure_net):
@@ -196,7 +171,7 @@ def test_missing_arc_propagation_contains_truth(figure_net):
             if q in ev:
                 continue
             want = enumerate_marginal(figure_net, ev, q)
-            bel = propagate_mixed(figure_net, active, ev, q)
+            bel = propagate(figure_net, active, ev, q)
             assert bel.contains_point(want, 1e-9)
 
 
@@ -207,21 +182,11 @@ def test_missing_arc_contains_clamped_envelope(figure_net):
         frozenset(a for a in figure_net.arcs if a != ("B", "D")),
     )
     ev = {"X": 0}
-    bel = propagate_mixed(figure_net, active, ev, "C")
+    bel = propagate(figure_net, active, ev, "C")
     envelope = clamped_state_range(figure_net, ev, "C", "B")
     for entry, (lo, hi) in zip(bel, envelope):
         assert entry.lo - 1e-9 <= lo
         assert hi <= entry.hi + 1e-9
-
-
-def test_whole_cluster_agreement(figure_net):
-    # conditioning the one cluster equals the general mixed propagation
-    (cluster,) = find_loop_clusters(figure_net)
-    ev = {"X": 0}
-    for q in "YABCD":
-        a = propagate_mixed(figure_net, full_active(figure_net), ev, q)
-        b = condition_cluster(figure_net, cluster, full_active(figure_net), ev, q)
-        assert a == b
 
 
 def test_conflicting_evidence_propagates():
@@ -233,7 +198,7 @@ def test_conflicting_evidence_propagates():
     )
     net = parse_network(text)
     with pytest.raises(ConflictingEvidenceError):
-        propagate_mixed(net, full_active(net), {"D": 0, "E": 0}, "X")
+        propagate(net, full_active(net), {"D": 0, "E": 0}, "X")
 
 
 def test_hidden_coupling_between_cutset_and_detached_evidence():

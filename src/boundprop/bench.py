@@ -80,7 +80,9 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
     rng = random.Random(suite["seed"])
     for entry in suite["networks"]:
         net = _suite_network(entry)
-        evidence = netgen.sample_evidence(net, rng)
+        # A network read from a file may carry its own evidence; the
+        # sampled states are laid over it, as the engine would.
+        evidence = {**net.evidence, **netgen.sample_evidence(net, rng)}
         free = [v for v in net.node_ids() if v not in evidence]
         count = min(int(suite["queries_per_network"]), len(free))
         queries = rng.sample(free, count)

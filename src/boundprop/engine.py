@@ -27,12 +27,14 @@ the one cache with the runs without them, so a message the clamps do
 not reach is computed once for every instance.  A cache belongs to one
 network: ``answer_query`` keeps one for the iterations of one query.
 
-A network keeps the last evidence it was asked about, checked, with the
-ancestral closure of its nodes, so a stream of queries under one
-evidence pays for that closure once and each query walks only its own
-ancestors outside it.  That one slot is derived from the network and
-the evidence alone: it never changes an answer and holds no strategy
-or query state.
+A query's evidence is the caller's evidence laid over the evidence
+stored on the network, merged in the one per-query ``_Context`` that
+every entry point builds.  A network keeps the last merged evidence it
+was asked about, checked, with the ancestral closure of its nodes, so a
+stream of queries under one evidence pays for that closure once and
+each query walks only its own ancestors outside it.  That one slot is
+derived from the network and the evidence alone: it never changes an
+answer and holds no strategy or query state.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .intervals import (
     simplex_dot,
     vacuous,
 )
-from .network import BeliefNetwork, Evidence, Node, UnionFind, _Ancestral, relevant_set
+from .network import BeliefNetwork, Node, UnionFind, _Context, relevant_set
 
 SATISFIED = "satisfied"
 SATURATED = "saturated"
@@ -174,27 +176,6 @@ def _lambda_message_kernel(
 # -- propagation core ---------------------------------------------------------
 
 
-class _Context:
-    """Per-query constants shared by every evaluation of one query.
-
-    Every entry point builds one, so the query and the evidence are
-    checked here: an unknown node raises ``KeyError`` and an evidence
-    state out of range raises ``ValueError``.  The checked evidence and
-    An(Z), the ancestral closure of the evidence nodes, come from the
-    network, which keeps them for the last evidence asked about; that
-    state is derived from the network and the evidence alone, so it
-    never changes an answer and holds no strategy or query state.
-    ``ancestral`` adds the query's own ancestors outside An(Z), walked
-    for this query only.
-    """
-
-    def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int], query: str):
-        self.net = net
-        self.query = query
-        self.ancestral = _Ancestral(net, query, net._observe(evidence))
-        self.evidence = self.ancestral.observed.evidence
-
-
 class _Run:
     """One evaluation over an active set, optionally under cutset clamps.
 
@@ -253,7 +234,7 @@ class _Run:
                 continue
             if (x, w) in self.arcs:
                 ins.append(("lam_msg", w, x))
-            elif w in self.ctx.ancestral:
+            elif w in self.ctx:
                 ins.append(net.state_count(x))
         return None, tuple(ins)
 
@@ -428,6 +409,8 @@ class StopCriterion:
             raise ValueError("target width must lie in [0, 1]")
         if self.threshold is not None and self.threshold[1] not in (">", "<"):
             raise ValueError("threshold direction must be '>' or '<'")
+        if self.threshold is not None and not 0.0 <= self.threshold[2] <= 1.0:
+            raise ValueError("threshold probability must lie in [0, 1]")
 
     @staticmethod
     def width(w: float) -> "StopCriterion":
@@ -440,8 +423,7 @@ class StopCriterion:
     def met(self, bel: IntervalVector) -> bool:
         if self.target_width is not None:
             return bel.max_width <= self.target_width
-        state, _, p = self.threshold
-        return bel[state].lo > p or bel[state].hi < p
+        return self.verdict(bel) is not None
 
     def verdict(self, bel: IntervalVector) -> bool | None:
         """Resolved answer of a threshold test, if it is resolved."""
@@ -576,14 +558,12 @@ def answer_query(
     """
     from .loops import evaluate
 
-    eff: Evidence = dict(net.evidence)
-    eff.update(evidence or {})
-    ctx = _Context(net, eff, query)
+    ctx = _Context(net, evidence, query)
     stop = stop if stop is not None else StopCriterion.width(0.0)
     if stop.threshold is not None and not 0 <= stop.threshold[0] < net.state_count(query):
         raise ValueError(f"threshold state {stop.threshold[0]} out of range for {query!r}")
     strategy_obj = make_strategy(strategy)
-    relevant = relevant_set(net, query, ctx.ancestral)
+    relevant = relevant_set(net, query, ctx)
     active = ActiveSet.initial(query)
     cache: dict | None = {} if use_cache else None
 

@@ -161,7 +161,7 @@ def _conditioned_bel(
     # unknown likelihood, so the instance weights must absorb a [0, 1]
     # factor until those arcs join the active set.
     boundary_unknown = any(
-        (c, w) not in active.arcs and w in ctx.ancestral
+        (c, w) not in active.arcs and w in ctx
         for c in cut
         for w in net.children(c)
     )
@@ -226,7 +226,8 @@ def propagate(
     query: str,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> IntervalVector:
-    """Belief bounds at the query from one evaluation over any active set.
+    """Belief bounds at the query from one evaluation over any active set,
+    under ``evidence`` laid over the evidence stored on the network.
 
     Loops wholly inside the active set are conditioned away; loops the
     active set only grazes are already singly connected there and

@@ -9,6 +9,7 @@ entries over roughly two orders of magnitude.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ class GenSpec:
     state_min: int = 2
     state_max: int = 4
     cpt_cap: int = CPT_VALUE_CAP
-    evidence_fraction_max: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,8 +64,6 @@ def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
@@ -111,28 +109,32 @@ def _build_nodes(
     return nodes
 
 
-def gen_polytree(spec: GenSpec) -> BeliefNetwork:
-    """Random polytree: random tree skeleton, random arc orientations."""
-    rng = random.Random(spec.seed)
+def _oriented_tree(spec: GenSpec, rng: random.Random):
+    """State counts and parent lists of a random tree skeleton with random
+    arc orientations, each arc turned around where it would overflow the
+    child's table."""
     n = spec.node_count
-    ids = [f"n{i}" for i in range(n)]
     states = [rng.randint(spec.state_min, spec.state_max) for _ in range(n)]
-    edges = _random_tree_edges(n, rng)
     parents: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in edges:
+    for a, b in _random_tree_edges(n, rng):
         if rng.random() < 0.5:
             a, b = b, a
-        # a -> b unless that overflows b's table; then try the other way.
         parents[b].append(a)
         if _cpt_size(states, parents, b) > spec.cpt_cap:
             parents[b].pop()
             parents[a].append(b)
             if _cpt_size(states, parents, a) > spec.cpt_cap:
                 raise GenerationError("cannot orient edge within the table cap")
-    net = BeliefNetwork(
-        f"polytree-{n}-s{spec.seed}", _build_nodes(ids, states, parents, rng)
-    )
-    return net
+    return states, parents
+
+
+def gen_polytree(spec: GenSpec) -> BeliefNetwork:
+    """Random polytree: random tree skeleton, random arc orientations."""
+    rng = random.Random(spec.seed)
+    n = spec.node_count
+    states, parents = _oriented_tree(spec, rng)
+    ids = [f"n{i}" for i in range(n)]
+    return BeliefNetwork(f"polytree-{n}-s{spec.seed}", _build_nodes(ids, states, parents, rng))
 
 
 def gen_loopy(spec: GenSpec) -> BeliefNetwork:
@@ -144,27 +146,15 @@ def gen_loopy(spec: GenSpec) -> BeliefNetwork:
     """
     rng = random.Random(spec.seed)
     n = spec.node_count
-    ids = [f"n{i}" for i in range(n)]
-    states = [rng.randint(spec.state_min, spec.state_max) for _ in range(n)]
-    edges = _random_tree_edges(n, rng)
-    parents: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in edges:
-        if rng.random() < 0.5:
-            a, b = b, a
-        parents[b].append(a)
-        if _cpt_size(states, parents, b) > spec.cpt_cap:
-            parents[b].pop()
-            parents[a].append(b)
-            if _cpt_size(states, parents, a) > spec.cpt_cap:
-                raise GenerationError("cannot orient edge within the table cap")
+    states, parents = _oriented_tree(spec, rng)
+    children: dict[int, list[int]] = {i: [] for i in range(n)}
+    for c, ps in parents.items():
+        for p in ps:
+            children[p].append(c)
 
     def descendants(v: int) -> set[int]:
         out = set()
         stack = [v]
-        children: dict[int, list[int]] = {i: [] for i in range(n)}
-        for c, ps in parents.items():
-            for p in ps:
-                children[p].append(c)
         while stack:
             u = stack.pop()
             if u in out:
@@ -193,12 +183,12 @@ def gen_loopy(spec: GenSpec) -> BeliefNetwork:
         if _cpt_size(states, parents, v) > spec.cpt_cap:
             parents[v].pop()
             continue
+        children[u].append(v)
         arc_count += 1
-    net = BeliefNetwork(
-        f"loopy-{n}-r{spec.arc_ratio}-s{spec.seed}",
-        _build_nodes(ids, states, parents, rng),
+    ids = [f"n{i}" for i in range(n)]
+    return BeliefNetwork(
+        f"loopy-{n}-r{spec.arc_ratio}-s{spec.seed}", _build_nodes(ids, states, parents, rng)
     )
-    return net
 
 
 def generate(spec: GenSpec) -> BeliefNetwork:

@@ -199,15 +199,27 @@ class _Observed:
         self.ancestors = net.ancestral_closure(self.evidence)
 
 
-class _Ancestral:
-    """An({q} ∪ Z) for one query q: the shared An(Z) of the evidence plus
-    the query's own ancestors outside it, tested without copying either."""
+class _Context:
+    """Per-query constants shared by every evaluation of one query.
 
-    __slots__ = ("observed", "own")
+    The caller's evidence is laid over the evidence stored on the
+    network; this is the one place a query reads the stored set, so
+    every entry point answers under the same evidence.  Every entry
+    point builds one, so the query and the evidence are checked here
+    (see ``_Observed``).  The checked evidence and An(Z) come from the
+    network's one kept ``_Observed``; ``own`` is the query's own
+    ancestors outside An(Z), walked for this query only, so ``v in ctx``
+    tests membership in An({q} ∪ Z) without copying either set.
+    """
 
-    def __init__(self, net: BeliefNetwork, query: str, observed: _Observed):
-        self.observed = observed
-        self.own = net.ancestral_closure((query,), closed=observed.ancestors)
+    __slots__ = ("net", "query", "observed", "evidence", "own")
+
+    def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int] | None, query: str):
+        self.net = net
+        self.query = query
+        self.observed = net._observe({**net.evidence, **(evidence or {})})
+        self.evidence = self.observed.evidence
+        self.own = net.ancestral_closure((query,), closed=self.observed.ancestors)
 
     def __contains__(self, v: str) -> bool:
         return v in self.own or v in self.observed.ancestors
@@ -315,10 +327,14 @@ def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int] | I
     a node outside that closure are outside it too, so a trail that
     leaves it never comes back, and one walk that stops there finds
     them all.
+
+    ``evidence`` is the whole observed set, as a mapping or node ids;
+    evidence stored on the network is not added.  The engine passes its
+    per-query ``_Context`` instead, whose merged evidence and closures
+    the walk reuses.
     """
-    if isinstance(evidence, _Ancestral):
-        observed = evidence.observed
-        return _trails(net, query, observed.evidence, observed.ancestors, evidence)
+    if isinstance(evidence, _Context):
+        return _trails(net, query, evidence.evidence, evidence.observed.ancestors, evidence)
     z = set(evidence)
     return _trails(net, query, z, net.ancestral_closure(z), net.ancestral_closure({query, *z}))
 

@@ -1,13 +1,14 @@
 import functools
 import json
+import random
 
 import pytest
 
 from boundprop import bench, cli
 from boundprop.bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from boundprop.cli import main
-from boundprop.netgen import GenSpec, gen_loopy
-from boundprop.network import serialize_network
+from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
+from boundprop.network import BeliefNetwork, serialize_network
 
 SUITE = {
     "seed": 3,
@@ -119,6 +120,9 @@ def test_cli_threshold(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "threshold" in out
+    for spec in ("n1:s0>nan", "n1:s0>1.5", "n1:s0<-0.5"):
+        assert main(["query", str(path), "--threshold", spec]) == 1
+        assert "threshold probability" in capsys.readouterr().err
 
 
 def test_cli_evidence_and_errors(tmp_path, capsys):
@@ -195,6 +199,32 @@ def test_baseline_recursion_error_is_recorded_as_none(monkeypatch):
     records = list(run_bench(load_suite(json.dumps(SUITE))))
     assert records and all(r["baseline_ms"] is None for r in records)
     assert all(not r["status"].startswith("error") for r in records)
+
+
+def test_bench_answers_under_the_stored_evidence(tmp_path, monkeypatch):
+    # A suite network read from a file keeps its evidence line: a stored
+    # node is never a query, it is counted, and the oracle and the engine
+    # both see it under the sampled evidence.
+    net = gen_polytree(GenSpec(node_count=12, seed=4))
+    stored = {"n3": 1, "n7": 0}
+    path = tmp_path / "net.txt"
+    path.write_text(serialize_network(BeliefNetwork(net.name, net.nodes, evidence=stored)))
+    want = {**stored, **sample_evidence(net, random.Random(3))}
+    seen = {"oracle": [], "engine": []}
+
+    def spy(name, call):
+        def wrapped(*args, **kwargs):
+            seen[name].append(dict(args[1] if name == "oracle" else args[2]))
+            return call(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bench, "polytree_exact", spy("oracle", bench.polytree_exact))
+    monkeypatch.setattr(bench, "answer_query", spy("engine", bench.answer_query))
+    suite = {**SUITE, "queries_per_network": 12, "strategies": ["bfs"], "networks": [{"file": str(path)}]}
+    records = list(run_bench(load_suite(json.dumps(suite))))
+    assert sorted(r["query"] for r in records) == sorted(v for v in net.node_ids() if v not in want)
+    assert all(r["evidence_count"] == len(want) for r in records)
+    assert seen["oracle"] == seen["engine"] == [want] * len(records)
 
 
 def test_bench_recursion_error_becomes_error_status(monkeypatch):

@@ -307,6 +307,51 @@ def test_evidence_memo_never_changes_an_answer():
     assert _outcome(net, q, ev) == _outcome(parse_network(text), q, ev)
 
 
+def _saturated(net, query, evidence):
+    """The active set that answer_query's breadth-first growth ends at,
+    under ``evidence`` laid over the network's stored evidence."""
+    relevant = relevant_set(net, query, {**net.evidence, **evidence})
+    grow = make_strategy("bfs")
+    active = ActiveSet.initial(query)
+    while True:
+        grown = grow.step(net, active, relevant)
+        if grown is None:
+            return active
+        active = grown
+
+
+def test_propagate_answers_under_the_stored_evidence(chain_ab, figure_net):
+    # A -> B with B observed in the file: both entry points condition on it.
+    stored = BeliefNetwork(chain_ab.name, chain_ab.nodes, evidence={"B": 0})
+    bel = propagate(stored, full_active(stored), {}, "A")
+    assert bel == answer_query(stored, "A").bels[-1]
+    assert bel.contains_point(enumerate_marginal(stored, {"B": 0}, "A"), 1e-12)
+    ev = {"B": 1, "X": 0}
+    stored = BeliefNetwork(figure_net.name, figure_net.nodes, evidence=ev)
+    for q in "YACD":
+        r = answer_query(stored, q)
+        active = _saturated(stored, q, {})
+        assert r.active_nodes[-1] == len(active.nodes)
+        bel = propagate(stored, active, {}, q)
+        assert bel == r.bels[-1]
+        assert bel.contains_point(enumerate_marginal(stored, ev, q), 1e-12)
+
+
+def test_the_callers_state_wins_over_a_stored_one(figure_net):
+    stored = BeliefNetwork(figure_net.name, figure_net.nodes, evidence={"B": 0, "X": 1})
+    caller = {"B": 1}
+    merged = {"B": 1, "X": 1}
+    for q in "YACD":
+        want = enumerate_marginal(figure_net, merged, q)
+        r = answer_query(stored, q, caller)
+        assert r.bels == answer_query(figure_net, q, merged).bels
+        assert r.bels[-1].contains_point(want, 1e-12)
+        active = _saturated(stored, q, caller)
+        bel = propagate(stored, active, caller, q)
+        assert bel == propagate(figure_net, active, merged, q)
+        assert bel.contains_point(want, 1e-12)
+
+
 def test_a_failed_evidence_check_is_never_kept():
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     active = ActiveSet(frozenset({"A"}), frozenset())
@@ -556,6 +601,10 @@ def test_stop_criterion_validation():
         StopCriterion(target_width=1.5)
     with pytest.raises(ValueError):
         StopCriterion(threshold=(0, ">=", 0.5))
+    for p in (1.5, -0.1, float("nan"), float("inf")):
+        for direction in "><":
+            with pytest.raises(ValueError, match="threshold probability"):
+                StopCriterion.prob_threshold(0, direction, p)
 
 
 def test_threshold_state_out_of_range_rejected(chain_ab):

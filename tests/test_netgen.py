@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -6,8 +7,10 @@ import pytest
 
 from boundprop import is_polytree, serialize_network
 from boundprop.netgen import (
+    GenerationError,
     GenSpec,
     gen_loopy,
+    generate,
     gen_polytree,
     sample_evidence,
     sample_skewed_row,
@@ -113,3 +116,24 @@ def test_genspec_validation():
         GenSpec(node_count=5, topology="ring")
     with pytest.raises(ValueError):
         GenSpec(node_count=5, topology="loopy", arc_ratio=0.9)
+
+
+def test_generated_networks_and_evidence_are_pinned():
+    # The perfbench inputs come from netgen, so its output must not drift:
+    # this digest of networks, evidence and generation failures over 180
+    # seeded specs (tables capped at 100 included) is pinned bit for bit.
+    digest = hashlib.sha256()
+    for seed in range(60):
+        for spec in (
+            GenSpec(node_count=1 + (seed * 7) % 40, seed=seed),
+            GenSpec(node_count=2 + (seed * 5) % 30, topology="loopy", arc_ratio=(1.0, 1.2, 1.5)[seed % 3], seed=seed),
+            GenSpec(node_count=2 + (seed * 3) % 25, topology="loopy", arc_ratio=1.3, cpt_cap=100, seed=seed),
+        ):
+            try:
+                net = generate(spec)
+            except GenerationError as exc:
+                digest.update(f"error {exc}\n".encode())
+                continue
+            digest.update(serialize_network(net).encode())
+            digest.update(repr(sample_evidence(net, random.Random(spec.seed))).encode())
+    assert digest.hexdigest() == "3961b7b6ff18a9652cf72f670a12788dd77a8c0dccf623213710c95c91233b37"

@@ -227,7 +227,7 @@ def test_relevant_set_matches_its_definition_on_random_networks():
             assert relevant_set(net, query, evidence) == want, (net.name, query, evidence)
             assert relevant_set(net, query, list(evidence)) == want, (net.name, query, evidence)
             # The engine's call, over the closure the network keeps for the evidence.
-            assert relevant_set(net, query, _Context(net, evidence, query).ancestral) == want
+            assert relevant_set(net, query, _Context(net, evidence, query)) == want
 
 
 def test_relevant_set_rejects_an_unknown_query():

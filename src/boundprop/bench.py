@@ -71,7 +71,7 @@ def _baseline_ms(net: BeliefNetwork, evidence, query) -> float | None:
         else:
             enumerate_marginal(net, evidence, query)
         return (time.perf_counter() - t0) * 1000.0
-    except (StateSpaceError, ConflictingEvidenceError, RecursionError):
+    except (StateSpaceError, ConflictingEvidenceError):
         return None
 
 
@@ -107,11 +107,7 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
                         iterations = result.iterations
                         active_size = result.active_nodes[-1]
                         visits = result.node_visits
-                    except (
-                        CutsetOverflowError,
-                        ConflictingEvidenceError,
-                        RecursionError,
-                    ) as exc:
+                    except (CutsetOverflowError, ConflictingEvidenceError) as exc:
                         status = f"error:{type(exc).__name__}"
                         achieved = None
                         iterations = 0

@@ -22,7 +22,7 @@ from .engine import (
 )
 from .intervals import ConflictingEvidenceError
 from .network import NetworkFormatError, is_polytree, parse_network, serialize_network
-from .oracle import enumerate_marginal, polytree_exact
+from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
 
 
 def _load_network(path: str):
@@ -106,9 +106,15 @@ def _cmd_exact(args) -> int:
     net = _load_network(args.file)
     evidence = _parse_evidence(net, args.evidence)
     states = net.states(args.node)
-    marginal = enumerate_marginal(net, evidence, args.node)
-    print("enumeration " + " ".join(f"{s}={p:.9f}" for s, p in zip(states, marginal)))
-    if is_polytree(net):
+    polytree = is_polytree(net)
+    try:
+        marginal = enumerate_marginal(net, evidence, args.node)
+        print("enumeration " + " ".join(f"{s}={p:.9f}" for s, p in zip(states, marginal)))
+    except StateSpaceError:
+        # Past the enumeration cap a polytree is still answered below.
+        if not polytree:
+            raise
+    if polytree:
         pt = polytree_exact(net, evidence, args.node)
         print("polytree    " + " ".join(f"{s}={p:.9f}" for s, p in zip(states, pt)))
     return 0
@@ -153,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget-ms", type=float, default=None)
     q.set_defaults(func=_cmd_query)
 
-    e = sub.add_parser("exact", help="exact marginal by enumeration")
+    e = sub.add_parser(
+        "exact", help="exact marginal by enumeration, and by message passing on a polytree"
+    )
     e.add_argument("file")
     e.add_argument("--node", required=True)
     e.add_argument("--evidence", action="append", metavar="ID=STATE")

@@ -96,8 +96,6 @@ def clamped_state_range(
     remaining = [v for v in net.node_ids() if v not in evidence]
     q_axis = remaining.index(query)
     b_axis = remaining.index(clamp)
-    mins: list[float] = []
-    maxs: list[float] = []
     n_q = net.state_count(query)
     lo = [float("inf")] * n_q
     hi = [float("-inf")] * n_q
@@ -120,13 +118,23 @@ def clamped_state_range(
 def polytree_exact(
     net: BeliefNetwork, evidence: Mapping[str, int], node: str
 ) -> tuple[float, ...]:
-    """Exact marginal on a polytree via point-valued message passing."""
+    """Exact marginal on a polytree via point-valued message passing.
+
+    Each message is computed once, after its inputs, from an explicit
+    stack: a post-order walk of the message dependencies toward
+    ``node``, so a long chain needs no deep call stack.  Keys are
+    ``("pi_val", x)``, ``("lam_val", x)``, ``("pi_msg", u, x)`` and
+    ``("lam_msg", x, u)``, sender second and receiver third.
+    """
     if not is_polytree(net):
         raise ValueError("polytree_exact requires a singly connected network")
     net.node(node)
 
-    pi_msgs: dict[tuple[str, str], list[float]] = {}
-    lam_msgs: dict[tuple[str, str], list[float]] = {}
+    def indicator(x: str) -> list[float]:
+        return [1.0 if i == evidence[x] else 0.0 for i in range(net.state_count(x))]
+
+    if node in evidence:
+        return tuple(indicator(node))
 
     def _norm(v: Sequence[float]) -> list[float]:
         total = sum(v)
@@ -134,78 +142,70 @@ def polytree_exact(
             raise ConflictingEvidenceError("evidence has zero probability")
         return [x / total for x in v]
 
-    def pi_value(x: str) -> list[float]:
-        n = net.node(x)
-        msgs = [pi_message(p, x) for p in n.parents]
-        out = [0.0] * len(n.states)
-        for config in net.parent_configs(x):
-            w = 1.0
-            for m, s in zip(msgs, config):
-                w *= m[s]
-            if w == 0.0:
-                continue
-            row = net.cpt_row(x, config)
-            for i, v in enumerate(row):
-                out[i] += w * v
-        return out
-
-    def lambda_value(x: str) -> list[float]:
-        n = net.node(x)
-        out = [1.0] * len(n.states)
-        if x in evidence:
-            out = [1.0 if i == evidence[x] else 0.0 for i in range(len(n.states))]
-        for c in net.children(x):
-            m = lambda_message(c, x)
+    def product(vecs: Sequence[Sequence[float]]) -> list[float]:
+        out = list(vecs[0])
+        for m in vecs[1:]:
             out = [a * b for a, b in zip(out, m)]
         return out
 
-    def pi_message(u: str, x: str) -> list[float]:
-        key = (u, x)
-        if key in pi_msgs:
-            return pi_msgs[key]
-        if u in evidence:
-            msg = [1.0 if i == evidence[u] else 0.0 for i in range(net.state_count(u))]
-        else:
-            out = pi_value(u)
-            for c in net.children(u):
-                if c == x:
-                    continue
-                m = lambda_message(c, u)
-                out = [a * b for a, b in zip(out, m)]
-            msg = _norm(out)
-        pi_msgs[key] = msg
-        return msg
+    def inputs(key) -> list:
+        kind, x = key[0], key[1]
+        if kind == "pi_val":
+            return [("pi_msg", p, x) for p in net.parents(x)]
+        if kind == "lam_val":
+            return [("lam_msg", c, x) for c in net.children(x)]
+        if kind == "pi_msg":
+            if x in evidence:
+                return []
+            return [("pi_val", x)] + [("lam_msg", c, x) for c in net.children(x) if c != key[2]]
+        return [("lam_val", x)] + [("pi_msg", p, x) for p in net.parents(x) if p != key[2]]
 
-    def lambda_message(x: str, u: str) -> list[float]:
-        key = (x, u)
-        if key in lam_msgs:
-            return lam_msgs[key]
-        n = net.node(x)
-        lam = lambda_value(x)
-        j = n.parents.index(u)
-        others = [p for p in n.parents if p != u]
-        msgs = [pi_message(p, x) for p in others]
+    def compute(key, ins: list[list[float]]) -> list[float]:
+        kind, x = key[0], key[1]
+        if kind == "pi_val":
+            out = [0.0] * net.state_count(x)
+            for config in net.parent_configs(x):
+                w = 1.0
+                for m, s in zip(ins, config):
+                    w *= m[s]
+                if w == 0.0:
+                    continue
+                for i, v in enumerate(net.cpt_row(x, config)):
+                    out[i] += w * v
+            return out
+        if kind == "lam_val":
+            start = indicator(x) if x in evidence else [1.0] * net.state_count(x)
+            return product([start, *ins])
+        if kind == "pi_msg":
+            return indicator(x) if x in evidence else _norm(product(ins))
+        u = key[2]
+        lam, msgs = ins[0], ins[1:]
+        parents = net.parents(x)
+        j = parents.index(u)
+        others = [p for p in parents if p != u]
         out = [0.0] * net.state_count(u)
-        other_ranges = [range(net.state_count(p)) for p in others]
-        for oc in itertools.product(*other_ranges):
+        for oc in itertools.product(*(range(net.state_count(p)) for p in others)):
             w = 1.0
             for m, s in zip(msgs, oc):
                 w *= m[s]
             if w == 0.0:
                 continue
             for y in range(net.state_count(u)):
-                config = list(oc[:j]) + [y] + list(oc[j:])
-                row = net.cpt_row(x, config)
+                row = net.cpt_row(x, oc[:j] + (y,) + oc[j:])
                 out[y] += w * sum(r * l for r, l in zip(row, lam))
         total = sum(out)
-        if total > 0.0:
-            out = [v / total for v in out]
-        lam_msgs[key] = out
-        return out
+        return [v / total for v in out] if total > 0.0 else out
 
-    if node in evidence:
-        return tuple(
-            1.0 if i == evidence[node] else 0.0 for i in range(net.state_count(node))
-        )
-    bel = [p * l for p, l in zip(pi_value(node), lambda_value(node))]
-    return tuple(_norm(bel))
+    values: dict = {}
+    stack: list = [(("pi_val", node), None), (("lam_val", node), None)]
+    while stack:
+        key, ins = stack.pop()
+        if key in values:
+            continue
+        if ins is None:
+            ins = inputs(key)
+            stack.append((key, ins))
+            stack.extend((i, None) for i in ins if i not in values)
+        else:
+            values[key] = compute(key, [values[i] for i in ins])
+    return tuple(_norm(product([values[("pi_val", node)], values[("lam_val", node)]])))

@@ -7,8 +7,12 @@ import pytest
 from boundprop import bench, cli
 from boundprop.bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from boundprop.cli import main
+from boundprop.loops import CutsetOverflowError
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 from boundprop.network import BeliefNetwork, serialize_network
+from boundprop.oracle import StateSpaceError
+
+from conftest import build_net
 
 SUITE = {
     "seed": 3,
@@ -86,6 +90,30 @@ def test_cli_gen_query_exact_roundtrip(tmp_path, capsys):
     assert main(["exact", str(path), "--node", "n3"]) == 0
     out = capsys.readouterr().out
     assert "enumeration" in out and "polytree" in out
+
+
+def test_cli_exact_past_the_enumeration_cap(tmp_path, capsys):
+    # A 60-node network's joint table exceeds the enumeration cap: a
+    # polytree is still answered by message passing, a loopy one fails.
+    path = tmp_path / "tree.txt"
+    assert main(["gen", "--nodes", "60", "--seed", "1", "--out", str(path)]) == 0
+    assert main(["exact", str(path), "--node", "n5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("polytree ")
+    loopy = tmp_path / "loopy.txt"
+    assert main(["gen", "--nodes", "60", "--topology", "loopy", "--seed", "1", "--out", str(loopy)]) == 0
+    assert main(["exact", str(loopy), "--node", "n5"]) == 1
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_cli_exact_on_a_long_chain(tmp_path, capsys):
+    n = 5000
+    net = build_net("long", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(n)}, seed=2)
+    path = tmp_path / "chain.txt"
+    path.write_text(serialize_network(net))
+    assert main(["exact", str(path), "--node", "n0", "--evidence", f"n{n - 1}=s1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("polytree ")
 
 
 def test_cli_saturated_exit_code(tmp_path, capsys):
@@ -176,8 +204,10 @@ def test_cli_bench(tmp_path, capsys):
     assert csv_path.read_text().startswith("network,")
 
 
-def _fail_with_recursion(*args, **kwargs):
-    raise RecursionError("maximum recursion depth exceeded")
+def _fail_with(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
 
 
 def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
@@ -193,9 +223,10 @@ def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
     assert seen == ["n3"]
 
 
-def test_baseline_recursion_error_is_recorded_as_none(monkeypatch):
-    monkeypatch.setattr(bench, "polytree_exact", _fail_with_recursion)
-    monkeypatch.setattr(bench, "enumerate_marginal", _fail_with_recursion)
+def test_baseline_state_space_error_is_recorded_as_none(monkeypatch):
+    fail = _fail_with(StateSpaceError("joint table exceeds cap"))
+    monkeypatch.setattr(bench, "polytree_exact", fail)
+    monkeypatch.setattr(bench, "enumerate_marginal", fail)
     records = list(run_bench(load_suite(json.dumps(SUITE))))
     assert records and all(r["baseline_ms"] is None for r in records)
     assert all(not r["status"].startswith("error") for r in records)
@@ -227,11 +258,11 @@ def test_bench_answers_under_the_stored_evidence(tmp_path, monkeypatch):
     assert seen["oracle"] == seen["engine"] == [want] * len(records)
 
 
-def test_bench_recursion_error_becomes_error_status(monkeypatch):
-    monkeypatch.setattr(bench, "answer_query", _fail_with_recursion)
+def test_bench_cutset_overflow_becomes_error_status(monkeypatch):
+    monkeypatch.setattr(bench, "answer_query", _fail_with(CutsetOverflowError("too many instances")))
     records = list(run_bench(load_suite(json.dumps(SUITE)), with_baseline=False))
     assert records
     for r in records:
-        assert r["status"] == "error:RecursionError"
+        assert r["status"] == "error:CutsetOverflowError"
         assert r["baseline_ms"] is None
         assert r["iterations"] == 0

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -611,3 +612,61 @@ def test_threshold_state_out_of_range_rejected(chain_ab):
     stop = StopCriterion.prob_threshold(2, ">", 0.5)
     with pytest.raises(ValueError, match="threshold state 2 out of range"):
         answer_query(chain_ab, "B", {}, stop=stop)
+
+
+# -- pacing ---------------------------------------------------------------------
+
+
+def _grown_sets(net, query, ev, strategy):
+    """Every set a fresh growth reaches, from the query node to its fixed point."""
+    rel = relevant_set(net, query, ev)
+    grow = make_strategy(strategy)
+    sets = [ActiveSet.initial(query)]
+    while (nxt := grow.step(net, sets[-1], rel)) is not None:
+        sets.append(nxt)
+    return sets
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "delayed", "no-loops"])
+@pytest.mark.parametrize("topology", ["polytree", "loopy"])
+def test_evaluations_are_a_doubling_subsequence_of_the_growth(topology, strategy):
+    gen = gen_polytree if topology == "polytree" else gen_loopy
+    for seed in range(8):
+        net = gen(GenSpec(node_count=14 + seed, topology=topology, arc_ratio=1.3, seed=seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        sets = _grown_sets(net, q, ev, strategy)
+        res = answer_query(net, q, ev, strategy=strategy, stop=StopCriterion.width(0.0))
+        # Match each evaluation to the earliest later grown set it came from.
+        picked, k = [], 0
+        for bel, size in zip(res.bels, res.active_nodes):
+            while len(sets[k].nodes) != size or propagate(net, sets[k], ev, q) != bel:
+                k += 1
+            picked.append(sets[k])
+            k += 1
+        assert picked[0] == sets[0]
+        sizes = [len(s.nodes) for s in picked]
+        assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:-1]))
+        if res.status == SATURATED:
+            assert picked[-1] == sets[-1]
+
+
+def test_evaluation_work_is_linear_on_a_long_chain():
+    # Rows 0.999/0.001 keep the bounds wide until the active set reaches
+    # the evidence at the far end, so the whole chain is grown.  Measured:
+    # 11 evaluations (sizes 1, 3, 7, ..., 1023, 2000) and 8071 message
+    # computations.  Evaluating after every round took 1001 evaluations
+    # and 2002000 computations.
+    n = 2000
+    lines = ["network sticky"] + [f"node n{i} states a b" for i in range(n)]
+    lines += ["parents n0"] + [f"parents n{i} n{i - 1}" for i in range(1, n)]
+    lines += ["cpt n0", "0.5 0.5"]
+    for i in range(1, n):
+        lines += [f"cpt n{i}", "0.999 0.001", "0.001 0.999"]
+    net = parse_network("\n".join(lines))
+    res = answer_query(net, f"n{n // 2}", {"n0": 1, f"n{n - 1}": 0}, strategy="bfs",
+                       stop=StopCriterion.width(0.0))
+    assert res.active_nodes[-1] == n
+    assert res.iterations <= math.ceil(math.log2(n)) + 2
+    assert res.node_visits <= 5 * n

@@ -96,3 +96,17 @@ def test_clamped_state_range_brackets_conditionals(figure_net):
     for (lo, hi), v in zip(ranges, direct):
         assert lo <= v + 1e-9
         assert hi >= v - 1e-9
+
+
+def test_polytree_exact_answers_on_a_long_chain():
+    n = 5000
+    net = build_net("long", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(n)}, seed=8)
+    # With no evidence the marginal is the forward product of the tables.
+    forward = list(net.node("n0").cpt[0])
+    for i in range(1, n):
+        rows = net.node(f"n{i}").cpt
+        forward = [sum(p * row[j] for p, row in zip(forward, rows)) for j in range(2)]
+    assert polytree_exact(net, {}, f"n{n - 1}") == pytest.approx(forward, abs=1e-12)
+    # Evidence at the far end reaches the query through every message.
+    bel = polytree_exact(net, {f"n{n - 1}": 0}, "n0")
+    assert sum(bel) == pytest.approx(1.0) and min(bel) >= 0.0

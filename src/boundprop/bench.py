@@ -94,7 +94,7 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
                 for target in suite["target_widths"]:
                     t0 = time.perf_counter()
                     try:
-                        result = answer_query(
+                        r = answer_query(
                             net,
                             query,
                             evidence,
@@ -102,17 +102,10 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
                             stop=StopCriterion.width(float(target)),
                             budget_ms=float(suite["budget_ms"]),
                         )
-                        status = result.status
-                        achieved = result.achieved_width
-                        iterations = result.iterations
-                        active_size = result.active_nodes[-1]
-                        visits = result.node_visits
+                        outcome = (r.status, r.achieved_width, r.iterations, r.active_nodes[-1], r.node_visits)
                     except (CutsetOverflowError, ConflictingEvidenceError) as exc:
-                        status = f"error:{type(exc).__name__}"
-                        achieved = None
-                        iterations = 0
-                        active_size = 0
-                        visits = 0
+                        outcome = (f"error:{type(exc).__name__}", None, 0, 0, 0)
+                    status, achieved, iterations, active_size, visits = outcome
                     wall_ms = (time.perf_counter() - t0) * 1000.0
                     yield {
                         "network": net.name,

@@ -30,6 +30,15 @@ def _load_network(path: str):
         return parse_network(fh.read())
 
 
+def _write(text: str, path: str | None) -> int:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _parse_evidence(net, pairs):
     out = dict(net.evidence)
     for item in pairs or []:
@@ -61,14 +70,7 @@ def _cmd_gen(args) -> int:
         arc_ratio=args.ratio,
         seed=args.seed,
     )
-    net = netgen.generate(spec)
-    text = serialize_network(net)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(serialize_network(netgen.generate(spec)), args.out)
 
 
 def _cmd_query(args) -> int:
@@ -124,13 +126,7 @@ def _cmd_bench(args) -> int:
     with open(args.suite, encoding="utf-8") as fh:
         suite = load_suite(fh.read())
     records = list(run_bench(suite))
-    text = records_to_csv(records) if args.csv else records_to_jsonl(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(records_to_csv(records) if args.csv else records_to_jsonl(records), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

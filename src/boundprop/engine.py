@@ -21,9 +21,13 @@ Each message the query needs is evaluated once per evaluation, after
 its inputs, from an explicit stack: the schedule is a post-order walk
 of the message dependencies toward the query, so its depth is not
 bounded by the interpreter's call stack.  Every computed vector is
-paired with a scale interval bracketing the mass its normalization
+paired with a scale, a float pair bracketing the mass its normalization
 discarded; conditioned evaluations (see ``loops``) use those scales to
-weight cutset instances.
+weight cutset instances.  The kernels run on bare floats: a node's CPT
+columns and the greedy orders of its columns and rows are derived once
+per network, when the node is first used, and each kernel call checks
+the coherence of each weight vector once.  No ``Interval`` is built
+until the public boundary.
 
 A cache is a plain ``dict`` that carries values from one evaluation to
 the next.  Each entry maps a message key to ``(signature, value)``,
@@ -49,21 +53,24 @@ answer and holds no strategy or query state.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .intervals import (
-    ONE,
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
+    _dot_bounds,
+    _normalized,
+    _orders,
+    _spare,
     iv_mul,
-    normalize_scaled,
     simplex_dot,
     vacuous,
 )
-from .network import BeliefNetwork, Node, UnionFind, _Context, relevant_set
+from .network import BeliefNetwork, UnionFind, _Context, relevant_set
 
 SATISFIED = "satisfied"
 SATURATED = "saturated"
@@ -107,18 +114,10 @@ class ActiveSet:
             if p not in self.nodes or c not in self.nodes:
                 raise ValueError(f"arc {(p, c)} endpoint outside active set")
         # Connectivity over included arcs only.
-        adj: dict[str, list[str]] = {v: [] for v in self.nodes}
+        sets = UnionFind()
         for p, c in self.arcs:
-            adj[p].append(c)
-            adj[c].append(p)
-        seen = {query}
-        stack = [query]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != set(self.nodes):
+            sets.union(p, c)
+        if len({sets.find(v) for v in self.nodes}) != 1:
             raise ValueError("active set is not connected")
 
 
@@ -126,8 +125,11 @@ class ActiveSet:
 #
 # One body per message formula, called by ``_Run`` and by the public
 # single-step functions.  Each returns a normalized vector with the mass
-# its normalization discarded, and works on the vectors' ``lo``/``hi``
-# tuples, so no per-entry ``Interval`` is built.
+# its normalization discarded, as a float pair.  A node's CPT columns and
+# the greedy orders of its columns and rows are built on the node's first
+# use and kept on the network (``BeliefNetwork._kernel_tables``).  A call
+# checks the coherence of each weight vector once, dots every column or
+# row against it on bare floats, and builds one ``IntervalVector``.
 
 
 def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
@@ -141,22 +143,19 @@ def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
     return IntervalVector.from_bounds(los, his)
 
 
-def _column_mass(node: Node, state: int, weights: IntervalVector) -> Interval:
-    """Bounds on P(node = state) under interval parent-configuration weights."""
-    return simplex_dot(IntervalVector.point(row[state] for row in node.cpt), weights)
-
-
-def _pi_value_kernel(node: Node, parent_msgs: Sequence[IntervalVector]):
+def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
+    columns, orders, _ = net._kernel_tables(x)
     weights = _joint_weights(parent_msgs)
-    out = [_column_mass(node, i, weights) for i in range(len(node.states))]
-    return normalize_scaled(IntervalVector(out))
+    spare = _spare(weights, len(columns[0]))
+    bounds = [_dot_bounds(c, c, weights, spare, o) for c, o in zip(columns, orders)]
+    return _normalized(IntervalVector.from_bounds(*zip(*bounds)))
 
 
 def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
     """Lambda value, pi message and belief: an entrywise product, normalized."""
     for f in factors:
         vec = vec.product(f)
-    return normalize_scaled(vec)
+    return _normalized(vec)
 
 
 def _lambda_message_kernel(
@@ -171,23 +170,23 @@ def _lambda_message_kernel(
     their message weights."""
     parents = net.parents(x)
     n_u = net.state_count(u)
-    # Rows are stored last parent fastest, so the rows with u in state y
-    # are the runs of ``stride`` rows starting at y * stride in every
-    # block of stride * n_u, read in order.
-    stride = 1
-    for p in parents[parents.index(u) + 1 :]:
-        stride *= net.state_count(p)
+    # Rows are stored last parent fastest, so they come in runs of
+    # ``stride`` rows with u fixed, u's state cycling from run to run.
+    stride = math.prod(map(net.state_count, parents[parents.index(u) + 1 :]))
     rows = net.node(x).cpt
+    _, _, orders = net._kernel_tables(x)
     weights = _joint_weights(coparent_msgs)
+    spare = _spare(lam, len(rows[0]))
+    inner = [_dot_bounds(r, r, lam, spare, o) for r, o in zip(rows, orders)]
+    runs = [inner[b : b + stride] for b in range(0, len(inner), stride)]
+    spare = _spare(weights, len(rows) // n_u)
     out = []
     for y in range(n_u):
-        a_entries = [
-            simplex_dot(IntervalVector.point(row), lam)
-            for b in range(y * stride, len(rows), stride * n_u)
-            for row in rows[b : b + stride]
-        ]
-        out.append(simplex_dot(IntervalVector(a_entries), weights))
-    return normalize_scaled(IntervalVector(out))
+        a_lo, a_hi = zip(*[d for run in runs[y::n_u] for d in run])
+        if min(a_lo) < 0.0:
+            raise ValueError("simplex_dot requires nonnegative entries")
+        out.append(_dot_bounds(a_lo, a_hi, weights, spare, _orders(a_lo, a_hi)))
+    return _normalized(IntervalVector.from_bounds(*zip(*out)))
 
 
 # -- propagation core ---------------------------------------------------------
@@ -282,12 +281,12 @@ class _Run:
         return memo[key]
 
     def _compute(self, key, pinned: int | None, args: tuple):
-        """Call the message's kernel; its scale is the product of the
-        input scales and the mass the kernel's normalization discarded."""
+        """Call the message's kernel; its scale (a float pair) is the product
+        of the input scales and the mass the kernel's normalization discarded."""
         net = self.ctx.net
         kind, x = key[0], key[1]
         if pinned is not None:
-            return IntervalVector.indicator(net.state_count(x), pinned), ONE
+            return IntervalVector.indicator(net.state_count(x), pinned), (1.0, 1.0)
         msgs: list[IntervalVector] = []
         scale = None
         for a in args:
@@ -295,16 +294,16 @@ class _Run:
                 msgs.append(vacuous(a))
             else:
                 msgs.append(a[0])
-                scale = a[1] if scale is None else iv_mul(scale, a[1])
+                scale = a[1] if scale is None else (scale[0] * a[1][0], scale[1] * a[1][1])
         if kind == "pi_val":
-            vec, z = _pi_value_kernel(net.node(x), msgs)
+            vec, z = _pi_value_kernel(net, x, msgs)
         elif kind == "lam_val":
             vec, z = _normalized_product(IntervalVector.ones(net.state_count(x)), msgs)
         elif kind == "pi_msg":
             vec, z = _normalized_product(msgs[0], msgs[1:])
         else:
             vec, z = _lambda_message_kernel(net, x, key[2], msgs[0], msgs[1:])
-        return vec, z if scale is None else iv_mul(scale, z)
+        return vec, z if scale is None else (scale[0] * z[0], scale[1] * z[1])
 
     def belief(self, x: str):
         """Belief bounds at x plus the evidence-mass interval of this run."""
@@ -317,7 +316,7 @@ class _Run:
                 raise ConflictingEvidenceError(
                     f"observed state {k} of {x!r} has zero probability"
                 )
-            return IntervalVector.indicator(len(pvec), k), iv_mul(ps, pvec[k])
+            return IntervalVector.indicator(len(pvec), k), iv_mul(Interval(*ps), pvec[k])
         lam, _ = self.value(("lam_val", x))
         pvec, _ = self.value(("pi_val", x))
         vec, _ = _normalized_product(lam, [pvec])
@@ -333,7 +332,7 @@ class _Run:
             raise ValueError("mass must be read at an unpinned node")
         lam, ls = self.value(("lam_val", x))
         pvec, ps = self.value(("pi_val", x))
-        return iv_mul(iv_mul(ls, ps), simplex_dot(lam, pvec))
+        return iv_mul(Interval(ls[0] * ps[0], ls[1] * ps[1]), simplex_dot(lam, pvec))
 
 
 # -- single-step kernels (exposed for direct use and testing) -----------------
@@ -347,8 +346,7 @@ def pi_hat(
     Missing parents default to vacuous messages.  Result is normalized.
     """
     msgs = [parent_messages.get(p, vacuous(net.state_count(p))) for p in net.parents(node)]
-    vec, _ = _pi_value_kernel(net.node(node), msgs)
-    return vec
+    return _pi_value_kernel(net, node, msgs)[0]
 
 
 def lambda_hat(
@@ -364,14 +362,12 @@ def lambda_hat(
     n = net.state_count(node)
     if observed_state is not None:
         return IntervalVector.indicator(n, observed_state)
-    vec, _ = _normalized_product(IntervalVector.ones(n), child_messages.values())
-    return vec
+    return _normalized_product(IntervalVector.ones(n), child_messages.values())[0]
 
 
 def bel_hat(pi_vec: IntervalVector, lam_vec: IntervalVector) -> IntervalVector:
     """Normalized entrywise product of the two directional summaries."""
-    vec, _ = _normalized_product(lam_vec, [pi_vec])
-    return vec
+    return _normalized_product(lam_vec, [pi_vec])[0]
 
 
 def pi_msg(
@@ -387,8 +383,7 @@ def pi_msg(
     if observed_state is not None:
         return IntervalVector.indicator(net.state_count(node), observed_state)
     others = [vec for w, vec in sibling_messages.items() if w != child]
-    vec, _ = _normalized_product(pi_vec, others)
-    return vec
+    return _normalized_product(pi_vec, others)[0]
 
 
 def lambda_msg(
@@ -405,8 +400,7 @@ def lambda_msg(
         for p in net.parents(node)
         if p != parent
     ]
-    vec, _ = _lambda_message_kernel(net, node, parent, lam_vec, msgs)
-    return vec
+    return _lambda_message_kernel(net, node, parent, lam_vec, msgs)[0]
 
 
 # -- stopping and results ------------------------------------------------------
@@ -572,10 +566,9 @@ def answer_query(
     alone; each later one is made once the strategy has grown the active
     set to at least ``PACING_FACTOR`` (g) times the nodes of the last
     evaluated set, or to its fixed point, which is always evaluated
-    before the status becomes saturated.  Where an evaluation's work
-    grows linearly with its active set, the evaluations up to any one of
-    them cost at most g / (g - 1) times that one.  The stop criterion
-    and the budget are tested after each evaluation.
+    before the status becomes saturated (the module docstring gives the
+    cost bound).  The stop criterion and the budget are tested after
+    each evaluation.
 
     Evidence given here is merged over any evidence stored on the
     network.  The result records per-iteration belief bounds, widths,

@@ -63,7 +63,6 @@ class Interval:
         return f"[{self.lo:.6g}, {self.hi:.6g}]"
 
 
-ONE = Interval(1.0, 1.0)
 ZERO = Interval(0.0, 0.0)
 
 
@@ -195,27 +194,44 @@ def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
 
     Against a fully vacuous b this reduces to [min_i a_i.lo, max_i a_i.hi].
     """
-    b_lo, b_hi = b.lo, b.hi
-    if len(a.lo) != len(b_lo):
-        raise ValueError("simplex_dot requires equal-length vectors")
     if min(a.lo) < 0.0:
         raise ValueError("simplex_dot requires nonnegative entries")
+    return Interval(*_dot_bounds(a.lo, a.hi, b, _spare(b, len(a.lo)), _orders(a.lo, a.hi)))
+
+
+def _spare(b: IntervalVector, n: int) -> float:
+    """1 - sum(b.lo), the mass the greedy pass may move onto b (0 when b is
+    a point); raises unless b has n entries and admits a distribution."""
+    b_lo, b_hi = b.lo, b.hi
+    if len(b_lo) != n:
+        raise ValueError("simplex_dot requires equal-length vectors")
     lo_sum, hi_sum = sum(b_lo), sum(b_hi)
     if lo_sum > 1.0 + COHERENCE_TOL or hi_sum < 1.0 - COHERENCE_TOL:
         raise CoherenceError(f"weights admit no distribution: sum lo={lo_sum}, sum hi={hi_sum}")
-    spare = 1.0 - lo_sum
-    lower = _extreme(a.lo, b_lo, b_hi, spare, descending=False)
-    upper = _extreme(a.hi, b_lo, b_hi, spare, descending=True)
+    return 1.0 - lo_sum if b_lo != b_hi else 0.0
+
+
+def _orders(a_lo: Sequence[float], a_hi: Sequence[float]) -> tuple[tuple[int, ...], ...]:
+    """The greedy visiting orders of a: ascending lo and descending hi,
+    tied entries in ascending index order."""
+    n = range(len(a_lo))
+    return tuple(sorted(n, key=a_lo.__getitem__)), tuple(sorted(n, key=a_hi.__getitem__, reverse=True))
+
+
+def _dot_bounds(a_lo, a_hi, b: IntervalVector, spare: float, orders) -> tuple[float, float]:
+    """``simplex_dot`` as a float pair, for b already checked by ``_spare``."""
+    lower = _extreme(a_lo, b.lo, b.hi, spare, orders[0])
+    upper = _extreme(a_hi, b.lo, b.hi, spare, orders[1])
     if lower > upper:
         lower, upper = _outward(lower, upper)
-    return Interval(lower, upper)
+    return lower, upper
 
 
-def _extreme(weights: tuple, b_lo: tuple, b_hi: tuple, spare: float, descending: bool) -> float:
+def _extreme(weights, b_lo: tuple, b_hi: tuple, spare: float, order) -> float:
     bstar = b_lo
-    if spare > 0.0 and b_lo != b_hi:
+    if spare > 0.0:
         bstar = list(b_lo)
-        for i in sorted(range(len(weights)), key=weights.__getitem__, reverse=descending):
+        for i in order:
             room = b_hi[i] - b_lo[i]
             if room <= 0.0:
                 continue
@@ -225,6 +241,25 @@ def _extreme(weights: tuple, b_lo: tuple, b_hi: tuple, spare: float, descending:
             if spare <= 0.0:
                 break
     return sum([w * m for w, m in zip(weights, bstar) if m != 0.0])
+
+
+def _normalized(v: IntervalVector) -> tuple[IntervalVector, tuple[float, float]]:
+    """``normalize_scaled`` with the scale as a float pair."""
+    los, his = v.lo, v.hi
+    hi_sum = sum(his)
+    lo_sum = sum(los)
+    if hi_sum <= 0.0:
+        raise ConflictingEvidenceError("cannot normalize an all-zero vector")
+    out_lo, out_hi = [], []
+    for lo, hi in zip(los, his):
+        new_lo = lo / (lo + (hi_sum - hi)) if lo > 0.0 else 0.0
+        new_hi = hi / (hi + (lo_sum - lo)) if hi > 0.0 else 0.0
+        if new_lo > new_hi:
+            new_lo, new_hi = _outward(new_lo, new_hi)
+        # Clamped into [0, 1]; a NaN passes, for from_bounds to reject.
+        out_lo.append(0.0 if new_lo < 0.0 else 1.0 if new_lo > 1.0 else new_lo)
+        out_hi.append(0.0 if new_hi < 0.0 else 1.0 if new_hi > 1.0 else new_hi)
+    return IntervalVector.from_bounds(out_lo, out_hi), (max(lo_sum, 0.0), hi_sum)
 
 
 def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
@@ -240,21 +275,8 @@ def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
     selection from ``v``; callers that track unnormalized magnitudes
     multiply it back in.
     """
-    los, his = v.lo, v.hi
-    hi_sum = sum(his)
-    lo_sum = sum(los)
-    if hi_sum <= 0.0:
-        raise ConflictingEvidenceError("cannot normalize an all-zero vector")
-    out_lo, out_hi = [], []
-    for lo, hi in zip(los, his):
-        new_lo = lo / (lo + (hi_sum - hi)) if lo > 0.0 else 0.0
-        new_hi = hi / (hi + (lo_sum - lo)) if hi > 0.0 else 0.0
-        if new_lo > new_hi:
-            new_lo, new_hi = _outward(new_lo, new_hi)
-        # Clamped into [0, 1]; a NaN passes, for from_bounds to reject.
-        out_lo.append(0.0 if new_lo < 0.0 else 1.0 if new_lo > 1.0 else new_lo)
-        out_hi.append(0.0 if new_hi < 0.0 else 1.0 if new_hi > 1.0 else new_hi)
-    return IntervalVector.from_bounds(out_lo, out_hi), Interval(max(lo_sum, 0.0), hi_sum)
+    vec, scale = _normalized(v)
+    return vec, Interval(*scale)
 
 
 def normalize(v: IntervalVector) -> IntervalVector:

@@ -16,14 +16,19 @@ keeps the true instance distribution inside it.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from typing import Mapping
 
-from .engine import DEFAULT_INSTANCE_CAP, ActiveSet, _Context, _Run, _column_mass, _joint_weights
+from .engine import DEFAULT_INSTANCE_CAP, ActiveSet, _Context, _Run, _joint_weights
 from .intervals import (
     ZERO,
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
+    _dot_bounds,
+    _orders,
+    _spare,
     iv_mul,
     normalize,
     simplex_dot,
@@ -49,20 +54,10 @@ def select_loop_cutset(
     cut it, so pure sinks are never candidates.  ``presplit`` nodes
     (already observed) cut for free and are not selected again.
     """
-    nodes = sorted(cluster.nodes, key=net.order)
     arcs = sorted(cluster.arcs, key=lambda a: (net.order(a[0]), net.order(a[1])))
-    degree = {v: 0 for v in nodes}
-    for p, c in arcs:
-        degree[p] += 1
-        degree[c] += 1
-    candidates = [
-        v
-        for v in nodes
-        if v not in exclude
-        and v not in presplit
-        and any(p == v for (p, _) in arcs)
-    ]
-    candidates.sort(key=lambda v: (-degree[v], net.order(v)))
+    degree = Counter(v for arc in arcs for v in arc)
+    tails = {p for p, _ in arcs if p not in exclude and p not in presplit}
+    candidates = sorted(tails, key=lambda v: (-degree[v], net.order(v)))
     chosen: list[str] = []
     split = set(presplit)
     for v in candidates:
@@ -90,7 +85,7 @@ def _pinned_column_factor(
             msgs.append(IntervalVector.indicator(net.state_count(p), pinned[p]))
         else:
             msgs.append(vacuous(net.state_count(p)))
-    return _column_mass(net.node(node), state, _joint_weights(msgs))
+    return simplex_dot(IntervalVector.point(net._kernel_tables(node)[0][state]), _joint_weights(msgs))
 
 
 def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
@@ -147,9 +142,7 @@ def _conditioned_bel(
 ) -> tuple[IntervalVector, int]:
     net, query = ctx.net, ctx.query
     n_q = net.state_count(query)
-    total = 1
-    for c in cut:
-        total *= net.state_count(c)
+    total = math.prod(map(net.state_count, cut))
     if total > instance_cap:
         raise CutsetOverflowError(
             f"{total} cutset instances exceed the cap of {instance_cap}"
@@ -186,9 +179,10 @@ def _conditioned_bel(
         masses.append(mass)
         visits += run.visits
     weights = normalize(IntervalVector(masses))
+    spare = _spare(weights, len(bels))
     columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
-    out = [simplex_dot(IntervalVector.from_bounds(lo, hi), weights) for lo, hi in columns]
-    return normalize(IntervalVector(out)), visits
+    out = [_dot_bounds(lo, hi, weights, spare, _orders(lo, hi)) for lo, hi in columns]
+    return normalize(IntervalVector.from_bounds(*zip(*out))), visits
 
 
 def evaluate(

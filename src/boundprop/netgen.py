@@ -80,10 +80,7 @@ def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
 
 
 def _cpt_size(states: list[int], parents: dict[int, list[int]], v: int) -> int:
-    size = states[v]
-    for p in parents[v]:
-        size *= states[p]
-    return size
+    return states[v] * math.prod(states[p] for p in parents[v])
 
 
 def _build_nodes(
@@ -94,9 +91,7 @@ def _build_nodes(
 ) -> list[Node]:
     nodes = []
     for i, name in enumerate(ids):
-        rows = 1
-        for p in parents[i]:
-            rows *= states[p]
+        rows = math.prod(states[p] for p in parents[i])
         cpt = tuple(sample_skewed_row(states[i], rng) for _ in range(rows))
         nodes.append(
             Node(

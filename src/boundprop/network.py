@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
+from .intervals import _orders
+
 ROW_SUM_TOL = 1e-9
 
 Evidence = dict[str, int]
@@ -59,6 +61,10 @@ class BeliefNetwork:
                 raise NetworkFormatError(f"evidence state out of range for {node_id!r}")
         # The last evidence asked about, checked, with its closure.
         self._observed: _Observed | None = None
+        # Kernel tables, built per node on first use (at parse they would
+        # cost about as much as the parse); equal greedy orders stored once.
+        self._tables: dict[str, tuple] = {}
+        self._orders: dict[tuple, tuple] = {}
 
     def _validate(self) -> None:
         for n in self.nodes:
@@ -146,14 +152,23 @@ class BeliefNetwork:
         ranges = [range(len(self._by_id[p].states)) for p in self.node(node_id).parents]
         return itertools.product(*ranges)
 
-    def config_index(self, node_id: str, config: Sequence[int]) -> int:
+    def cpt_row(self, node_id: str, config: Sequence[int]) -> tuple[float, ...]:
         idx = 0
         for p, s in zip(self.node(node_id).parents, config):
             idx = idx * len(self._by_id[p].states) + s
-        return idx
+        return self.node(node_id).cpt[idx]
 
-    def cpt_row(self, node_id: str, config: Sequence[int]) -> tuple[float, ...]:
-        return self.node(node_id).cpt[self.config_index(node_id, config)]
+    def _kernel_tables(self, node_id: str):
+        """The node's CPT columns as float tuples, the greedy orders
+        (``intervals._orders``) of each column and those of each row."""
+        found = self._tables.get(node_id)
+        if found is None:
+            cpt = self.node(node_id).cpt
+            columns = tuple(zip(*cpt))
+            shared = self._orders
+            orders = [tuple(shared.setdefault(o, o) for o in map(_orders, v, v)) for v in (columns, cpt)]
+            found = self._tables[node_id] = (columns, *orders)
+        return found
 
     # -- structural queries ----------------------------------------------
 

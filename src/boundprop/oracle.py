@@ -8,7 +8,7 @@ to singly connected networks.
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,11 +26,12 @@ class StateSpaceError(ValueError):
 def joint_table(net: BeliefNetwork) -> np.ndarray:
     """Full joint distribution as an array with one axis per node."""
     shape = tuple(net.state_count(v) for v in net.node_ids())
-    total = 1
-    for s in shape:
-        total *= s
+    total = math.prod(shape)
     if total > STATE_SPACE_CAP:
-        raise StateSpaceError(f"joint table of shape {shape} exceeds cap {STATE_SPACE_CAP}")
+        raise StateSpaceError(
+            f"joint table of {len(shape)} nodes has 2^{math.log2(total):.1f} entries,"
+            f" which exceeds cap 2^{math.log2(STATE_SPACE_CAP):g}"
+        )
     axis = {v: i for i, v in enumerate(net.node_ids())}
     joint = np.ones(shape, dtype=np.float64)
     for n in net.nodes:
@@ -48,19 +49,16 @@ def joint_table(net: BeliefNetwork) -> np.ndarray:
     return joint
 
 
-def _evidence_slice(net: BeliefNetwork, evidence: Mapping[str, int]) -> tuple:
-    idx: list[object] = []
-    for v in net.node_ids():
-        idx.append(evidence[v] if v in evidence else slice(None))
-    return tuple(idx)
+def _sliced_joint(net: BeliefNetwork, evidence: Mapping[str, int]) -> np.ndarray:
+    """The joint table at the observed states, one axis per unobserved node."""
+    return joint_table(net)[tuple(evidence[v] if v in evidence else slice(None) for v in net.node_ids())]
 
 
 def enumerate_marginal(
     net: BeliefNetwork, evidence: Mapping[str, int], node: str
 ) -> tuple[float, ...]:
     """Exact conditional marginal of ``node`` by summing the joint."""
-    joint = joint_table(net)
-    sub = joint[_evidence_slice(net, evidence)]
+    sub = _sliced_joint(net, evidence)
     if node in evidence:
         total = float(np.sum(sub))
         if total <= 0.0:
@@ -91,8 +89,7 @@ def clamped_state_range(
     """
     if query in evidence or clamp in evidence or clamp == query:
         raise ValueError("query and clamp must be distinct unobserved nodes")
-    joint = joint_table(net)
-    sub = joint[_evidence_slice(net, evidence)]
+    sub = _sliced_joint(net, evidence)
     remaining = [v for v in net.node_ids() if v not in evidence]
     q_axis = remaining.index(query)
     b_axis = remaining.index(clamp)
@@ -164,13 +161,13 @@ def polytree_exact(
         kind, x = key[0], key[1]
         if kind == "pi_val":
             out = [0.0] * net.state_count(x)
-            for config in net.parent_configs(x):
+            for config, row in zip(net.parent_configs(x), net.node(x).cpt):
                 w = 1.0
                 for m, s in zip(ins, config):
                     w *= m[s]
                 if w == 0.0:
                     continue
-                for i, v in enumerate(net.cpt_row(x, config)):
+                for i, v in enumerate(row):
                     out[i] += w * v
             return out
         if kind == "lam_val":
@@ -178,21 +175,15 @@ def polytree_exact(
             return product([start, *ins])
         if kind == "pi_msg":
             return indicator(x) if x in evidence else _norm(product(ins))
-        u = key[2]
         lam, msgs = ins[0], ins[1:]
-        parents = net.parents(x)
-        j = parents.index(u)
-        others = [p for p in parents if p != u]
-        out = [0.0] * net.state_count(u)
-        for oc in itertools.product(*(range(net.state_count(p)) for p in others)):
+        j = net.parents(x).index(key[2])
+        out = [0.0] * net.state_count(key[2])
+        for config, row in zip(net.parent_configs(x), net.node(x).cpt):
             w = 1.0
-            for m, s in zip(msgs, oc):
+            for m, s in zip(msgs, config[:j] + config[j + 1 :]):
                 w *= m[s]
-            if w == 0.0:
-                continue
-            for y in range(net.state_count(u)):
-                row = net.cpt_row(x, oc[:j] + (y,) + oc[j:])
-                out[y] += w * sum(r * l for r, l in zip(row, lam))
+            if w != 0.0:
+                out[config[j]] += w * sum(r * l for r, l in zip(row, lam))
         total = sum(out)
         return [v / total for v in out] if total > 0.0 else out
 

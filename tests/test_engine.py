@@ -28,9 +28,21 @@ from boundprop.engine import (
     SATURATED,
     DelayedLoops,
     _Context,
+    _joint_weights,
+    _lambda_message_kernel,
+    _pi_value_kernel,
     make_strategy,
 )
-from boundprop.intervals import Interval, IntervalVector, normalize, vacuous
+from boundprop.intervals import (
+    ConflictingEvidenceError,
+    Interval,
+    IntervalVector,
+    normalize,
+    normalize_scaled,
+    simplex_dot,
+    vacuous,
+)
+from boundprop.network import Node
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 
 from conftest import build_net
@@ -129,6 +141,129 @@ def test_lambda_msg_point_inputs_match_point_solver(chain_ab):
     total = sum(raw)
     assert got.contains_point([x / total for x in raw], 1e-12)
     assert got.max_width <= 1e-12
+
+
+# -- the table kernels against bodies that build every vector afresh ---------
+#
+# The references are the kernels as they were before a node's columns and
+# rows, and their greedy orders, were derived once per network: every call
+# builds each column or row as a point vector and dots it with the public
+# ``simplex_dot``, which sorts it again.  The table kernels must give the
+# same floats, scale included.
+
+
+def _ref_pi_value(net, x, parent_msgs):
+    node = net.node(x)
+    weights = _joint_weights(parent_msgs)
+    out = [
+        simplex_dot(IntervalVector.point(row[i] for row in node.cpt), weights)
+        for i in range(len(node.states))
+    ]
+    return normalize_scaled(IntervalVector(out))
+
+
+def _ref_lambda_message(net, x, u, lam, coparent_msgs):
+    parents = net.parents(x)
+    n_u = net.state_count(u)
+    stride = 1
+    for p in parents[parents.index(u) + 1 :]:
+        stride *= net.state_count(p)
+    rows = net.node(x).cpt
+    weights = _joint_weights(coparent_msgs)
+    out = []
+    for y in range(n_u):
+        a = [
+            simplex_dot(IntervalVector.point(row), lam)
+            for b in range(y * stride, len(rows), stride * n_u)
+            for row in rows[b : b + stride]
+        ]
+        out.append(simplex_dot(IntervalVector(a), weights))
+    return normalize_scaled(IntervalVector(out))
+
+
+def _tied_row(k, rng):
+    # Small integer weights make tied entries and zeros common.
+    raw = [0] * k
+    while not any(raw):
+        raw = [rng.choice((0, 1, 1, 2, 3)) for _ in range(k)]
+    return tuple(v / sum(raw) for v in raw)
+
+
+def _tied_net(rng):
+    # Node x with 1-3 root parents p0, p1, ...; every node has 2-4 states.
+    m = rng.randint(1, 3)
+    counts = [rng.randint(2, 4) for _ in range(m + 1)]
+    states = [tuple(f"s{j}" for j in range(k)) for k in counts]
+    nodes = [Node(f"p{i}", states[i], (), (_tied_row(counts[i], rng),)) for i in range(m)]
+    cpt = tuple(_tied_row(counts[m], rng) for _ in range(math.prod(counts[:m])))
+    nodes.append(Node("x", states[m], tuple(f"p{i}" for i in range(m)), cpt))
+    return BeliefNetwork("tied", nodes)
+
+
+def _message(k, rng):
+    kind = rng.choice(("point", "vacuous", "indicator", "boxed"))
+    if kind == "vacuous":
+        return vacuous(k)
+    if kind == "indicator":
+        return IntervalVector.indicator(k, rng.randrange(k))
+    p = _tied_row(k, rng)
+    if kind == "point":
+        return IntervalVector.point(p)
+    return IntervalVector.from_bounds(
+        [v * rng.random() for v in p], [v + (1.0 - v) * rng.random() for v in p]
+    )
+
+
+def _kernel_outcome(kernel, *args):
+    try:
+        vec, scale = kernel(*args)
+    except ConflictingEvidenceError:
+        return "conflict"
+    return vec.lo, vec.hi, (scale.lo, scale.hi) if isinstance(scale, Interval) else scale
+
+
+def test_table_kernels_bit_identical_to_fresh_vector_bodies():
+    rng = random.Random(12)
+    cases = 0
+    for _ in range(400):
+        net = _tied_net(rng)
+        parents = net.parents("x")
+        for _ in range(3):
+            msgs = [_message(net.state_count(p), rng) for p in parents]
+            got = _kernel_outcome(_pi_value_kernel, net, "x", msgs)
+            assert got == _kernel_outcome(_ref_pi_value, net, "x", msgs)
+            lam = _message(net.state_count("x"), rng)
+            for j, u in enumerate(parents):
+                others = msgs[:j] + msgs[j + 1 :]
+                got = _kernel_outcome(_lambda_message_kernel, net, "x", u, lam, others)
+                assert got == _kernel_outcome(_ref_lambda_message, net, "x", u, lam, others)
+                cases += 1
+    assert cases > 1000
+
+
+def test_kernel_tables_belong_to_one_network():
+    # Two networks with the same node ids and state counts but different
+    # tables, queried interleaved in one process, and a third built and
+    # dropped each round so that a freed object's id can come back.  Every
+    # answer must equal the answer on a fresh parse of its own text.
+    spec = {"Y": [], "A": ["Y"], "B": ["A"], "C": ["A", "Y"], "D": ["B", "C"], "X": ["D"]}
+    counts = {"A": 3, "C": 4}
+    texts = [serialize_network(build_net("same", spec, seed=s, state_counts=counts)) for s in (1, 2, 3)]
+    kept = [parse_network(texts[0]), parse_network(texts[1])]
+    rng = random.Random(5)
+
+    def answer(net, q, ev, strategy):
+        r = answer_query(net, q, ev, strategy=strategy, stop=StopCriterion.width(0.0))
+        return r.status, r.iterations, [(b.lo, b.hi) for b in r.bels]
+
+    for _ in range(30):
+        i = rng.randrange(3)
+        net = kept[i] if i < 2 else parse_network(texts[2])
+        q = rng.choice(net.node_ids())
+        ev = {v: rng.randrange(net.state_count(v)) for v in rng.sample(net.node_ids(), 2) if v != q}
+        strategy = rng.choice(("bfs", "delayed", "no-loops"))
+        assert answer(net, q, ev, strategy) == answer(parse_network(texts[i]), q, ev, strategy)
+    assert kept[0].node("D").cpt != kept[1].node("D").cpt
 
 
 # -- propagate ----------------------------------------------------------------

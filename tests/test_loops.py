@@ -12,9 +12,12 @@ from boundprop import (
     answer_query,
     enumerate_marginal,
     find_loop_clusters,
+    lambda_msg,
     parse_network,
+    pi_hat,
     propagate,
     select_loop_cutset,
+    vacuous,
 )
 from boundprop import loops
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
@@ -152,6 +155,39 @@ def test_incoherent_mixing_weights_raise(diamond, monkeypatch):
     monkeypatch.setattr(loops, "normalize", incoherent)
     with pytest.raises(CoherenceError):
         propagate(diamond, full_active(diamond), {}, "D")
+
+
+def test_incoherent_messages_raise_through_the_table_kernels(diamond):
+    # The kernels check each weight vector once per call, before dotting
+    # the node's stored columns or rows against it.
+    short = IntervalVector([Interval(0.0, 0.3), Interval(0.0, 0.4)])
+    with pytest.raises(CoherenceError):
+        pi_hat(diamond, "D", {"B": short, "C": short})
+    with pytest.raises(CoherenceError):
+        lambda_msg(diamond, "D", "B", short, {})
+    with pytest.raises(CoherenceError):
+        lambda_msg(diamond, "D", "B", vacuous(2), {"C": short})
+
+
+def _unchecked(lo, hi):
+    # A vector that skipped from_bounds, as a corrupted message would.
+    vec = object.__new__(IntervalVector)
+    object.__setattr__(vec, "lo", tuple(lo))
+    object.__setattr__(vec, "hi", tuple(hi))
+    return vec
+
+
+def test_nan_messages_raise_value_error(diamond):
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        IntervalVector.from_bounds([nan, 0.5], [nan, 0.5])
+    bad = _unchecked([nan, 0.5], [nan, 0.5])
+    with pytest.raises(ValueError):
+        pi_hat(diamond, "D", {"B": bad})
+    with pytest.raises(ValueError):
+        lambda_msg(diamond, "D", "B", bad, {})
+    with pytest.raises(ValueError):
+        lambda_msg(diamond, "D", "B", vacuous(2), {"C": bad})
 
 
 def test_instance_cap_enforced():

@@ -78,6 +78,17 @@ def test_state_space_cap():
         enumerate_marginal(net, {}, "n0")
 
 
+def test_state_space_error_names_the_size_in_a_short_line():
+    # The message states the node count, the entry count and the cap, not
+    # the shape, which on a large network runs to thousands of characters.
+    net = gen_loopy(GenSpec(node_count=5000, topology="loopy", arc_ratio=1.1, seed=1))
+    with pytest.raises(StateSpaceError) as err:
+        joint_table(net)
+    message = str(err.value)
+    assert len(message) < 200
+    assert "5000 nodes" in message and "exceeds cap" in message
+
+
 def test_conflicting_evidence_detected():
     text = (
         "network d\nnode A states t f\nnode B states t f\n"

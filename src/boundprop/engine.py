@@ -474,60 +474,58 @@ class DelayedLoops:
 
     Each round adds every relevant neighbor of the active set, then
     scans the induced arcs not yet active in network order.  An arc
-    joining two separate pieces enters at once.  An arc whose endpoints
-    are already connected inside the active set enters once it has
-    waited ``delay`` rounds, or never when ``delay`` is None, which
-    keeps the active set a polytree.  ``delay=0`` is plain breadth-first
-    growth.
+    that joins two pieces enters at once; one that closes a loop enters
+    once it has waited ``delay`` rounds, or never when ``delay`` is
+    None, which keeps the active set a polytree.  ``delay=0`` is plain
+    breadth-first growth.
 
-    The object counts the rounds of one growth; ``make_strategy`` builds
-    a fresh one for every query.
+    The active set is one piece: growth starts from a connected set (as
+    ``ActiveSet.validate`` requires) and each new node joins through an
+    arc.  So an arc between active nodes always closes a loop, and only
+    the nodes the last round added (``fresh``) can have relevant
+    neighbors outside.  A round scans their arcs, their new neighbors'
+    arcs and the arcs still ``waiting``: it costs what it adds, not the
+    size of the active set.  An object serves one growth; a set that
+    ``step`` did not last return starts a new one from all its nodes.
     """
 
     def __init__(self, delay: int | None = 5):
         if delay is not None and delay < 0:
             raise ValueError(f"loop delay must be nonnegative or None, not {delay}")
         self.delay = delay
-        self.round = 0
-        self.first_seen: dict[tuple[str, str], int] = {}
+        self.round, self.fresh, self.waiting, self.last = 0, frozenset(), {}, None
 
     def step(self, net: BeliefNetwork, active: ActiveSet, relevant: set[str]) -> ActiveSet | None:
         """The next different active set, after as many rounds as the
         waiting arcs need; None at a fixed point."""
-        nodes = set(active.nodes)
-        nodes.update(
-            w for v in active.nodes for w in net.skeleton_neighbors(v) if w in relevant
-        )
+        if active is not self.last:
+            self.round, self.fresh, self.waiting = 0, active.nodes, {}
+        new = {w for v in self.fresh for w in net.skeleton_neighbors(v)
+               if w in relevant and w not in active.nodes}
+        nodes = active.nodes | new
+        touched, self.fresh = self.fresh | new, new
+        arcs = {(p, c) for c in touched for p in net.parents(c) if p in nodes}
+        arcs.update((p, c) for p in touched for c in net.children(p) if c in nodes)
         candidates = sorted(
-            (
-                (p, c)
-                for c in nodes
-                for p in net.parents(c)
-                if p in nodes and (p, c) not in active.arcs
-            ),
+            {a for a in arcs if a not in active.arcs} | self.waiting.keys(),
             key=lambda a: (net.order(a[0]), net.order(a[1])),
         )
-        sets = UnionFind()
-        for p, c in active.arcs:
-            sets.union(p, c)
-        # A round that is repeated added no arc, so it joined no pieces
-        # and the next round starts from the same nodes and pieces.
+        sets = UnionFind()  # this round's new nodes; None is the active set
+        # A repeated round follows one that added nothing: same arcs, same pieces.
         while True:
             self.round += 1
-            arcs = set(active.arcs)
-            pending = False
-            for arc in candidates:
-                if sets.union(*arc):
-                    arcs.add(arc)
+            added = []
+            for p, c in candidates:
+                if sets.union(p if p in new else None, c if c in new else None):
+                    added.append((p, c))
                 elif self.delay is not None:
-                    seen = self.first_seen.setdefault(arc, self.round)
-                    if self.round - seen >= self.delay:
-                        arcs.add(arc)
-                    else:
-                        pending = True
-            if nodes != active.nodes or arcs != active.arcs:
-                return ActiveSet(frozenset(nodes), frozenset(arcs))
-            if not pending:
+                    if self.round - self.waiting.setdefault((p, c), self.round) >= self.delay:
+                        del self.waiting[(p, c)]
+                        added.append((p, c))
+            if new or added:
+                self.last = ActiveSet(nodes, active.arcs.union(added))
+                return self.last
+            if not self.waiting:
                 return None
 
 
@@ -581,6 +579,8 @@ def answer_query(
     stop = stop if stop is not None else StopCriterion.width(0.0)
     if stop.threshold is not None and not 0 <= stop.threshold[0] < net.state_count(query):
         raise ValueError(f"threshold state {stop.threshold[0]} out of range for {query!r}")
+    if budget_ms is not None and not budget_ms >= 0:
+        raise ValueError(f"budget_ms must be a nonnegative number, not {budget_ms}")
     strategy_obj = make_strategy(strategy)
     relevant = relevant_set(net, query, ctx)
     active = ActiveSet.initial(query)

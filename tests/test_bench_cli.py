@@ -139,6 +139,10 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 3
+    for bad in ("nan", "-1"):
+        args = ["query", str(path), "--node", "n7", "--budget-ms", bad]
+        assert main(args) == 1
+        assert "budget_ms" in capsys.readouterr().err
 
 
 def test_cli_threshold(tmp_path, capsys):

@@ -42,7 +42,7 @@ from boundprop.intervals import (
     simplex_dot,
     vacuous,
 )
-from boundprop.network import Node
+from boundprop.network import Node, UnionFind
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 
 from conftest import build_net
@@ -648,6 +648,93 @@ def test_waiting_rounds_run_inside_one_step(figure_net):
     assert strat.round == steps + 2
 
 
+class _RebuildGrowth:
+    """The growth rule written as a rebuild: every round walks the
+    neighbors of the whole active set, re-sorts every induced arc not yet
+    active and rebuilds a union-find over every active arc."""
+
+    def __init__(self, delay):
+        self.delay, self.round, self.first_seen = delay, 0, {}
+
+    def step(self, net, active, relevant):
+        nodes = set(active.nodes)
+        nodes.update(
+            w for v in active.nodes for w in net.skeleton_neighbors(v) if w in relevant
+        )
+        candidates = sorted(
+            (
+                (p, c)
+                for c in nodes
+                for p in net.parents(c)
+                if p in nodes and (p, c) not in active.arcs
+            ),
+            key=lambda a: (net.order(a[0]), net.order(a[1])),
+        )
+        sets = UnionFind()
+        for p, c in active.arcs:
+            sets.union(p, c)
+        while True:
+            self.round += 1
+            arcs = set(active.arcs)
+            pending = False
+            for arc in candidates:
+                if sets.union(*arc):
+                    arcs.add(arc)
+                elif self.delay is not None:
+                    seen = self.first_seen.setdefault(arc, self.round)
+                    if self.round - seen >= self.delay:
+                        arcs.add(arc)
+                    else:
+                        pending = True
+            if nodes != active.nodes or arcs != active.arcs:
+                return ActiveSet(frozenset(nodes), frozenset(arcs))
+            if not pending:
+                return None
+
+
+def _growth(grow, net, start, rel):
+    """Every set ``grow`` returns from ``start`` to its fixed point."""
+    sets = [start]
+    while (nxt := grow.step(net, sets[-1], rel)) is not None:
+        sets.append(nxt)
+    return sets
+
+
+def _growth_cases():
+    for seed in range(12):
+        for gen, topology in ((gen_polytree, "polytree"), (gen_loopy, "loopy")):
+            spec = GenSpec(node_count=8 + 2 * seed, topology=topology, arc_ratio=1.3, seed=seed)
+            net = gen(spec)
+            rng = random.Random(seed)
+            ev = sample_evidence(net, rng)
+            for q in rng.sample([v for v in net.node_ids() if v not in ev], 2):
+                yield net, q, relevant_set(net, q, ev)
+
+
+def test_growth_equals_the_rebuild_rule():
+    for net, q, rel in _growth_cases():
+        for delay in (0, 1, 2, 5, None):
+            grow, ref = DelayedLoops(delay), _RebuildGrowth(delay)
+            start = ActiveSet.initial(q)
+            assert _growth(grow, net, start, rel) == _growth(ref, net, start, rel)
+            assert grow.round == ref.round
+
+
+def test_a_set_step_did_not_return_starts_a_new_growth():
+    cases = list(_growth_cases())
+    for (net_a, q_a, rel_a), (net, q, rel) in zip(cases, cases[1:]):
+        grow = DelayedLoops(2)
+        _growth(grow, net_a, ActiveSet.initial(q_a), rel_a)
+        # A set grown without closing loops lacks arcs between its nodes.
+        other = _growth(DelayedLoops(None), net, ActiveSet.initial(q), rel)
+        for start in (ActiveSet.initial(q), other[len(other) // 2], other[-1]):
+            sets = _growth(grow, net, start, rel)
+            assert sets == _growth(DelayedLoops(2), net, start, rel)
+            assert sets == _growth(_RebuildGrowth(2), net, start, rel)
+            for s in sets:
+                assert all(p in s.nodes and c in s.nodes for p, c in s.arcs)
+
+
 def test_strategy_must_be_a_name_or_growth_rule(chain_ab):
     # A width of 1 is met by the first evaluation, so a bad strategy
     # must be caught before it.
@@ -720,6 +807,15 @@ def test_budget_exhaustion_reported():
     assert res.iterations >= 1
 
 
+def test_budget_must_be_a_nonnegative_number(chain_ab):
+    # NaN compares false against any elapsed time, so it would mean no budget.
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="budget_ms"):
+            answer_query(chain_ab, "B", {}, budget_ms=bad)
+    res = answer_query(chain_ab, "B", {}, stop=StopCriterion.width(0.0), budget_ms=0)
+    assert (res.status, res.iterations) == (BUDGET, 1)
+
+
 def test_every_iteration_sound(chain_ab):
     res = answer_query(chain_ab, "B", {}, stop=StopCriterion.width(0.0))
     for bel in res.bels:
@@ -755,11 +851,7 @@ def test_threshold_state_out_of_range_rejected(chain_ab):
 def _grown_sets(net, query, ev, strategy):
     """Every set a fresh growth reaches, from the query node to its fixed point."""
     rel = relevant_set(net, query, ev)
-    grow = make_strategy(strategy)
-    sets = [ActiveSet.initial(query)]
-    while (nxt := grow.step(net, sets[-1], rel)) is not None:
-        sets.append(nxt)
-    return sets
+    return _growth(make_strategy(strategy), net, ActiveSet.initial(query), rel)
 
 
 @pytest.mark.parametrize("strategy", ["bfs", "delayed", "no-loops"])
@@ -789,10 +881,12 @@ def test_evaluations_are_a_doubling_subsequence_of_the_growth(topology, strategy
 
 def test_evaluation_work_is_linear_on_a_long_chain():
     # Rows 0.999/0.001 keep the bounds wide until the active set reaches
-    # the evidence at the far end, so the whole chain is grown.  Measured:
-    # 11 evaluations (sizes 1, 3, 7, ..., 1023, 2000) and 8071 message
-    # computations.  Evaluating after every round took 1001 evaluations
-    # and 2002000 computations.
+    # the evidence at the far end, so the whole chain is grown.  Measured
+    # from the middle: 11 evaluations (sizes 1, 3, 7, ..., 1023, 2000)
+    # and 8071 message computations.  Evaluating after every round took
+    # 1001 evaluations and 2002000 computations.  Growth walks each
+    # node's neighbors once; rebuilding the whole active set every round
+    # walked them 1002000 times from the middle and 2001000 from an end.
     n = 2000
     lines = ["network sticky"] + [f"node n{i} states a b" for i in range(n)]
     lines += ["parents n0"] + [f"parents n{i} n{i - 1}" for i in range(1, n)]
@@ -800,8 +894,19 @@ def test_evaluation_work_is_linear_on_a_long_chain():
     for i in range(1, n):
         lines += [f"cpt n{i}", "0.999 0.001", "0.001 0.999"]
     net = parse_network("\n".join(lines))
-    res = answer_query(net, f"n{n // 2}", {"n0": 1, f"n{n - 1}": 0}, strategy="bfs",
-                       stop=StopCriterion.width(0.0))
-    assert res.active_nodes[-1] == n
-    assert res.iterations <= math.ceil(math.log2(n)) + 2
-    assert res.node_visits <= 5 * n
+    walks = 0
+    neighbors = net.skeleton_neighbors
+
+    def counted(node_id):
+        nonlocal walks
+        walks += 1
+        return neighbors(node_id)
+
+    net.skeleton_neighbors = counted
+    for query, ev in ((f"n{n // 2}", {"n0": 1, f"n{n - 1}": 0}), ("n0", {f"n{n - 1}": 0})):
+        walks = 0
+        res = answer_query(net, query, ev, strategy="bfs", stop=StopCriterion.width(0.0))
+        assert res.active_nodes[-1] == n
+        assert res.iterations <= math.ceil(math.log2(n)) + 2
+        assert res.node_visits <= 5 * n
+        assert walks <= 2 * n

@@ -14,6 +14,7 @@ from . import loops, netgen
 from .bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from .engine import (
     BUDGET,
+    DEFAULT_LOOP_DELAY,
     SATISFIED,
     SATURATED,
     StopCriterion,
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--node")
     q.add_argument("--evidence", action="append", metavar="ID=STATE")
     q.add_argument("--strategy", choices=["bfs", "no-loops", "delayed"], default="bfs")
-    q.add_argument("--delay", type=int, default=5)
+    q.add_argument("--delay", type=int, default=DEFAULT_LOOP_DELAY)
     q.add_argument("--target-width", type=float, default=0.0)
     q.add_argument("--threshold", metavar="ID:STATE>P")
     q.add_argument("--budget-ms", type=float, default=None)

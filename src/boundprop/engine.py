@@ -22,12 +22,13 @@ its inputs, from an explicit stack: the schedule is a post-order walk
 of the message dependencies toward the query, so its depth is not
 bounded by the interpreter's call stack.  Every computed vector is
 paired with a scale, a float pair bracketing the mass its normalization
-discarded; conditioned evaluations (see ``loops``) use those scales to
-weight cutset instances.  The kernels run on bare floats: a node's CPT
-columns and the greedy orders of its columns and rows are derived once
-per network, when the node is first used, and each kernel call checks
-the coherence of each weight vector once.  No ``Interval`` is built
-until the public boundary.
+discarded; ``_Run.mass`` turns them into the float-pair evidence mass
+by which conditioned evaluations (see ``loops``) weight cutset
+instances.  The kernels run on bare floats: a node's CPT columns and
+the greedy orders of its columns and rows are derived once per network,
+when the node is first used, and each kernel call checks the coherence
+of each weight vector once.  No ``Interval`` is built below the public
+functions, except by the public ``simplex_dot`` that a mass calls.
 
 A cache is a plain ``dict`` that carries values from one evaluation to
 the next.  Each entry maps a message key to ``(signature, value)``,
@@ -56,17 +57,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .intervals import (
     ConflictingEvidenceError,
-    Interval,
     IntervalVector,
     _dot_bounds,
     _normalized,
     _orders,
     _spare,
-    iv_mul,
     simplex_dot,
     vacuous,
 )
@@ -77,6 +77,8 @@ SATURATED = "saturated"
 BUDGET = "budget"
 # Most joint cutset instances one conditioned evaluation may run.
 DEFAULT_INSTANCE_CAP = 65536
+# Rounds a loop-closing arc waits under the strategy name "delayed".
+DEFAULT_LOOP_DELAY = 5
 # Growth g of the active set between evaluations (see the module
 # docstring).  With work linear in the active set, the evaluations up
 # to any one cost at most g / (g - 1) times it, twice at g = 2; the
@@ -137,7 +139,7 @@ def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
     los, his = [1.0], [1.0]
     for m in msgs:
         if min(m.lo) < 0.0:
-            raise ValueError("iv_mul requires nonnegative bounds")
+            raise ValueError("joint weights need nonnegative message bounds")
         los = [x * y for x in los for y in m.lo]
         his = [x * y for x in his for y in m.hi]
     return IntervalVector.from_bounds(los, his)
@@ -152,10 +154,13 @@ def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalV
 
 
 def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
-    """Lambda value, pi message and belief: an entrywise product, normalized."""
+    """Lambda value, pi message and belief: an entrywise product in one pass, normalized."""
+    lo, hi = vec.lo, vec.hi
     for f in factors:
-        vec = vec.product(f)
-    return _normalized(vec)
+        if len(f.lo) != len(lo) or min(lo) < 0.0 or min(f.lo) < 0.0:
+            raise ValueError("an entrywise product needs equal lengths and nonnegative bounds")
+        lo, hi = list(map(mul, lo, f.lo)), list(map(mul, hi, f.hi))
+    return _normalized(vec if lo is vec.lo else IntervalVector.from_bounds(lo, hi))
 
 
 def _lambda_message_kernel(
@@ -305,34 +310,36 @@ class _Run:
             vec, z = _lambda_message_kernel(net, x, key[2], msgs[0], msgs[1:])
         return vec, z if scale is None else (scale[0] * z[0], scale[1] * z[1])
 
-    def belief(self, x: str):
-        """Belief bounds at x plus the evidence-mass interval of this run."""
+    def belief(self, x: str) -> IntervalVector:
+        """Belief bounds at x."""
         if x in self.clamps:
             raise ValueError("belief of a clamped node is fixed by construction")
         if x in self.ctx.evidence:
             k = self.ctx.evidence[x]
-            pvec, ps = self.value(("pi_val", x))
+            pvec, _ = self.value(("pi_val", x))
             if pvec.hi[k] <= 0.0:
                 raise ConflictingEvidenceError(
                     f"observed state {k} of {x!r} has zero probability"
                 )
-            return IntervalVector.indicator(len(pvec), k), iv_mul(Interval(*ps), pvec[k])
+            return IntervalVector.indicator(len(pvec), k)
         lam, _ = self.value(("lam_val", x))
         pvec, _ = self.value(("pi_val", x))
-        vec, _ = _normalized_product(lam, [pvec])
-        return vec, self.component_mass(x)
+        return _normalized_product(lam, [pvec])[0]
 
-    def component_mass(self, x: str) -> Interval:
-        """Evidence mass of the piece of the working graph holding x.
-
-        Equals the belief mass at x; in a singly connected piece the
-        same total comes out at whichever member node it is read.
-        """
-        if x in self.clamps or x in self.ctx.evidence:
-            raise ValueError("mass must be read at an unpinned node")
+    def mass(self, x: str) -> tuple[float, float]:
+        """Evidence mass of the piece of the working graph holding x, as a
+        float pair; every unclamped member of a singly connected piece
+        gives the same total."""
+        if x in self.clamps:
+            raise ValueError("mass must be read at an unclamped node")
+        if x in self.ctx.evidence:
+            k = self.ctx.evidence[x]
+            pvec, ps = self.value(("pi_val", x))
+            return ps[0] * pvec.lo[k], ps[1] * pvec.hi[k]
         lam, ls = self.value(("lam_val", x))
         pvec, ps = self.value(("pi_val", x))
-        return iv_mul(Interval(ls[0] * ps[0], ls[1] * ps[1]), simplex_dot(lam, pvec))
+        dot = simplex_dot(lam, pvec)
+        return ls[0] * ps[0] * dot.lo, ls[1] * ps[1] * dot.hi
 
 
 # -- single-step kernels (exposed for direct use and testing) -----------------
@@ -418,10 +425,14 @@ class StopCriterion:
             raise ValueError("exactly one stopping rule must be given")
         if self.target_width is not None and not 0.0 <= self.target_width <= 1.0:
             raise ValueError("target width must lie in [0, 1]")
-        if self.threshold is not None and self.threshold[1] not in (">", "<"):
-            raise ValueError("threshold direction must be '>' or '<'")
-        if self.threshold is not None and not 0.0 <= self.threshold[2] <= 1.0:
-            raise ValueError("threshold probability must lie in [0, 1]")
+        if self.threshold is not None:
+            state, direction, p = self.threshold
+            if isinstance(state, bool) or not isinstance(state, int):
+                raise ValueError(f"threshold state must be an int, not {state!r}")
+            if direction not in (">", "<"):
+                raise ValueError("threshold direction must be '>' or '<'")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError("threshold probability must lie in [0, 1]")
 
     @staticmethod
     def width(w: float) -> "StopCriterion":
@@ -489,7 +500,7 @@ class DelayedLoops:
     ``step`` did not last return starts a new one from all its nodes.
     """
 
-    def __init__(self, delay: int | None = 5):
+    def __init__(self, delay: int | None = DEFAULT_LOOP_DELAY):
         if delay is not None and delay < 0:
             raise ValueError(f"loop delay must be nonnegative or None, not {delay}")
         self.delay = delay
@@ -529,20 +540,21 @@ class DelayedLoops:
                 return None
 
 
-def make_strategy(spec, delay: int = 5) -> DelayedLoops:
+def make_strategy(spec, delay: int = DEFAULT_LOOP_DELAY) -> DelayedLoops:
     """A fresh growth rule from a strategy name or a ``DelayedLoops``.
 
-    ``delay`` is the loop delay of the name ``"delayed"``.  Waiting
-    rounds belong to one growth, so a caller's object is copied and
-    never advanced.
+    ``delay`` is the loop delay of the name ``"delayed"``; a negative one
+    is an error under every name.  Waiting rounds belong to one growth,
+    so a caller's object is copied and never advanced.
     """
     if isinstance(spec, DelayedLoops):
         return DelayedLoops(spec.delay)
-    delays = {"bfs": 0, "breadth-first": 0, "no-loops": None, "delayed": delay}
-    name = spec.replace("_", "-").lower() if isinstance(spec, str) else None
-    if name not in delays:
+    delays = {"bfs": 0, "no-loops": None, "delayed": delay}
+    if not isinstance(spec, str) or spec not in delays:
         raise ValueError(f"unknown strategy {spec!r}")
-    return DelayedLoops(delays[name])
+    if delay < 0:
+        raise ValueError(f"loop delay must be nonnegative, not {delay}")
+    return DelayedLoops(delays[spec])
 
 
 # -- the anytime loop -----------------------------------------------------------

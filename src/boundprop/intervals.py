@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import le, mul
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 COHERENCE_TOL = 1e-9
@@ -61,9 +61,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo:.6g}, {self.hi:.6g}]"
-
-
-ZERO = Interval(0.0, 0.0)
 
 
 def iv_mul(x: Interval, y: Interval) -> Interval:
@@ -166,13 +163,6 @@ class IntervalVector:
         if len(values) != len(self.lo):
             return False
         return all(a - slack <= v <= b + slack for a, b, v in zip(self.lo, self.hi, values))
-
-    def product(self, other: "IntervalVector") -> "IntervalVector":
-        if len(other.lo) != len(self.lo):
-            raise ValueError("length mismatch in entrywise product")
-        if min(self.lo) < 0.0 or min(other.lo) < 0.0:
-            raise ValueError("iv_mul requires nonnegative bounds")
-        return IntervalVector.from_bounds(map(mul, self.lo, other.lo), map(mul, self.hi, other.hi))
 
     def midpoints(self) -> tuple[float, ...]:
         return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))

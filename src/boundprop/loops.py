@@ -7,10 +7,11 @@ with the constrained dot product under interval instance weights.
 Cycles only partially inside the active set need no special handling,
 because the absent arcs already contribute vacuous messages.
 
-Instance weights come from the evidence-mass intervals the runs track
-(the product of every normalization they discard).  The weight vector
-is normalized jointly, which makes it coherent by construction and
-keeps the true instance distribution inside it.
+Instance weights come from the evidence masses the runs track (the
+product of every normalization they discard), multiplied as float
+pairs; no ``Interval`` is built here.  The weight vector is normalized
+jointly, which makes it coherent by construction and keeps the true
+instance distribution inside it.
 """
 
 from __future__ import annotations
@@ -22,16 +23,12 @@ from typing import Mapping
 
 from .engine import DEFAULT_INSTANCE_CAP, ActiveSet, _Context, _Run, _joint_weights
 from .intervals import (
-    ZERO,
     ConflictingEvidenceError,
-    Interval,
     IntervalVector,
     _dot_bounds,
     _orders,
     _spare,
-    iv_mul,
     normalize,
-    simplex_dot,
     vacuous,
 )
 from .network import BeliefNetwork, LoopCluster, UnionFind, find_loop_clusters, skeleton_acyclic
@@ -71,12 +68,8 @@ def select_loop_cutset(
 
 
 def _pinned_column_factor(
-    net: BeliefNetwork,
-    active: ActiveSet,
-    node: str,
-    state: int,
-    pinned: Mapping[str, int],
-) -> Interval:
+    net: BeliefNetwork, active: ActiveSet, node: str, pinned: Mapping[str, int]
+) -> tuple[float, float]:
     # Table mass of a clamped node whose parents are all pinned or outside
     # the active set: sum of its column under indicator or vacuous weights.
     msgs = []
@@ -85,7 +78,10 @@ def _pinned_column_factor(
             msgs.append(IntervalVector.indicator(net.state_count(p), pinned[p]))
         else:
             msgs.append(vacuous(net.state_count(p)))
-    return simplex_dot(IntervalVector.point(net._kernel_tables(node)[0][state]), _joint_weights(msgs))
+    columns, orders, _ = net._kernel_tables(node)
+    column, order = columns[pinned[node]], orders[pinned[node]]
+    weights = _joint_weights(msgs)
+    return _dot_bounds(column, column, weights, _spare(weights, len(column)), order)
 
 
 def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
@@ -159,26 +155,26 @@ def _conditioned_bel(
         for w in net.children(c)
     )
     bels: list[IntervalVector] = []
-    masses: list[Interval] = []
+    masses: list[tuple[float, float]] = []
     visits = 0
     for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
         clamps = dict(zip(cut, inst))
         pinned = {**observed, **clamps}
         run = _Run(ctx, active, clamps, cache)
         try:
-            vec, mass = run.belief(query)
-            for r in representatives:
-                mass = iv_mul(mass, run.component_mass(r))
-            for c in direct_factors:
-                mass = iv_mul(mass, _pinned_column_factor(net, active, c, pinned[c], pinned))
+            vec, (lo, hi) = run.belief(query), run.mass(query)
+            factors = [run.mass(r) for r in representatives]
+            factors += [_pinned_column_factor(net, active, c, pinned) for c in direct_factors]
+            for f_lo, f_hi in factors:
+                lo, hi = lo * f_lo, hi * f_hi
             if boundary_unknown:
-                mass = Interval(0.0, mass.hi)
+                lo = 0.0
         except ConflictingEvidenceError:
-            vec, mass = vacuous(n_q), ZERO
+            vec, lo, hi = vacuous(n_q), 0.0, 0.0
         bels.append(vec)
-        masses.append(mass)
+        masses.append((lo, hi))
         visits += run.visits
-    weights = normalize(IntervalVector(masses))
+    weights = normalize(IntervalVector.from_bounds(*zip(*masses)))
     spare = _spare(weights, len(bels))
     columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
     out = [_dot_bounds(lo, hi, weights, spare, _orders(lo, hi)) for lo, hi in columns]
@@ -199,8 +195,7 @@ def evaluate(
     clusters = find_loop_clusters(nodes, arcs)
     if not clusters:
         run = _Run(ctx, active, {}, cache)
-        vec, _ = run.belief(query)
-        return vec, run.visits
+        return run.belief(query), run.visits
     observed = frozenset(v for v in ctx.evidence if v in active.nodes)
     cut: list[str] = []
     for cl in clusters:

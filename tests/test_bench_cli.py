@@ -172,9 +172,10 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
 def test_cli_rejects_negative_loop_delay(tmp_path, capsys):
     path = tmp_path / "net.txt"
     main(["gen", "--nodes", "8", "--seed", "11", "--out", str(path)])
-    code = main(["query", str(path), "--node", "n1", "--strategy", "delayed", "--delay", "-1"])
-    assert code == 1
-    assert "loop delay" in capsys.readouterr().err
+    for strategy in ("delayed", "bfs", "no-loops"):
+        code = main(["query", str(path), "--node", "n1", "--strategy", strategy, "--delay", "-4"])
+        assert code == 1
+        assert "loop delay" in capsys.readouterr().err
 
 
 def test_cli_generation_error_is_reported(capsys):

@@ -623,13 +623,15 @@ def test_strategy_names_are_one_growth_rule_by_loop_delay():
     mine = DelayedLoops(2)
     fresh = make_strategy(mine)
     assert fresh is not mine and fresh.delay == 2
-    with pytest.raises(ValueError, match="unknown strategy"):
-        make_strategy("depth-first")
+    for name in ("depth-first", "breadth-first", "BFS", "no_loops"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            make_strategy(name)
     for bad in (-1, -5):
         with pytest.raises(ValueError, match="loop delay"):
             DelayedLoops(bad)
-        with pytest.raises(ValueError, match="loop delay"):
-            make_strategy("delayed", bad)
+        for name in ("delayed", "bfs", "no-loops"):
+            with pytest.raises(ValueError, match="loop delay"):
+                make_strategy(name, bad)
 
 
 def test_waiting_rounds_run_inside_one_step(figure_net):
@@ -837,6 +839,9 @@ def test_stop_criterion_validation():
         for direction in "><":
             with pytest.raises(ValueError, match="threshold probability"):
                 StopCriterion.prob_threshold(0, direction, p)
+    for state in (0.5, True):
+        with pytest.raises(ValueError, match="threshold state"):
+            StopCriterion.prob_threshold(state, ">", 0.3)
 
 
 def test_threshold_state_out_of_range_rejected(chain_ab):

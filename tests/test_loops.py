@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,14 +13,18 @@ from boundprop import (
     answer_query,
     enumerate_marginal,
     find_loop_clusters,
+    iv_mul,
     lambda_msg,
+    normalize,
     parse_network,
     pi_hat,
     propagate,
     select_loop_cutset,
+    simplex_dot,
     vacuous,
 )
 from boundprop import loops
+from boundprop.engine import _joint_weights, _Run
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
 from boundprop.oracle import clamped_state_range
 
@@ -271,3 +276,130 @@ def test_anytime_on_loopy_networks_sound_everywhere():
                 res = answer_query(net, q, ev, strategy=strat)
                 for bel in res.bels:
                     assert bel.contains_point(want, 1e-9)
+
+
+# -- conditioned evaluation against per-instance Interval masses -------------
+#
+# The reference weighs each cutset instance as conditioning did before
+# its masses were float pairs: every factor an ``Interval``, multiplied
+# with ``iv_mul``, and a pinned-only node's column dotted with the public
+# ``simplex_dot`` as a fresh point vector, which sorts it again.  The
+# weights and the mixed bounds must be the same floats.
+
+
+def _ref_piece_mass(run, x):
+    lam, ls = run.value(("lam_val", x))
+    pvec, ps = run.value(("pi_val", x))
+    return iv_mul(Interval(ls[0] * ps[0], ls[1] * ps[1]), simplex_dot(lam, pvec))
+
+
+def _ref_column_mass(net, active, node, pinned):
+    msgs = [
+        IntervalVector.indicator(net.state_count(p), pinned[p])
+        if (p, node) in active.arcs and p in pinned
+        else vacuous(net.state_count(p))
+        for p in net.parents(node)
+    ]
+    column = IntervalVector.point(row[pinned[node]] for row in net.node(node).cpt)
+    return simplex_dot(column, _joint_weights(msgs))
+
+
+def _ref_conditioned(ctx, active, cut, seen):
+    """The instance weights and the mixed bounds, as the references compute them."""
+    net, query = ctx.net, ctx.query
+    representatives, direct_factors = loops._mass_plan(ctx, active, cut)
+    observed = {v: s for v, s in ctx.evidence.items() if v in active.nodes}
+    boundary_unknown = any(
+        (c, w) not in active.arcs and w in ctx for c in cut for w in net.children(c)
+    )
+    seen.update(
+        representatives=bool(representatives),
+        pinned_only=bool(direct_factors),
+        observed_query=query in ctx.evidence,
+        boundary_unknown=boundary_unknown,
+    )
+    bels, masses = [], []
+    for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
+        clamps = dict(zip(cut, inst))
+        pinned = {**observed, **clamps}
+        run = _Run(ctx, active, clamps)
+        try:
+            vec = run.belief(query)
+            if query in ctx.evidence:
+                pvec, ps = run.value(("pi_val", query))
+                mass = iv_mul(Interval(*ps), pvec[ctx.evidence[query]])
+            else:
+                mass = _ref_piece_mass(run, query)
+            for r in representatives:
+                mass = iv_mul(mass, _ref_piece_mass(run, r))
+            for c in direct_factors:
+                mass = iv_mul(mass, _ref_column_mass(net, active, c, pinned))
+            if boundary_unknown:
+                mass = Interval(0.0, mass.hi)
+        except ConflictingEvidenceError:
+            vec, mass = vacuous(net.state_count(query)), Interval(0.0, 0.0)
+        bels.append(vec)
+        masses.append(mass)
+    weights = IntervalVector(masses)
+    try:
+        mix = normalize(weights)
+    except ConflictingEvidenceError:
+        return weights, "conflict"
+    columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
+    out = [simplex_dot(IntervalVector.from_bounds(lo, hi), mix) for lo, hi in columns]
+    return weights, normalize(IntervalVector(out))
+
+
+def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
+    calls = []
+    inner = loops._conditioned_bel
+
+    def spy(ctx, active, cut, instance_cap, cache):
+        calls.append((ctx, active, cut))
+        return inner(ctx, active, cut, instance_cap, cache)
+
+    monkeypatch.setattr(loops, "_conditioned_bel", spy)
+    for seed in range(40):
+        net = gen_loopy(GenSpec(node_count=10, topology="loopy", arc_ratio=1.3, seed=300 + seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        start = len(calls)
+        try:
+            for strategy in ("bfs", "delayed"):
+                answer_query(net, q, ev, strategy=strategy)
+            # Growth stops at an observed query, so ask the observed nodes
+            # over the sets grown for q, where their pi values are boxes.
+            for _, active, _ in calls[start:]:
+                for v in sorted(ev.keys() & active.nodes):
+                    propagate(net, active, ev, v)
+        except ConflictingEvidenceError:
+            pass
+    monkeypatch.undo()
+
+    cases = dict.fromkeys(("representatives", "pinned_only", "observed_query", "boundary_unknown"), 0)
+    for ctx, active, cut in calls:
+        seen = {}
+        want_weights, want = _ref_conditioned(ctx, active, cut, seen)
+        weights = []
+
+        def recorded(v):
+            weights.append(v)
+            return normalize(v)
+
+        monkeypatch.setattr(loops, "normalize", recorded)
+        try:
+            got, _ = loops._conditioned_bel(ctx, active, cut, loops.DEFAULT_INSTANCE_CAP, None)
+        except ConflictingEvidenceError:
+            got = "conflict"
+        monkeypatch.undo()
+        # The first vector conditioning normalizes is its instance weights.
+        assert (weights[0].lo, weights[0].hi) == (want_weights.lo, want_weights.hi)
+        if want == "conflict":
+            assert got == "conflict"
+        else:
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+        for case, hit in seen.items():
+            cases[case] += hit
+    assert len(calls) > 80
+    assert all(cases.values()), cases

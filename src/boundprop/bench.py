@@ -61,12 +61,12 @@ def _suite_network(entry: Mapping) -> BeliefNetwork:
     return netgen.generate(spec)
 
 
-def _baseline_ms(net: BeliefNetwork, evidence, query) -> float | None:
-    """Time for an exact answer: point propagation on polytrees, joint
-    enumeration otherwise.  None when neither is feasible."""
+def _baseline_ms(net: BeliefNetwork, polytree: bool, evidence, query) -> float | None:
+    """Time for an exact answer: point propagation on a ``polytree``,
+    joint enumeration otherwise.  None when neither is feasible."""
     try:
         t0 = time.perf_counter()
-        if is_polytree(net):
+        if polytree:
             polytree_exact(net, evidence, query)
         else:
             enumerate_marginal(net, evidence, query)
@@ -80,6 +80,8 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
     rng = random.Random(suite["seed"])
     for entry in suite["networks"]:
         net = _suite_network(entry)
+        n_arcs = len(net.arcs)
+        polytree = with_baseline and is_polytree(net)
         # A network read from a file may carry its own evidence; the
         # sampled states are laid over it, as the engine would.
         evidence = {**net.evidence, **netgen.sample_evidence(net, rng)}
@@ -87,9 +89,7 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
         count = min(int(suite["queries_per_network"]), len(free))
         queries = rng.sample(free, count)
         for query in queries:
-            baseline = (
-                _baseline_ms(net, evidence, query) if with_baseline else None
-            )
+            baseline = _baseline_ms(net, polytree, evidence, query) if with_baseline else None
             for strategy in suite["strategies"]:
                 for target in suite["target_widths"]:
                     t0 = time.perf_counter()
@@ -110,7 +110,7 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
                     yield {
                         "network": net.name,
                         "n_nodes": len(net.nodes),
-                        "n_arcs": len(net.arcs),
+                        "n_arcs": n_arcs,
                         "query": query,
                         "evidence_count": len(evidence),
                         "strategy": strategy,

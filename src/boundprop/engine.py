@@ -39,8 +39,10 @@ current signature is ``==`` to the recorded one, which is memoization
 of a pure function and so sound whatever evidence, query, active set or
 cutset instance the cache saw before.  Runs under cutset clamps share
 the one cache with the runs without them, so a message the clamps do
-not reach is computed once for every instance.  A cache belongs to one
-network: ``answer_query`` keeps one for the iterations of one query.
+not reach is computed once for every instance.  Every evaluation has a
+cache, and there is no uncached mode: ``answer_query`` keeps one dict
+for the iterations of one query, and each ``propagate`` call starts a
+fresh one.
 
 A query's evidence is the caller's evidence laid over the evidence
 stored on the network, merged in the one per-query ``_Context`` that
@@ -75,8 +77,6 @@ from .network import BeliefNetwork, UnionFind, _Context, relevant_set
 SATISFIED = "satisfied"
 SATURATED = "saturated"
 BUDGET = "budget"
-# Most joint cutset instances one conditioned evaluation may run.
-DEFAULT_INSTANCE_CAP = 65536
 # Rounds a loop-closing arc waits under the strategy name "delayed".
 DEFAULT_LOOP_DELAY = 5
 # Growth g of the active set between evaluations (see the module
@@ -198,7 +198,8 @@ def _lambda_message_kernel(
 
 
 class _Run:
-    """One evaluation over an active set, optionally under cutset clamps.
+    """One evaluation over an active set under cutset clamps (none for a
+    plain evaluation).
 
     ``cache`` maps a message key to ``(signature, value)`` as described
     in the module docstring.  Runs with and without clamps share it: a
@@ -206,16 +207,10 @@ class _Run:
     in the signature of every message it reaches.
     """
 
-    def __init__(
-        self,
-        ctx: _Context,
-        active: ActiveSet,
-        clamps: Mapping[str, int] | None = None,
-        cache: dict | None = None,
-    ):
+    def __init__(self, ctx: _Context, active: ActiveSet, clamps: Mapping[str, int], cache: dict):
         self.ctx = ctx
         self.arcs = active.arcs
-        self.clamps = dict(clamps or {})
+        self.clamps = clamps
         self.cache = cache
         self._memo: dict = {}
         self.visits = 0
@@ -274,15 +269,13 @@ class _Run:
                 continue
             pinned, inputs = ins
             args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
-            if cache is not None:
-                entry = cache.get(k)
-                if entry is not None and entry[0] == (pinned, args):
-                    memo[k] = entry[1]
-                    continue
+            entry = cache.get(k)
+            if entry is not None and entry[0] == (pinned, args):
+                memo[k] = entry[1]
+                continue
             memo[k] = value = self._compute(k, pinned, args)
             self.visits += 1
-            if cache is not None:
-                cache[k] = ((pinned, args), value)
+            cache[k] = ((pinned, args), value)
         return memo[key]
 
     def _compute(self, key, pinned: int | None, args: tuple):
@@ -567,8 +560,6 @@ def answer_query(
     strategy="bfs",
     stop: StopCriterion | None = None,
     budget_ms: float | None = None,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
-    use_cache: bool = True,
 ) -> QueryResult:
     """Iteratively expand and propagate until the stop criterion holds.
 
@@ -596,7 +587,7 @@ def answer_query(
     strategy_obj = make_strategy(strategy)
     relevant = relevant_set(net, query, ctx)
     active = ActiveSet.initial(query)
-    cache: dict | None = {} if use_cache else None
+    cache: dict = {}
 
     widths: list[float] = []
     sizes: list[int] = []
@@ -608,7 +599,7 @@ def answer_query(
     bel = vacuous(net.state_count(query))
     while True:
         t0 = time.perf_counter()
-        bel, v = evaluate(net, active, ctx, instance_cap=instance_cap, cache=cache)
+        bel, v = evaluate(net, active, ctx, cache)
         timings.append(time.perf_counter() - t0)
         bels.append(bel)
         widths.append(bel.max_width)

@@ -156,8 +156,8 @@ class IntervalVector:
     def max_width(self) -> float:
         return max(b - a for a, b in zip(self.lo, self.hi))
 
-    def is_coherent(self, tol: float = COHERENCE_TOL) -> bool:
-        return self.lo_sum <= 1.0 + tol and self.hi_sum >= 1.0 - tol
+    def is_coherent(self) -> bool:
+        return self.lo_sum <= 1.0 + COHERENCE_TOL and self.hi_sum >= 1.0 - COHERENCE_TOL
 
     def contains_point(self, values: Sequence[float], slack: float = 0.0) -> bool:
         if len(values) != len(self.lo):

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from typing import Mapping
 
-from .engine import DEFAULT_INSTANCE_CAP, ActiveSet, _Context, _Run, _joint_weights
+from .engine import ActiveSet, _Context, _Run, _joint_weights
 from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
@@ -33,9 +33,12 @@ from .intervals import (
 )
 from .network import BeliefNetwork, LoopCluster, UnionFind, find_loop_clusters, skeleton_acyclic
 
+# Most joint cutset instances one conditioned evaluation may run.
+INSTANCE_CAP = 65536
+
 
 class CutsetOverflowError(RuntimeError):
-    """The joint cutset instance space exceeds the configured cap."""
+    """The joint cutset instance space exceeds ``INSTANCE_CAP``."""
 
 
 def select_loop_cutset(
@@ -98,7 +101,6 @@ def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
     """
     net = ctx.net
     split = set(cut) | {v for v in ctx.evidence if v in active.nodes}
-    nodes = sorted(active.nodes, key=net.order)
     sets = UnionFind()
     # A pinned node's table still ties it to its unpinned parents, so
     # only arcs leaving a pinned node break connectivity.
@@ -115,14 +117,14 @@ def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
     representatives: list[str] = []
     direct_factors: list[str] = []
     members: dict[str, list[str]] = {}
-    for v in nodes:
+    for v in active.nodes:
         members.setdefault(sets.find(v), []).append(v)
     for root in touched:
         if root == query_root:
             continue
         free = [v for v in members[root] if v not in split]
         if free:
-            representatives.append(free[0])
+            representatives.append(min(free, key=net.order))
         else:
             # Piece of pinned nodes only; each contributes its own column.
             direct_factors.extend(members[root])
@@ -133,16 +135,13 @@ def _conditioned_bel(
     ctx: _Context,
     active: ActiveSet,
     cut: list[str],
-    instance_cap: int,
-    cache: dict | None,
+    cache: dict,
 ) -> tuple[IntervalVector, int]:
     net, query = ctx.net, ctx.query
     n_q = net.state_count(query)
     total = math.prod(map(net.state_count, cut))
-    if total > instance_cap:
-        raise CutsetOverflowError(
-            f"{total} cutset instances exceed the cap of {instance_cap}"
-        )
+    if total > INSTANCE_CAP:
+        raise CutsetOverflowError(f"{total} cutset instances exceed the cap of {INSTANCE_CAP}")
     representatives, direct_factors = _mass_plan(ctx, active, cut)
     observed = {v: s for v, s in ctx.evidence.items() if v in active.nodes}
     # A clamped node's indicator suppresses its own boundary: evidence
@@ -182,17 +181,14 @@ def _conditioned_bel(
 
 
 def evaluate(
-    net: BeliefNetwork,
-    active: ActiveSet,
-    ctx: _Context,
-    instance_cap: int,
-    cache: dict | None = None,
+    net: BeliefNetwork, active: ActiveSet, ctx: _Context, cache: dict
 ) -> tuple[IntervalVector, int]:
-    """Belief bounds at ``ctx.query`` over any active set, plus work count."""
+    """Belief bounds at ``ctx.query`` over any active set, plus work count.
+
+    ``cache`` carries messages between evaluations (see ``engine``).
+    """
     query = ctx.query
-    nodes = sorted(active.nodes, key=net.order)
-    arcs = sorted(active.arcs, key=lambda a: (net.order(a[0]), net.order(a[1])))
-    clusters = find_loop_clusters(nodes, arcs)
+    clusters = find_loop_clusters(active.nodes, active.arcs)
     if not clusters:
         run = _Run(ctx, active, {}, cache)
         return run.belief(query), run.visits
@@ -203,9 +199,9 @@ def evaluate(
             select_loop_cutset(net, cl, exclude=frozenset({query}), presplit=observed)
         )
     cut = sorted(set(cut), key=net.order)
-    if not skeleton_acyclic(arcs, set(cut) | set(observed)):
+    if not skeleton_acyclic(active.arcs, set(cut) | observed):
         raise RuntimeError("cutset failed to cut the active set")
-    return _conditioned_bel(ctx, active, cut, instance_cap, cache)
+    return _conditioned_bel(ctx, active, cut, cache)
 
 
 def propagate(
@@ -213,7 +209,6 @@ def propagate(
     active: ActiveSet,
     evidence: Mapping[str, int],
     query: str,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
 ) -> IntervalVector:
     """Belief bounds at the query from one evaluation over any active set,
     under ``evidence`` laid over the evidence stored on the network.
@@ -223,5 +218,5 @@ def propagate(
     propagate with vacuous messages on every absent arc.
     """
     active.validate(net, query)
-    bel, _ = evaluate(net, active, _Context(net, evidence, query), instance_cap=instance_cap)
+    bel, _ = evaluate(net, active, _Context(net, evidence, query), {})
     return bel

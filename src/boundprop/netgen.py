@@ -135,9 +135,10 @@ def gen_polytree(spec: GenSpec) -> BeliefNetwork:
 def gen_loopy(spec: GenSpec) -> BeliefNetwork:
     """Polytree plus random extra arcs up to ceil(ratio * n) arcs total.
 
-    Arcs are added one at a time with the child's table resampled, so
-    for a fixed seed the arc set at a higher ratio is a superset of the
-    arc set at a lower ratio.
+    Arcs are added one at a time and every table is sampled once, after
+    the last arc is placed, so for a fixed seed the arc set at a higher
+    ratio is a superset of the arc set at a lower ratio (the tables
+    differ).
     """
     rng = random.Random(spec.seed)
     n = spec.node_count

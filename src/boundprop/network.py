@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
 
 from .intervals import _orders
 
@@ -54,11 +54,10 @@ class BeliefNetwork:
         self._children = {k: tuple(v) for k, v in children.items()}
         self._validate()
         self.evidence: Evidence = dict(evidence or {})
-        for node_id, state in self.evidence.items():
-            if node_id not in self._by_id:
-                raise NetworkFormatError(f"evidence for unknown node {node_id!r}")
-            if not 0 <= state < len(self._by_id[node_id].states):
-                raise NetworkFormatError(f"evidence state out of range for {node_id!r}")
+        try:
+            _check_evidence(self, self.evidence)
+        except (KeyError, ValueError) as exc:
+            raise NetworkFormatError(f"stored evidence: {exc.args[0]}") from None
         # The last evidence asked about, checked, with its closure.
         self._observed: _Observed | None = None
         # Kernel tables, built per node on first use (at parse they would
@@ -152,12 +151,6 @@ class BeliefNetwork:
         ranges = [range(len(self._by_id[p].states)) for p in self.node(node_id).parents]
         return itertools.product(*ranges)
 
-    def cpt_row(self, node_id: str, config: Sequence[int]) -> tuple[float, ...]:
-        idx = 0
-        for p, s in zip(self.node(node_id).parents, config):
-            idx = idx * len(self._by_id[p].states) + s
-        return self.node(node_id).cpt[idx]
-
     def _kernel_tables(self, node_id: str):
         """The node's CPT columns as float tuples, the greedy orders
         (``intervals._orders``) of each column and those of each row."""
@@ -192,24 +185,36 @@ class BeliefNetwork:
     def _observe(self, evidence: Mapping[str, int]) -> "_Observed":
         """The checked evidence and its ancestral closure, rebuilt only when
         the evidence differs from the last set asked about.  A check that
-        fails raises before anything is kept."""
+        fails raises before anything is kept.  The sets are compared with
+        ``==``, so a state equal to a kept int (``1.0``, ``True``) is read
+        as that int without a check."""
         found = self._observed
         if found is None or found.evidence != evidence:
             found = self._observed = _Observed(self, evidence)
         return found
 
 
+def _check_evidence(net: BeliefNetwork, evidence: Mapping[str, int]) -> None:
+    """Raise ``KeyError`` for a node the network lacks and ``ValueError``
+    for a state that is not an ``int`` (a ``bool`` is not) in the node's
+    range."""
+    for v, s in evidence.items():
+        n = net.state_count(v)
+        if isinstance(s, bool) or not isinstance(s, int):
+            raise ValueError(f"evidence state of {v!r} must be an int, not {s!r}")
+        if not 0 <= s < n:
+            raise ValueError(f"evidence state {s} out of range for {v!r}")
+
+
 class _Observed:
-    """Evidence checked against one network (an unknown node raises
-    ``KeyError``, a state out of range ``ValueError``) and An(Z), the
-    ancestral closure of its nodes Z: one per evidence, for every query."""
+    """Evidence checked against one network (``_check_evidence``) and
+    An(Z), the ancestral closure of its nodes Z: one per evidence, for
+    every query."""
 
     __slots__ = ("evidence", "ancestors")
 
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int]):
-        for v, s in evidence.items():
-            if not 0 <= s < net.state_count(v):
-                raise ValueError(f"evidence state {s} out of range for {v!r}")
+        _check_evidence(net, evidence)
         self.evidence: Evidence = dict(evidence)
         self.ancestors = net.ancestral_closure(self.evidence)
 
@@ -365,7 +370,7 @@ class LoopCluster:
     arcs: frozenset[tuple[str, str]]
 
 
-def _skeleton_bridges(nodes: Sequence[str], edges: Sequence[tuple[str, str]]) -> set[frozenset[str]]:
+def _skeleton_bridges(nodes: Collection[str], edges: Collection[tuple[str, str]]) -> set[frozenset[str]]:
     """Bridges of the undirected multigraph, by iterative lowpoint DFS."""
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
     for i, (a, b) in enumerate(edges):
@@ -409,23 +414,19 @@ def _skeleton_bridges(nodes: Sequence[str], edges: Sequence[tuple[str, str]]) ->
 
 
 def find_loop_clusters(
-    net_or_nodes: BeliefNetwork | Sequence[str],
-    arcs: Sequence[tuple[str, str]] | None = None,
+    nodes: Collection[str], arcs: Collection[tuple[str, str]]
 ) -> tuple[LoopCluster, ...]:
-    """Group every arc that lies on an undirected cycle into clusters.
+    """Group every arc of the graph (``nodes``, ``arcs``) that lies on an
+    undirected cycle into clusters.
 
     Two cycles sharing any node fall into the same cluster, so clusters
-    are node-disjoint and removing them all leaves a forest.  Accepts a
-    network, or an explicit (nodes, arcs) pair for subgraphs.
+    are node-disjoint and removing them all leaves a forest.  Which
+    clusters come out does not depend on the order of ``nodes`` or
+    ``arcs``; only their order in the result does, following ``arcs``.
+    For a whole network pass ``(net.node_ids(), net.arcs)``.
     """
-    if isinstance(net_or_nodes, BeliefNetwork):
-        nodes: Sequence[str] = net_or_nodes.node_ids()
-        arc_list = list(net_or_nodes.arcs)
-    else:
-        nodes = net_or_nodes
-        arc_list = list(arcs or ())
-    bridges = _skeleton_bridges(nodes, arc_list)
-    cyclic = [(p, c) for (p, c) in arc_list if frozenset((p, c)) not in bridges]
+    bridges = _skeleton_bridges(nodes, arcs)
+    cyclic = [(p, c) for (p, c) in arcs if frozenset((p, c)) not in bridges]
     sets = UnionFind()
     for p, c in cyclic:
         sets.union(p, c)
@@ -435,13 +436,7 @@ def find_loop_clusters(
         ns, es = groups.setdefault(root, (set(), set()))
         ns.update((p, c))
         es.add((p, c))
-    order = {v: i for i, v in enumerate(nodes)}
-    clusters = [
-        LoopCluster(frozenset(ns), frozenset(es))
-        for ns, es in groups.values()
-    ]
-    clusters.sort(key=lambda k: min(order[v] for v in k.nodes))
-    return tuple(clusters)
+    return tuple(LoopCluster(frozenset(ns), frozenset(es)) for ns, es in groups.values())
 
 
 # -- file format ------------------------------------------------------------

@@ -3,7 +3,9 @@
 Both are deliberately independent of the interval machinery so they can
 serve as oracles for it.  Enumeration works on any network up to a
 state-space cap; the point polytree solver is linear-time but limited
-to singly connected networks.
+to singly connected networks.  Both check the asked node and the
+evidence as the engine does: an unknown node raises ``KeyError`` and a
+state that is not an ``int`` in range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .intervals import ConflictingEvidenceError
-from .network import BeliefNetwork, is_polytree
+from .network import BeliefNetwork, _check_evidence, is_polytree
 
 STATE_SPACE_CAP = 2 ** 24
 
@@ -49,8 +51,12 @@ def joint_table(net: BeliefNetwork) -> np.ndarray:
     return joint
 
 
-def _sliced_joint(net: BeliefNetwork, evidence: Mapping[str, int]) -> np.ndarray:
-    """The joint table at the observed states, one axis per unobserved node."""
+def _sliced_joint(net: BeliefNetwork, evidence: Mapping[str, int], *asked: str) -> np.ndarray:
+    """The joint table at the observed states, one axis per unobserved
+    node, once the ``asked`` nodes and the evidence pass the checks."""
+    for v in asked:
+        net.node(v)
+    _check_evidence(net, evidence)
     return joint_table(net)[tuple(evidence[v] if v in evidence else slice(None) for v in net.node_ids())]
 
 
@@ -58,7 +64,7 @@ def enumerate_marginal(
     net: BeliefNetwork, evidence: Mapping[str, int], node: str
 ) -> tuple[float, ...]:
     """Exact conditional marginal of ``node`` by summing the joint."""
-    sub = _sliced_joint(net, evidence)
+    sub = _sliced_joint(net, evidence, node)
     if node in evidence:
         total = float(np.sum(sub))
         if total <= 0.0:
@@ -89,7 +95,7 @@ def clamped_state_range(
     """
     if query in evidence or clamp in evidence or clamp == query:
         raise ValueError("query and clamp must be distinct unobserved nodes")
-    sub = _sliced_joint(net, evidence)
+    sub = _sliced_joint(net, evidence, query, clamp)
     remaining = [v for v in net.node_ids() if v not in evidence]
     q_axis = remaining.index(query)
     b_axis = remaining.index(clamp)
@@ -126,6 +132,7 @@ def polytree_exact(
     if not is_polytree(net):
         raise ValueError("polytree_exact requires a singly connected network")
     net.node(node)
+    _check_evidence(net, evidence)
 
     def indicator(x: str) -> list[float]:
         return [1.0 if i == evidence[x] else 0.0 for i in range(net.state_count(x))]

@@ -71,3 +71,11 @@ def figure_net():
         {"Y": [], "A": ["Y"], "B": ["A"], "C": ["A"], "D": ["B", "C"], "X": ["D"]},
         seed=23,
     )
+
+
+class NoCache(dict):
+    """A message cache that keeps nothing: every lookup misses, so an
+    evaluation given one computes every message it needs afresh."""
+
+    def __setitem__(self, key, value):
+        pass

@@ -1,10 +1,9 @@
-import functools
 import json
 import random
 
 import pytest
 
-from boundprop import bench, cli
+from boundprop import bench, cli, loops
 from boundprop.bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from boundprop.cli import main
 from boundprop.loops import CutsetOverflowError
@@ -187,7 +186,7 @@ def test_cli_cutset_overflow_is_reported(tmp_path, capsys, monkeypatch):
     net = gen_loopy(GenSpec(node_count=40, topology="loopy", arc_ratio=1.3, seed=4))
     path = tmp_path / "loopy.txt"
     path.write_text(serialize_network(net))
-    monkeypatch.setattr(cli, "answer_query", functools.partial(cli.answer_query, instance_cap=1))
+    monkeypatch.setattr(loops, "INSTANCE_CAP", 1)
     assert main(["query", str(path), "--node", "n15"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -216,7 +215,6 @@ def _fail_with(exc):
 
 
 def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
-    net = gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.3, seed=2))
     seen = []
 
     def enumerate_marginal(net, evidence, query):
@@ -224,8 +222,26 @@ def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
         return (0.5, 0.5)
 
     monkeypatch.setattr(bench, "enumerate_marginal", enumerate_marginal)
-    assert bench._baseline_ms(net, {}, "n3") is not None
-    assert seen == ["n3"]
+    suite = {**SUITE, "queries_per_network": 1, "strategies": ["bfs"],
+             "networks": [{"nodes": 8, "topology": "loopy", "ratio": 1.3, "seed": 2}]}
+    (record,) = run_bench(load_suite(json.dumps(suite)))
+    assert record["baseline_ms"] is not None
+    assert seen == [record["query"]]
+
+
+def test_polytree_check_runs_once_per_network(monkeypatch):
+    # The exact baseline's timed window holds only the oracle call.
+    calls = []
+    inner = bench.is_polytree
+
+    def is_polytree(net):
+        calls.append(net.name)
+        return inner(net)
+
+    monkeypatch.setattr(bench, "is_polytree", is_polytree)
+    records = list(run_bench(load_suite(json.dumps(SUITE))))
+    assert calls == list(dict.fromkeys(r["network"] for r in records))
+    assert len(calls) == len(SUITE["networks"])
 
 
 def test_baseline_state_space_error_is_recorded_as_none(monkeypatch):

@@ -45,7 +45,7 @@ from boundprop.intervals import (
 from boundprop.network import Node, UnionFind
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 
-from conftest import build_net
+from conftest import NoCache, build_net
 
 
 def full_active(net):
@@ -346,22 +346,30 @@ def test_active_set_validation(chain_ab):
 # -- cache --------------------------------------------------------------------
 
 
+def _uncached_answer(monkeypatch, *args, **kwargs):
+    """``answer_query`` with every evaluation given a cache that keeps nothing."""
+    evaluate = loops.evaluate
+    with monkeypatch.context() as m:
+        m.setattr(loops, "evaluate", lambda net, active, ctx, cache: evaluate(net, active, ctx, NoCache()))
+        return answer_query(*args, **kwargs)
+
+
 def test_cached_and_uncached_runs_identical(monkeypatch):
     for seed in range(10):
         net = gen_polytree(GenSpec(node_count=10, seed=seed))
         rng = random.Random(seed)
         ev = sample_evidence(net, rng)
         q = rng.choice(net.node_ids())
-        with_cache = answer_query(net, q, ev, strategy="bfs", use_cache=True)
-        without = answer_query(net, q, ev, strategy="bfs", use_cache=False)
+        with_cache = answer_query(net, q, ev, strategy="bfs")
+        without = _uncached_answer(monkeypatch, net, q, ev, strategy="bfs")
         assert with_cache.bels == without.bels
     for seed in range(5):
         net = gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.25, seed=seed))
         rng = random.Random(seed)
         ev = sample_evidence(net, rng)
         q = rng.choice(net.node_ids())
-        a = answer_query(net, q, ev, strategy="delayed", use_cache=True)
-        b = answer_query(net, q, ev, strategy="delayed", use_cache=False)
+        a = answer_query(net, q, ev, strategy="delayed")
+        b = _uncached_answer(monkeypatch, net, q, ev, strategy="delayed")
         assert a.bels == b.bels
     # Runs under cutset clamps share the cache with the runs without them.
     conditioned = []
@@ -377,17 +385,17 @@ def test_cached_and_uncached_runs_identical(monkeypatch):
         rng = random.Random(seed)
         ev = sample_evidence(net, rng)
         q = rng.choice([v for v in net.node_ids() if v not in ev])
-        a = answer_query(net, q, ev, strategy="bfs", use_cache=True)
-        b = answer_query(net, q, ev, strategy="bfs", use_cache=False)
+        a = answer_query(net, q, ev, strategy="bfs")
+        b = _uncached_answer(monkeypatch, net, q, ev, strategy="bfs")
         assert (a.bels, a.status, a.iterations) == (b.bels, b.status, b.iterations)
     assert any(conditioned)
 
 
-def test_cache_saves_visits():
+def test_cache_saves_visits(monkeypatch):
     net = gen_polytree(GenSpec(node_count=40, seed=3))
     q = net.node_ids()[5]
-    cached = answer_query(net, q, {}, use_cache=True)
-    uncached = answer_query(net, q, {}, use_cache=False)
+    cached = answer_query(net, q, {})
+    uncached = _uncached_answer(monkeypatch, net, q, {})
     assert cached.bels == uncached.bels
     assert cached.node_visits < uncached.node_visits
 
@@ -400,8 +408,8 @@ def test_shared_cache_reuses_nothing_across_evidence():
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
     cache = {}
-    loops.evaluate(net, active, _Context(net, {}, "A"), 1, cache)
-    bel, _ = loops.evaluate(net, active, _Context(net, {"C": 0}, "A"), 1, cache)
+    loops.evaluate(net, active, _Context(net, {}, "A"), cache)
+    bel, _ = loops.evaluate(net, active, _Context(net, {"C": 0}, "A"), cache)
     assert bel.contains_point(enumerate_marginal(net, {"C": 0}, "A"))
     assert bel == propagate(net, active, {"C": 0}, "A")
 
@@ -410,8 +418,8 @@ def test_cache_is_shared_with_clamped_runs(figure_net):
     # Every cutset instance reuses the messages no clamp reaches.
     ctx = _Context(figure_net, {"X": 0}, "D")
     active = full_active(figure_net)
-    cached, cached_visits = loops.evaluate(figure_net, active, ctx, 16, {})
-    fresh, fresh_visits = loops.evaluate(figure_net, active, ctx, 16, None)
+    cached, cached_visits = loops.evaluate(figure_net, active, ctx, {})
+    fresh, fresh_visits = loops.evaluate(figure_net, active, ctx, NoCache())
     assert cached == fresh
     assert cached_visits < fresh_visits
 
@@ -501,6 +509,10 @@ def test_a_failed_evidence_check_is_never_kept():
         answer_query(net, "A", {"B": 0})
         with pytest.raises(ValueError):
             answer_query(net, "A", {"B": 0, "C": 2})
+        # A state is an int that is not a bool.
+        for state in (0.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="must be an int"):
+                answer_query(net, "A", {"C": state})
 
 
 def test_evidence_closure_is_built_once_per_evidence(monkeypatch):
@@ -538,13 +550,13 @@ def long_chain():
 
 
 def _evaluate(net, active, ev, query, cache):
-    bel, _ = loops.evaluate(net, active, _Context(net, ev, query), 1, cache)
+    bel, _ = loops.evaluate(net, active, _Context(net, ev, query), cache)
     return bel
 
 
 def test_long_chain_cached_and_uncached_agree(long_chain):
     net, active, ev = long_chain
-    assert _evaluate(net, active, ev, "n0", {}) == _evaluate(net, active, ev, "n0", None)
+    assert _evaluate(net, active, ev, "n0", {}) == _evaluate(net, active, ev, "n0", NoCache())
 
 
 def test_propagation_leaves_the_recursion_limit_alone(long_chain):

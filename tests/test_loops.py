@@ -28,7 +28,7 @@ from boundprop.engine import _joint_weights, _Run
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
 from boundprop.oracle import clamped_state_range
 
-from conftest import build_net
+from conftest import NoCache, build_net
 
 
 def full_active(net):
@@ -36,7 +36,7 @@ def full_active(net):
 
 
 def test_select_cutset_diamond(diamond):
-    (cluster,) = find_loop_clusters(diamond)
+    (cluster,) = find_loop_clusters(diamond.node_ids(), diamond.arcs)
     assert select_loop_cutset(diamond, cluster) == ("A",)
 
 
@@ -49,7 +49,7 @@ def test_select_cutset_fused_diamonds():
         },
         seed=2,
     )
-    (cluster,) = find_loop_clusters(fused)
+    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
     cutset = select_loop_cutset(fused, cluster)
     assert len(cutset) <= 2
 
@@ -62,7 +62,7 @@ def test_select_cutset_single_cycle():
             ring[f"a{i}"] = [f"a{i-1}"]
         ring[f"a{k-1}"] = [f"a{k-2}", "a0"]
         net = build_net("ring", ring, seed=k)
-        (cluster,) = find_loop_clusters(net)
+        (cluster,) = find_loop_clusters(net.node_ids(), net.arcs)
         assert len(cluster.nodes) == k
         cutset = select_loop_cutset(net, cluster)
         assert len(cutset) == 1
@@ -71,7 +71,7 @@ def test_select_cutset_single_cycle():
 def test_cutset_renders_skeleton_acyclic():
     for seed in range(10):
         net = gen_loopy(GenSpec(node_count=9, topology="loopy", arc_ratio=1.3, seed=seed))
-        for cluster in find_loop_clusters(net):
+        for cluster in find_loop_clusters(net.node_ids(), net.arcs):
             cutset = select_loop_cutset(net, cluster)
             removed = set()
             for c in cutset:
@@ -94,7 +94,7 @@ def test_cutset_renders_skeleton_acyclic():
 
 
 def test_condition_cluster_exact_on_diamond(diamond):
-    (cluster,) = find_loop_clusters(diamond)
+    (cluster,) = find_loop_clusters(diamond.node_ids(), diamond.arcs)
     for ev in ({}, {"D": 1}, {"B": 0}):
         for q in "ABCD":
             if q in ev:
@@ -118,7 +118,7 @@ def test_condition_cluster_exact_on_diamond(diamond):
 
 def test_condition_cluster_vacuous_boundary_contains(figure_net):
     # cluster lacks its stems: Y and X stay outside the active set
-    (cluster,) = find_loop_clusters(figure_net)
+    (cluster,) = find_loop_clusters(figure_net.node_ids(), figure_net.arcs)
     active = ActiveSet(frozenset("ABCD"), frozenset(cluster.arcs))
     ev = {"X": 0, "Y": 1}
     for q in "ABCD":
@@ -129,7 +129,7 @@ def test_condition_cluster_vacuous_boundary_contains(figure_net):
 
 
 def test_condition_cluster_observed_inside(figure_net):
-    (cluster,) = find_loop_clusters(figure_net)
+    (cluster,) = find_loop_clusters(figure_net.node_ids(), figure_net.arcs)
     ev = {"B": 1}
     for q in "YACDX":
         want = enumerate_marginal(figure_net, ev, q)
@@ -195,11 +195,12 @@ def test_nan_messages_raise_value_error(diamond):
         lambda_msg(diamond, "D", "B", vacuous(2), {"C": bad})
 
 
-def test_instance_cap_enforced():
+def test_instance_cap_enforced(monkeypatch):
     net = gen_loopy(GenSpec(node_count=9, topology="loopy", arc_ratio=1.3, seed=3))
     q = net.node_ids()[0]
+    monkeypatch.setattr(loops, "INSTANCE_CAP", 1)
     with pytest.raises(CutsetOverflowError):
-        propagate(net, full_active(net), {}, q, instance_cap=1)
+        propagate(net, full_active(net), {}, q)
 
 
 def test_missing_arc_propagation_contains_truth(figure_net):
@@ -322,7 +323,7 @@ def _ref_conditioned(ctx, active, cut, seen):
     for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
         clamps = dict(zip(cut, inst))
         pinned = {**observed, **clamps}
-        run = _Run(ctx, active, clamps)
+        run = _Run(ctx, active, clamps, NoCache())
         try:
             vec = run.belief(query)
             if query in ctx.evidence:
@@ -354,9 +355,9 @@ def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
     calls = []
     inner = loops._conditioned_bel
 
-    def spy(ctx, active, cut, instance_cap, cache):
+    def spy(ctx, active, cut, cache):
         calls.append((ctx, active, cut))
-        return inner(ctx, active, cut, instance_cap, cache)
+        return inner(ctx, active, cut, cache)
 
     monkeypatch.setattr(loops, "_conditioned_bel", spy)
     for seed in range(40):
@@ -389,7 +390,7 @@ def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
 
         monkeypatch.setattr(loops, "normalize", recorded)
         try:
-            got, _ = loops._conditioned_bel(ctx, active, cut, loops.DEFAULT_INSTANCE_CAP, None)
+            got, _ = loops._conditioned_bel(ctx, active, cut, NoCache())
         except ConflictingEvidenceError:
             got = "conflict"
         monkeypatch.undo()

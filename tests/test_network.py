@@ -23,7 +23,7 @@ def test_parse_two_node_chain(chain_ab):
     assert chain_ab.node_ids() == ("A", "B")
     assert chain_ab.arcs == (("A", "B"),)
     assert chain_ab.parents("B") == ("A",)
-    assert chain_ab.cpt_row("B", (0,)) == (0.9, 0.1)
+    assert dict(zip(chain_ab.parent_configs("B"), chain_ab.node("B").cpt))[(0,)] == (0.9, 0.1)
 
 
 def test_parse_builds_the_network_once(monkeypatch):
@@ -266,7 +266,7 @@ def _brute_cycle_arcs(net):
 def test_loop_clusters_against_cycle_enumeration():
     for seed in range(8):
         net = gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.3, seed=100 + seed))
-        clusters = find_loop_clusters(net)
+        clusters = find_loop_clusters(net.node_ids(), net.arcs)
         clustered = set().union(*(c.arcs for c in clusters)) if clusters else set()
         assert clustered == _brute_cycle_arcs(net)
         seen = set()
@@ -275,10 +275,32 @@ def test_loop_clusters_against_cycle_enumeration():
             seen |= c.nodes
 
 
+def test_loop_clusters_do_not_depend_on_input_order():
+    for seed in range(8):
+        net = gen_loopy(GenSpec(node_count=12, topology="loopy", arc_ratio=1.3, seed=400 + seed))
+        want = set(find_loop_clusters(net.node_ids(), net.arcs))
+        assert want
+        rng = random.Random(seed)
+        for _ in range(5):
+            nodes, arcs = list(net.node_ids()), list(net.arcs)
+            rng.shuffle(nodes)
+            rng.shuffle(arcs)
+            assert set(find_loop_clusters(nodes, arcs)) == want
+        assert set(find_loop_clusters(frozenset(nodes), frozenset(arcs))) == want
+
+
+def test_stored_evidence_states_are_ints_in_range(chain_ab):
+    BeliefNetwork("ok", chain_ab.nodes, {"B": 1})
+    for evidence in ({"B": 0.5}, {"B": 1.0}, {"B": True}, {"B": "1"}, {"B": 2}, {"B": -1}, {"Z": 0}):
+        with pytest.raises(NetworkFormatError, match="stored evidence"):
+            BeliefNetwork("bad", chain_ab.nodes, evidence)
+
+
 def test_loop_clusters_shapes():
-    assert find_loop_clusters(build_net("c", {"A": [], "B": ["A"], "C": ["B"]})) == ()
+    chain = build_net("c", {"A": [], "B": ["A"], "C": ["B"]})
+    assert find_loop_clusters(chain.node_ids(), chain.arcs) == ()
     dia = build_net("d", {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"]})
-    (cluster,) = find_loop_clusters(dia)
+    (cluster,) = find_loop_clusters(dia.node_ids(), dia.arcs)
     assert cluster.nodes == frozenset("ABCD")
     assert cluster.arcs == frozenset({("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")})
     # two loops joined by a chain stay separate clusters
@@ -289,7 +311,7 @@ def test_loop_clusters_shapes():
             "E": ["D"], "F": ["E"], "G": ["E"], "H": ["F", "G"],
         },
     )
-    clusters = find_loop_clusters(double)
+    clusters = find_loop_clusters(double.node_ids(), double.arcs)
     assert len(clusters) == 2
     assert {frozenset("ABCD"), frozenset("EFGH")} == {c.nodes for c in clusters}
 
@@ -303,5 +325,5 @@ def test_loop_clusters_merge_on_shared_node():
             "E": ["D"], "F": ["D"], "G": ["E", "F"],
         },
     )
-    (cluster,) = find_loop_clusters(fused)
+    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
     assert cluster.nodes == frozenset("ABCDEFG")

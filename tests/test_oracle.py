@@ -100,6 +100,21 @@ def test_conflicting_evidence_detected():
         enumerate_marginal(net, {"A": 0, "B": 1}, "B")
 
 
+def test_oracles_check_their_inputs_as_the_engine_does(chain_ab, figure_net):
+    for oracle in (enumerate_marginal, polytree_exact):
+        with pytest.raises(KeyError):
+            oracle(chain_ab, {}, "zz")
+        with pytest.raises(KeyError):
+            oracle(chain_ab, {"Z": 0}, "A")
+        for state in (2, -1, 0.5, 1.0, True, "1"):
+            with pytest.raises(ValueError):
+                oracle(chain_ab, {"B": state}, "A")
+    with pytest.raises(KeyError):
+        clamped_state_range(figure_net, {}, "zz", "B")
+    with pytest.raises(ValueError):
+        clamped_state_range(figure_net, {"X": 2}, "C", "B")
+
+
 def test_clamped_state_range_brackets_conditionals(figure_net):
     ranges = clamped_state_range(figure_net, {"X": 0}, "C", "B")
     direct = enumerate_marginal(figure_net, {"X": 0}, "C")

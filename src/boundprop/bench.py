@@ -38,13 +38,16 @@ RECORD_FIELDS = [
 
 def load_suite(text: str) -> dict:
     suite = json.loads(text)
+    if not isinstance(suite, dict):
+        raise ValueError("a suite must be a JSON object")
     suite.setdefault("seed", 0)
     suite.setdefault("queries_per_network", 5)
     suite.setdefault("strategies", ["bfs"])
     suite.setdefault("target_widths", [0.5])
     suite.setdefault("budget_ms", DEFAULT_BUDGET_MS)
-    if "networks" not in suite:
-        raise ValueError("suite needs a 'networks' list")
+    for key in ("networks", "strategies", "target_widths"):
+        if not isinstance(suite.get(key), list):
+            raise ValueError(f"suite needs a {key!r} list")
     return suite
 
 
@@ -75,13 +78,13 @@ def _baseline_ms(net: BeliefNetwork, polytree: bool, evidence, query) -> float |
         return None
 
 
-def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
+def run_bench(suite: dict) -> Iterator[dict]:
     """Yield one record per (network, query, strategy, target width)."""
     rng = random.Random(suite["seed"])
     for entry in suite["networks"]:
         net = _suite_network(entry)
         n_arcs = len(net.arcs)
-        polytree = with_baseline and is_polytree(net)
+        polytree = is_polytree(net)
         # A network read from a file may carry its own evidence; the
         # sampled states are laid over it, as the engine would.
         evidence = {**net.evidence, **netgen.sample_evidence(net, rng)}
@@ -89,7 +92,7 @@ def run_bench(suite: dict, with_baseline: bool = True) -> Iterator[dict]:
         count = min(int(suite["queries_per_network"]), len(free))
         queries = rng.sample(free, count)
         for query in queries:
-            baseline = _baseline_ms(net, polytree, evidence, query) if with_baseline else None
+            baseline = _baseline_ms(net, polytree, evidence, query)
             for strategy in suite["strategies"]:
                 for target in suite["target_widths"]:
                     t0 = time.perf_counter()

@@ -12,15 +12,7 @@ import sys
 
 from . import loops, netgen
 from .bench import load_suite, records_to_csv, records_to_jsonl, run_bench
-from .engine import (
-    BUDGET,
-    DEFAULT_LOOP_DELAY,
-    SATISFIED,
-    SATURATED,
-    StopCriterion,
-    answer_query,
-    make_strategy,
-)
+from .engine import BUDGET, LOOP_DELAYS, SATISFIED, SATURATED, StopCriterion, answer_query
 from .intervals import ConflictingEvidenceError
 from .network import NetworkFormatError, is_polytree, parse_network, serialize_network
 from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
@@ -86,9 +78,8 @@ def _cmd_query(args) -> int:
             raise ValueError("--node is required without --threshold")
         query = args.node
         stop = StopCriterion.width(args.target_width)
-    strategy = make_strategy(args.strategy, args.delay)
     result = answer_query(
-        net, query, evidence, strategy=strategy, stop=stop, budget_ms=args.budget_ms
+        net, query, evidence, strategy=args.strategy, stop=stop, budget_ms=args.budget_ms
     )
     states = net.states(query)
     for i, bel in enumerate(result.bels):
@@ -149,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("--node")
     q.add_argument("--evidence", action="append", metavar="ID=STATE")
-    q.add_argument("--strategy", choices=["bfs", "no-loops", "delayed"], default="bfs")
-    q.add_argument("--delay", type=int, default=DEFAULT_LOOP_DELAY)
-    q.add_argument("--target-width", type=float, default=0.0)
-    q.add_argument("--threshold", metavar="ID:STATE>P")
+    q.add_argument("--strategy", choices=list(LOOP_DELAYS), default="bfs")
+    stop = q.add_mutually_exclusive_group()
+    stop.add_argument("--target-width", type=float, default=0.0)
+    stop.add_argument("--threshold", metavar="ID:STATE>P")
     q.add_argument("--budget-ms", type=float, default=None)
     q.set_defaults(func=_cmd_query)
 

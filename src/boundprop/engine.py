@@ -77,8 +77,9 @@ from .network import BeliefNetwork, UnionFind, _Context, relevant_set
 SATISFIED = "satisfied"
 SATURATED = "saturated"
 BUDGET = "budget"
-# Rounds a loop-closing arc waits under the strategy name "delayed".
-DEFAULT_LOOP_DELAY = 5
+# The strategy names: each is ``DelayedLoops`` with this loop delay,
+# the rounds a loop-closing arc waits (None: never enters).
+LOOP_DELAYS = {"bfs": 0, "no-loops": None, "delayed": 5}
 # Growth g of the active set between evaluations (see the module
 # docstring).  With work linear in the active set, the evaluations up
 # to any one cost at most g / (g - 1) times it, twice at g = 2; the
@@ -350,18 +351,14 @@ def pi_hat(
 
 
 def lambda_hat(
-    net: BeliefNetwork,
-    node: str,
-    child_messages: Mapping[str, IntervalVector],
-    observed_state: int | None = None,
+    net: BeliefNetwork, node: str, child_messages: Mapping[str, IntervalVector]
 ) -> IntervalVector:
     """Likelihood-side bounds: normalized product of child messages.
 
-    An observed node is a point indicator regardless of its children.
+    An observed node's likelihood is ``IntervalVector.indicator(n, k)``
+    whatever its children send.
     """
     n = net.state_count(node)
-    if observed_state is not None:
-        return IntervalVector.indicator(n, observed_state)
     return _normalized_product(IntervalVector.ones(n), child_messages.values())[0]
 
 
@@ -376,12 +373,10 @@ def pi_msg(
     child: str,
     pi_vec: IntervalVector,
     sibling_messages: Mapping[str, IntervalVector],
-    observed_state: int | None = None,
 ) -> IntervalVector:
     """The message a node sends to one child: its prior side times the
-    likelihood messages from every other child."""
-    if observed_state is not None:
-        return IntervalVector.indicator(net.state_count(node), observed_state)
+    likelihood messages from every other child.  An observed node sends
+    ``IntervalVector.indicator(n, k)`` instead."""
     others = [vec for w, vec in sibling_messages.items() if w != child]
     return _normalized_product(pi_vec, others)[0]
 
@@ -491,9 +486,11 @@ class DelayedLoops:
     arcs and the arcs still ``waiting``: it costs what it adds, not the
     size of the active set.  An object serves one growth; a set that
     ``step`` did not last return starts a new one from all its nodes.
+    ``answer_query`` builds one per query from ``LOOP_DELAYS``, so no
+    waiting round outlives its query.
     """
 
-    def __init__(self, delay: int | None = DEFAULT_LOOP_DELAY):
+    def __init__(self, delay: int | None):
         if delay is not None and delay < 0:
             raise ValueError(f"loop delay must be nonnegative or None, not {delay}")
         self.delay = delay
@@ -533,23 +530,6 @@ class DelayedLoops:
                 return None
 
 
-def make_strategy(spec, delay: int = DEFAULT_LOOP_DELAY) -> DelayedLoops:
-    """A fresh growth rule from a strategy name or a ``DelayedLoops``.
-
-    ``delay`` is the loop delay of the name ``"delayed"``; a negative one
-    is an error under every name.  Waiting rounds belong to one growth,
-    so a caller's object is copied and never advanced.
-    """
-    if isinstance(spec, DelayedLoops):
-        return DelayedLoops(spec.delay)
-    delays = {"bfs": 0, "no-loops": None, "delayed": delay}
-    if not isinstance(spec, str) or spec not in delays:
-        raise ValueError(f"unknown strategy {spec!r}")
-    if delay < 0:
-        raise ValueError(f"loop delay must be nonnegative, not {delay}")
-    return DelayedLoops(delays[spec])
-
-
 # -- the anytime loop -----------------------------------------------------------
 
 
@@ -557,7 +537,7 @@ def answer_query(
     net: BeliefNetwork,
     query: str,
     evidence: Mapping[str, int] | None = None,
-    strategy="bfs",
+    strategy: str = "bfs",
     stop: StopCriterion | None = None,
     budget_ms: float | None = None,
 ) -> QueryResult:
@@ -570,6 +550,11 @@ def answer_query(
     before the status becomes saturated (the module docstring gives the
     cost bound).  The stop criterion and the budget are tested after
     each evaluation.
+
+    ``strategy`` is a key of ``LOOP_DELAYS``: ``"bfs"``, ``"no-loops"``
+    or ``"delayed"``.  Anything else, a ``DelayedLoops`` included, is a
+    ``ValueError``; the query grows its active set with a
+    ``DelayedLoops`` of its own.
 
     Evidence given here is merged over any evidence stored on the
     network.  The result records per-iteration belief bounds, widths,
@@ -584,7 +569,9 @@ def answer_query(
         raise ValueError(f"threshold state {stop.threshold[0]} out of range for {query!r}")
     if budget_ms is not None and not budget_ms >= 0:
         raise ValueError(f"budget_ms must be a nonnegative number, not {budget_ms}")
-    strategy_obj = make_strategy(strategy)
+    if not isinstance(strategy, str) or strategy not in LOOP_DELAYS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    growth = DelayedLoops(LOOP_DELAYS[strategy])
     relevant = relevant_set(net, query, ctx)
     active = ActiveSet.initial(query)
     cache: dict = {}
@@ -612,10 +599,10 @@ def answer_query(
             status = BUDGET
             break
         last = active
-        grown = strategy_obj.step(net, active, relevant)
+        grown = growth.step(net, active, relevant)
         while grown is not None and len(grown.nodes) < PACING_FACTOR * len(last.nodes):
             active = grown
-            grown = strategy_obj.step(net, active, relevant)
+            grown = growth.step(net, active, relevant)
         if grown is not None:
             active = grown
         elif active is last:

@@ -28,8 +28,6 @@ class GenSpec:
     node_count: int
     topology: str = "polytree"  # or "loopy"
     arc_ratio: float = 1.1
-    state_min: int = 2
-    state_max: int = 4
     cpt_cap: int = CPT_VALUE_CAP
     seed: int = 0
 
@@ -109,7 +107,7 @@ def _oriented_tree(spec: GenSpec, rng: random.Random):
     arc orientations, each arc turned around where it would overflow the
     child's table."""
     n = spec.node_count
-    states = [rng.randint(spec.state_min, spec.state_max) for _ in range(n)]
+    states = [rng.randint(2, 4) for _ in range(n)]
     parents: dict[int, list[int]] = {i: [] for i in range(n)}
     for a, b in _random_tree_edges(n, rng):
         if rng.random() < 0.5:

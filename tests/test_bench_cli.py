@@ -6,6 +6,7 @@ import pytest
 from boundprop import bench, cli, loops
 from boundprop.bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from boundprop.cli import main
+from boundprop.engine import LOOP_DELAYS
 from boundprop.loops import CutsetOverflowError
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 from boundprop.network import BeliefNetwork, serialize_network
@@ -63,6 +64,17 @@ def test_suite_requires_networks():
         load_suite("{}")
 
 
+@pytest.mark.parametrize("suite", [
+    [], None, {"networks": 3}, {**SUITE, "strategies": "bfs"}, {**SUITE, "target_widths": 0.5},
+])
+def test_cli_bench_rejects_a_malformed_suite(tmp_path, capsys, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", "--suite", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "suite" in err
+
+
 def test_bench_saturated_records_carry_width():
     suite = {
         "seed": 6,
@@ -72,7 +84,7 @@ def test_bench_saturated_records_carry_width():
         "budget_ms": 30000,
         "networks": [{"nodes": 10, "topology": "loopy", "ratio": 1.3, "seed": 6}],
     }
-    records = list(run_bench(load_suite(json.dumps(suite)), with_baseline=False))
+    records = list(run_bench(load_suite(json.dumps(suite))))
     saturated = [r for r in records if r["status"] == "saturated"]
     assert saturated, "expected loop-free runs on a loopy net to saturate"
     for r in saturated:
@@ -168,13 +180,30 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_rejects_negative_loop_delay(tmp_path, capsys):
+def test_cli_has_no_loop_delay_option(tmp_path, capsys):
     path = tmp_path / "net.txt"
     main(["gen", "--nodes", "8", "--seed", "11", "--out", str(path)])
     for strategy in ("delayed", "bfs", "no-loops"):
-        code = main(["query", str(path), "--node", "n1", "--strategy", strategy, "--delay", "-4"])
-        assert code == 1
-        assert "loop delay" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["query", str(path), "--node", "n1", "--strategy", strategy, "--delay", "9"])
+        assert exit_.value.code == 2
+        assert "--delay" in capsys.readouterr().err
+
+
+def test_cli_strategy_choices_are_the_loop_delay_names():
+    query = cli.build_parser()._subparsers._group_actions[0].choices["query"]
+    (action,) = [a for a in query._actions if a.dest == "strategy"]
+    assert action.choices == list(LOOP_DELAYS)
+
+
+def test_cli_threshold_and_target_width_exclude_each_other(tmp_path, capsys):
+    path = tmp_path / "net.txt"
+    main(["gen", "--nodes", "8", "--seed", "11", "--out", str(path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", str(path), "--threshold", "n3:s0>0.5", "--target-width", "0.3"])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_cli_generation_error_is_reported(capsys):
@@ -281,9 +310,8 @@ def test_bench_answers_under_the_stored_evidence(tmp_path, monkeypatch):
 
 def test_bench_cutset_overflow_becomes_error_status(monkeypatch):
     monkeypatch.setattr(bench, "answer_query", _fail_with(CutsetOverflowError("too many instances")))
-    records = list(run_bench(load_suite(json.dumps(SUITE)), with_baseline=False))
+    records = list(run_bench(load_suite(json.dumps(SUITE))))
     assert records
     for r in records:
         assert r["status"] == "error:CutsetOverflowError"
-        assert r["baseline_ms"] is None
         assert r["iterations"] == 0

@@ -26,12 +26,12 @@ from boundprop.engine import (
     BUDGET,
     SATISFIED,
     SATURATED,
+    LOOP_DELAYS,
     DelayedLoops,
     _Context,
     _joint_weights,
     _lambda_message_kernel,
     _pi_value_kernel,
-    make_strategy,
 )
 from boundprop.intervals import (
     ConflictingEvidenceError,
@@ -80,11 +80,6 @@ def test_lambda_hat_no_children_is_uniform():
     assert got == IntervalVector.point([0.5, 0.5])
 
 
-def test_lambda_hat_evidence_is_indicator():
-    net = build_net("u", {"A": [], "B": ["A"]}, seed=2)
-    assert lambda_hat(net, "B", {}, observed_state=1) == IntervalVector.indicator(2, 1)
-
-
 def test_lambda_hat_point_product():
     net = build_net("u", {"A": [], "B": ["A"], "C": ["A"]}, seed=2)
     got = lambda_hat(
@@ -120,11 +115,6 @@ def test_pi_msg_vacuous_siblings_widen():
     msg = pi_msg(net, "A", "B", pi, {"C": vacuous(2)})
     assert msg.contains_point((0.3, 0.7), 1e-12)
     assert msg.max_width > 0.2
-
-
-def test_pi_msg_observed_is_indicator(chain_ab):
-    msg = pi_msg(chain_ab, "A", "B", vacuous(2), {}, observed_state=0)
-    assert msg == IntervalVector.indicator(2, 0)
 
 
 def test_lambda_msg_vacuous_child_spans_rows(chain_ab):
@@ -455,7 +445,7 @@ def _saturated(net, query, evidence):
     """The active set that answer_query's breadth-first growth ends at,
     under ``evidence`` laid over the network's stored evidence."""
     relevant = relevant_set(net, query, {**net.evidence, **evidence})
-    grow = make_strategy("bfs")
+    grow = DelayedLoops(LOOP_DELAYS["bfs"])
     active = ActiveSet.initial(query)
     while True:
         grown = grow.step(net, active, relevant)
@@ -629,21 +619,10 @@ def test_no_loops_stays_polytree_on_random_networks():
 
 
 def test_strategy_names_are_one_growth_rule_by_loop_delay():
-    assert make_strategy("bfs").delay == 0
-    assert make_strategy("no-loops").delay is None
-    assert make_strategy("delayed", 3).delay == 3
-    mine = DelayedLoops(2)
-    fresh = make_strategy(mine)
-    assert fresh is not mine and fresh.delay == 2
-    for name in ("depth-first", "breadth-first", "BFS", "no_loops"):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            make_strategy(name)
+    assert LOOP_DELAYS == {"bfs": 0, "no-loops": None, "delayed": 5}
     for bad in (-1, -5):
         with pytest.raises(ValueError, match="loop delay"):
             DelayedLoops(bad)
-        for name in ("delayed", "bfs", "no-loops"):
-            with pytest.raises(ValueError, match="loop delay"):
-                make_strategy(name, bad)
 
 
 def test_waiting_rounds_run_inside_one_step(figure_net):
@@ -752,23 +731,9 @@ def test_a_set_step_did_not_return_starts_a_new_growth():
 def test_strategy_must_be_a_name_or_growth_rule(chain_ab):
     # A width of 1 is met by the first evaluation, so a bad strategy
     # must be caught before it.
-    for bad in (3, None):
+    for bad in (3, None, DelayedLoops(2), "depth-first", "breadth-first", "BFS", "no_loops"):
         with pytest.raises(ValueError, match="unknown strategy"):
             answer_query(chain_ab, "B", {}, strategy=bad, stop=StopCriterion.width(1.0))
-
-
-def test_reused_strategy_object_gives_identical_queries():
-    # Waiting rounds must not carry over from one query into the next.
-    for seed in range(6):
-        net = gen_loopy(GenSpec(node_count=14, topology="loopy", arc_ratio=1.2, seed=seed))
-        rng = random.Random(seed)
-        ev = sample_evidence(net, rng)
-        q = rng.choice([v for v in net.node_ids() if v not in ev])
-        strat = DelayedLoops(2)
-        first = answer_query(net, q, ev, strategy=strat)
-        second = answer_query(net, q, ev, strategy=strat)
-        assert first.bels == second.bels
-        assert first.bels == answer_query(net, q, ev, strategy=DelayedLoops(2)).bels
 
 
 def test_expansion_saturates_at_relevant_set():
@@ -868,7 +833,7 @@ def test_threshold_state_out_of_range_rejected(chain_ab):
 def _grown_sets(net, query, ev, strategy):
     """Every set a fresh growth reaches, from the query node to its fixed point."""
     rel = relevant_set(net, query, ev)
-    return _growth(make_strategy(strategy), net, ActiveSet.initial(query), rel)
+    return _growth(DelayedLoops(LOOP_DELAYS[strategy]), net, ActiveSet.initial(query), rel)
 
 
 @pytest.mark.parametrize("strategy", ["bfs", "delayed", "no-loops"])

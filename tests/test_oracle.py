@@ -73,7 +73,8 @@ def test_joint_table_builds_no_second_full_array():
 
 
 def test_state_space_cap():
-    net = gen_polytree(GenSpec(node_count=40, state_min=4, state_max=4, seed=0))
+    # 40 nodes of at least 2 states each: a joint table past 2^24 entries.
+    net = gen_polytree(GenSpec(node_count=40, seed=0))
     with pytest.raises(StateSpaceError):
         enumerate_marginal(net, {}, "n0")
 

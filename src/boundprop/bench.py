@@ -48,6 +48,8 @@ def load_suite(text: str) -> dict:
     for key in ("networks", "strategies", "target_widths"):
         if not isinstance(suite.get(key), list):
             raise ValueError(f"suite needs a {key!r} list")
+    if not all(isinstance(entry, dict) for entry in suite["networks"]):
+        raise ValueError("each of a suite's networks must be a JSON object")
     return suite
 
 

@@ -2,7 +2,7 @@
 
 Exit codes for ``query``: 0 when the stop criterion was satisfied,
 2 when the active set saturated first, 3 when the budget ran out,
-1 on any error.
+1 on any error, a usage error included.
 """
 
 from __future__ import annotations
@@ -121,8 +121,17 @@ def _cmd_bench(args) -> int:
     return _write(records_to_csv(records) if args.csv else records_to_jsonl(records), args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other error; argparse's own 2
+    means a saturated answer here.  Subparsers are built of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boundprop",
         description="Anytime interval bounds on belief-network marginals.",
     )

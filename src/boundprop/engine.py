@@ -133,6 +133,23 @@ class ActiveSet:
 # use and kept on the network (``BeliefNetwork._kernel_tables``).  A call
 # checks the coherence of each weight vector once, dots every column or
 # row against it on bare floats, and builds one ``IntervalVector``.
+#
+# A kernel skips the work its inputs make trivial, with the same floats
+# and the same errors as the general body:
+# - pi value, one parent: the joint weights would be its message times
+#   1.0, which is the message itself.
+# - pi value, every parent message vacuous: the weights are 0/1 with
+#   spare 1, so the greedy pass puts all of it on the first entry of each
+#   order, and a column's bounds are its least and greatest entries
+#   (where the sum would turn a -0.0 entry into 0.0, normalizing does).
+# - lambda message, no co-parents: the outer pass dots each inner bound
+#   against the point weight (1.0,) with no spare, which returns it.
+# - lambda value: the product starts from the first child message, not
+#   from ones (1.0 * y is y).
+# - ``intervals._dot_bounds`` of a point against point weights: both
+#   greedy passes are the one sum over the weights' lower bounds.
+# - ``loops.evaluate`` of a connected active set with an arc fewer than
+#   its nodes: that set is a tree, so it has no loop to search for.
 
 
 def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
@@ -148,7 +165,17 @@ def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
 
 def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
     columns, orders, _ = net._kernel_tables(x)
-    weights = _joint_weights(parent_msgs)
+    if (
+        parent_msgs
+        and all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
+        and math.prod(map(len, parent_msgs)) == len(columns[0])
+    ):
+        bounds = [(c[lo[0]], c[hi[0]]) for c, (lo, hi) in zip(columns, orders)]
+        return _normalized(IntervalVector.from_bounds(*zip(*bounds)))
+    if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
+        weights = parent_msgs[0]
+    else:
+        weights = _joint_weights(parent_msgs)
     spare = _spare(weights, len(columns[0]))
     bounds = [_dot_bounds(c, c, weights, spare, o) for c, o in zip(columns, orders)]
     return _normalized(IntervalVector.from_bounds(*zip(*bounds)))
@@ -162,6 +189,14 @@ def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
             raise ValueError("an entrywise product needs equal lengths and nonnegative bounds")
         lo, hi = list(map(mul, lo, f.lo)), list(map(mul, hi, f.hi))
     return _normalized(vec if lo is vec.lo else IntervalVector.from_bounds(lo, hi))
+
+
+def _lambda_value_kernel(n: int, child_msgs: Sequence[IntervalVector]):
+    """Lambda value: the normalized product of the child messages, ones
+    for a node with none."""
+    if child_msgs and len(child_msgs[0]) == n and min(child_msgs[0].lo) >= 0.0:
+        return _normalized_product(child_msgs[0], child_msgs[1:])
+    return _normalized_product(IntervalVector.ones(n), child_msgs)
 
 
 def _lambda_message_kernel(
@@ -184,6 +219,8 @@ def _lambda_message_kernel(
     weights = _joint_weights(coparent_msgs)
     spare = _spare(lam, len(rows[0]))
     inner = [_dot_bounds(r, r, lam, spare, o) for r, o in zip(rows, orders)]
+    if not coparent_msgs and min(lo for lo, _ in inner) >= 0.0:
+        return _normalized(IntervalVector.from_bounds(*zip(*inner)))
     runs = [inner[b : b + stride] for b in range(0, len(inner), stride)]
     spare = _spare(weights, len(rows) // n_u)
     out = []
@@ -297,7 +334,7 @@ class _Run:
         if kind == "pi_val":
             vec, z = _pi_value_kernel(net, x, msgs)
         elif kind == "lam_val":
-            vec, z = _normalized_product(IntervalVector.ones(net.state_count(x)), msgs)
+            vec, z = _lambda_value_kernel(net.state_count(x), msgs)
         elif kind == "pi_msg":
             vec, z = _normalized_product(msgs[0], msgs[1:])
         else:
@@ -358,8 +395,7 @@ def lambda_hat(
     An observed node's likelihood is ``IntervalVector.indicator(n, k)``
     whatever its children send.
     """
-    n = net.state_count(node)
-    return _normalized_product(IntervalVector.ones(n), child_messages.values())[0]
+    return _lambda_value_kernel(net.state_count(node), list(child_messages.values()))[0]
 
 
 def bel_hat(pi_vec: IntervalVector, lam_vec: IntervalVector) -> IntervalVector:
@@ -453,7 +489,6 @@ class QueryResult:
     bel: IntervalVector
     status: str
     iterations: int
-    widths: list[float] = field(default_factory=list)
     active_nodes: list[int] = field(default_factory=list)
     elapsed: list[float] = field(default_factory=list)
     bels: list[IntervalVector] = field(default_factory=list)
@@ -463,6 +498,11 @@ class QueryResult:
     @property
     def achieved_width(self) -> float:
         return self.bel.max_width
+
+    @property
+    def widths(self) -> list[float]:
+        """The width of each iteration's belief bounds."""
+        return [b.max_width for b in self.bels]
 
 
 # -- active-set expansion -------------------------------------------------------
@@ -576,7 +616,6 @@ def answer_query(
     active = ActiveSet.initial(query)
     cache: dict = {}
 
-    widths: list[float] = []
     sizes: list[int] = []
     timings: list[float] = []
     bels: list[IntervalVector] = []
@@ -589,7 +628,6 @@ def answer_query(
         bel, v = evaluate(net, active, ctx, cache)
         timings.append(time.perf_counter() - t0)
         bels.append(bel)
-        widths.append(bel.max_width)
         sizes.append(len(active.nodes))
         visits += v
         if stop.met(bel):
@@ -613,7 +651,6 @@ def answer_query(
         bel=bel,
         status=status,
         iterations=len(bels),
-        widths=widths,
         active_nodes=sizes,
         elapsed=timings,
         bels=bels,

@@ -211,6 +211,8 @@ def _orders(a_lo: Sequence[float], a_hi: Sequence[float]) -> tuple[tuple[int, ..
 def _dot_bounds(a_lo, a_hi, b: IntervalVector, spare: float, orders) -> tuple[float, float]:
     """``simplex_dot`` as a float pair, for b already checked by ``_spare``."""
     lower = _extreme(a_lo, b.lo, b.hi, spare, orders[0])
+    if a_lo is a_hi and spare <= 0.0:
+        return lower, lower  # both passes are the one sum over b.lo
     upper = _extreme(a_hi, b.lo, b.hi, spare, orders[1])
     if lower > upper:
         lower, upper = _outward(lower, upper)

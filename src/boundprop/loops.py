@@ -183,12 +183,17 @@ def _conditioned_bel(
 def evaluate(
     net: BeliefNetwork, active: ActiveSet, ctx: _Context, cache: dict
 ) -> tuple[IntervalVector, int]:
-    """Belief bounds at ``ctx.query`` over any active set, plus work count.
+    """Belief bounds at ``ctx.query`` over a connected active set, plus
+    work count.
 
-    ``cache`` carries messages between evaluations (see ``engine``).
+    The active set must be connected, as ``propagate`` validates and
+    growth keeps it; then one with an arc fewer than its nodes is a tree
+    and is evaluated without a search for loop clusters.  ``cache``
+    carries messages between evaluations (see ``engine``).
     """
     query = ctx.query
-    clusters = find_loop_clusters(active.nodes, active.arcs)
+    tree = len(active.arcs) == len(active.nodes) - 1
+    clusters = [] if tree else find_loop_clusters(active.nodes, active.arcs)
     if not clusters:
         run = _Run(ctx, active, {}, cache)
         return run.belief(query), run.visits

@@ -65,7 +65,8 @@ def test_suite_requires_networks():
 
 
 @pytest.mark.parametrize("suite", [
-    [], None, {"networks": 3}, {**SUITE, "strategies": "bfs"}, {**SUITE, "target_widths": 0.5},
+    [], None, {"networks": 3}, {"networks": [3]}, {**SUITE, "strategies": "bfs"},
+    {**SUITE, "target_widths": 0.5},
 ])
 def test_cli_bench_rejects_a_malformed_suite(tmp_path, capsys, suite):
     path = tmp_path / "suite.json"
@@ -186,7 +187,7 @@ def test_cli_has_no_loop_delay_option(tmp_path, capsys):
     for strategy in ("delayed", "bfs", "no-loops"):
         with pytest.raises(SystemExit) as exit_:
             main(["query", str(path), "--node", "n1", "--strategy", strategy, "--delay", "9"])
-        assert exit_.value.code == 2
+        assert exit_.value.code == 1
         assert "--delay" in capsys.readouterr().err
 
 
@@ -202,8 +203,25 @@ def test_cli_threshold_and_target_width_exclude_each_other(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_:
         main(["query", str(path), "--threshold", "n3:s0>0.5", "--target-width", "0.3"])
-    assert exit_.value.code == 2
+    assert exit_.value.code == 1
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["gen"],
+    ["query", "net.txt", "--strategy", "dfs"],
+    ["exact", "net.txt"],
+    ["bench"],
+])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # 2 means a saturated answer, so a rejected command line exits 1,
+    # from the top-level parser and from every subcommand's alike.
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_generation_error_is_reported(capsys):

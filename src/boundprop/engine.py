@@ -66,9 +66,11 @@ from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
     _dot_bounds,
+    _indicator,
     _normalized,
     _orders,
     _spare,
+    _vacuous,
     simplex_dot,
     vacuous,
 )
@@ -132,7 +134,14 @@ class ActiveSet:
 # the greedy orders of its columns and rows are built on the node's first
 # use and kept on the network (``BeliefNetwork._kernel_tables``).  A call
 # checks the coherence of each weight vector once, dots every column or
-# row against it on bare floats, and builds one ``IntervalVector``.
+# row against it on bare floats, and builds one ``IntervalVector``.  The
+# inner loops run in builtins: a greedy pass ends in one
+# ``sum(map(mul, ...))`` (``intervals._extreme`` says why that is the sum
+# without the zero entries), a kernel hands its raw bound lists to
+# ``intervals._normalized``, which checks them once, and the vacuous and
+# indicator vectors are shared instances, one per shape.  The schedule
+# reads the network's node and child tables directly, and growth reads a
+# node's skeleton neighbours, which the network keeps per node.
 #
 # A kernel skips the work its inputs make trivial, with the same floats
 # and the same errors as the general body:
@@ -171,14 +180,14 @@ def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalV
         and math.prod(map(len, parent_msgs)) == len(columns[0])
     ):
         bounds = [(c[lo[0]], c[hi[0]]) for c, (lo, hi) in zip(columns, orders)]
-        return _normalized(IntervalVector.from_bounds(*zip(*bounds)))
+        return _normalized(*zip(*bounds))
     if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
         weights = parent_msgs[0]
     else:
         weights = _joint_weights(parent_msgs)
     spare = _spare(weights, len(columns[0]))
     bounds = [_dot_bounds(c, c, weights, spare, o) for c, o in zip(columns, orders)]
-    return _normalized(IntervalVector.from_bounds(*zip(*bounds)))
+    return _normalized(*zip(*bounds))
 
 
 def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
@@ -188,7 +197,7 @@ def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
         if len(f.lo) != len(lo) or min(lo) < 0.0 or min(f.lo) < 0.0:
             raise ValueError("an entrywise product needs equal lengths and nonnegative bounds")
         lo, hi = list(map(mul, lo, f.lo)), list(map(mul, hi, f.hi))
-    return _normalized(vec if lo is vec.lo else IntervalVector.from_bounds(lo, hi))
+    return _normalized(lo, hi)
 
 
 def _lambda_value_kernel(n: int, child_msgs: Sequence[IntervalVector]):
@@ -220,7 +229,7 @@ def _lambda_message_kernel(
     spare = _spare(lam, len(rows[0]))
     inner = [_dot_bounds(r, r, lam, spare, o) for r, o in zip(rows, orders)]
     if not coparent_msgs and min(lo for lo, _ in inner) >= 0.0:
-        return _normalized(IntervalVector.from_bounds(*zip(*inner)))
+        return _normalized(*zip(*inner))
     runs = [inner[b : b + stride] for b in range(0, len(inner), stride)]
     spare = _spare(weights, len(rows) // n_u)
     out = []
@@ -229,7 +238,7 @@ def _lambda_message_kernel(
         if min(a_lo) < 0.0:
             raise ValueError("simplex_dot requires nonnegative entries")
         out.append(_dot_bounds(a_lo, a_hi, weights, spare, _orders(a_lo, a_hi)))
-    return _normalized(IntervalVector.from_bounds(*zip(*out)))
+    return _normalized(*zip(*out))
 
 
 # -- propagation core ---------------------------------------------------------
@@ -253,11 +262,6 @@ class _Run:
         self._memo: dict = {}
         self.visits = 0
 
-    def _pinned(self, x: str) -> int | None:
-        if x in self.clamps:
-            return self.clamps[x]
-        return self.ctx.evidence.get(x)
-
     def _inputs(self, key):
         """The pinned state and the inputs of one message, in kernel order.
 
@@ -271,39 +275,51 @@ class _Run:
         likelihood upward, with no inputs, which is what cuts loops.
         """
         kind, x = key[0], key[1]
-        net = self.ctx.net
+        nodes = self.ctx.net._by_id
+        arcs = self.arcs
         skip = key[2] if len(key) == 3 else None
         if kind == "pi_val" or kind == "lam_msg":
             ins: list = [] if skip is None else [("lam_val", x)]
-            for p in net.parents(x):
+            for p in nodes[x].parents:
                 if p != skip:
-                    ins.append(("pi_msg", p, x) if (p, x) in self.arcs else net.state_count(p))
-            return None, tuple(ins)
-        pinned = self._pinned(x)
+                    ins.append(("pi_msg", p, x) if (p, x) in arcs else len(nodes[p].states))
+            return None, ins
+        pinned = self.clamps.get(x)
+        if pinned is None:
+            pinned = self.ctx.evidence.get(x)
         if pinned is not None:
             return pinned, ()
         ins = [] if skip is None else [("pi_val", x)]
-        for w in net.children(x):
+        for w in self.ctx.net._children[x]:
             if w == skip:
                 continue
-            if (x, w) in self.arcs:
+            if (x, w) in arcs:
                 ins.append(("lam_msg", w, x))
             elif w in self.ctx:
-                ins.append(net.state_count(x))
-        return None, tuple(ins)
+                ins.append(len(nodes[x].states))
+        return None, ins
 
     def value(self, key):
-        """(vector, scale) of one message, evaluating its inputs first."""
+        """(vector, scale) of one message, evaluating its inputs first.
+
+        A key expanded again before it is computed was reached from its
+        own inputs: the message dependencies have a cycle, which only an
+        active set whose loops were not cut can make.
+        """
         memo = self._memo
         cache = self.cache
+        expanded = set()
         stack: list = [(key, None)]
         while stack:
             k, ins = stack.pop()
             if ins is None:
                 if k not in memo:
+                    if k in expanded:
+                        raise RuntimeError(f"message {k} depends on itself: an uncut loop")
+                    expanded.add(k)
                     ins = self._inputs(k)
                     stack.append((k, ins))
-                    stack.extend((i, None) for i in ins[1] if type(i) is tuple and i not in memo)
+                    stack += [(i, None) for i in ins[1] if type(i) is tuple and i not in memo]
                 continue
             pinned, inputs = ins
             args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
@@ -322,19 +338,19 @@ class _Run:
         net = self.ctx.net
         kind, x = key[0], key[1]
         if pinned is not None:
-            return IntervalVector.indicator(net.state_count(x), pinned), (1.0, 1.0)
+            return _indicator(len(net._by_id[x].states), pinned), (1.0, 1.0)
         msgs: list[IntervalVector] = []
         scale = None
         for a in args:
             if type(a) is int:
-                msgs.append(vacuous(a))
+                msgs.append(_vacuous(a))
             else:
                 msgs.append(a[0])
                 scale = a[1] if scale is None else (scale[0] * a[1][0], scale[1] * a[1][1])
         if kind == "pi_val":
             vec, z = _pi_value_kernel(net, x, msgs)
         elif kind == "lam_val":
-            vec, z = _lambda_value_kernel(net.state_count(x), msgs)
+            vec, z = _lambda_value_kernel(len(net._by_id[x].states), msgs)
         elif kind == "pi_msg":
             vec, z = _normalized_product(msgs[0], msgs[1:])
         else:
@@ -376,26 +392,40 @@ class _Run:
 # -- single-step kernels (exposed for direct use and testing) -----------------
 
 
+def _check_senders(messages: Mapping[str, IntervalVector], senders: Sequence[str], role: str, node: str):
+    """Raise ``ValueError`` at the first message from a node that is not
+    one of ``senders``, which would otherwise be ignored."""
+    for k in messages:
+        if k not in senders:
+            raise ValueError(f"message from {k!r}, which is not a {role} of {node!r}")
+
+
 def pi_hat(
     net: BeliefNetwork, node: str, parent_messages: Mapping[str, IntervalVector]
 ) -> IntervalVector:
     """Prior-side bounds for a node given messages from its parents.
 
-    Missing parents default to vacuous messages.  Result is normalized.
+    Missing parents default to vacuous messages; a message from any other
+    node is a ``ValueError``.  Result is normalized.
     """
-    msgs = [parent_messages.get(p, vacuous(net.state_count(p))) for p in net.parents(node)]
+    parents = net.parents(node)
+    _check_senders(parent_messages, parents, "parent", node)
+    msgs = [parent_messages.get(p, vacuous(net.state_count(p))) for p in parents]
     return _pi_value_kernel(net, node, msgs)[0]
 
 
 def lambda_hat(
     net: BeliefNetwork, node: str, child_messages: Mapping[str, IntervalVector]
 ) -> IntervalVector:
-    """Likelihood-side bounds: normalized product of child messages.
+    """Likelihood-side bounds: normalized product of child messages; a
+    message from a node that is not a child is a ``ValueError``.
 
     An observed node's likelihood is ``IntervalVector.indicator(n, k)``
     whatever its children send.
     """
-    return _lambda_value_kernel(net.state_count(node), list(child_messages.values()))[0]
+    n = net.state_count(node)
+    _check_senders(child_messages, net.children(node), "child", node)
+    return _lambda_value_kernel(n, list(child_messages.values()))[0]
 
 
 def bel_hat(pi_vec: IntervalVector, lam_vec: IntervalVector) -> IntervalVector:
@@ -411,8 +441,13 @@ def pi_msg(
     sibling_messages: Mapping[str, IntervalVector],
 ) -> IntervalVector:
     """The message a node sends to one child: its prior side times the
-    likelihood messages from every other child.  An observed node sends
-    ``IntervalVector.indicator(n, k)`` instead."""
+    likelihood messages from every other child (a receiver or a message
+    from a node that is not a child is a ``ValueError``).  An observed
+    node sends ``IntervalVector.indicator(n, k)`` instead."""
+    children = net.children(node)
+    if child not in children:
+        raise ValueError(f"{child!r} is not a child of {node!r}")
+    _check_senders(sibling_messages, children, "child", node)
     others = [vec for w, vec in sibling_messages.items() if w != child]
     return _normalized_product(pi_vec, others)[0]
 
@@ -425,12 +460,14 @@ def lambda_msg(
     coparent_messages: Mapping[str, IntervalVector],
 ) -> IntervalVector:
     """The message a node sends up to one parent; co-parents without a
-    message count as vacuous."""
-    msgs = [
-        coparent_messages.get(p, vacuous(net.state_count(p)))
-        for p in net.parents(node)
-        if p != parent
-    ]
+    message count as vacuous, and a receiver that is not a parent or a
+    message from any other node is a ``ValueError``."""
+    parents = net.parents(node)
+    if parent not in parents:
+        raise ValueError(f"{parent!r} is not a parent of {node!r}")
+    coparents = [p for p in parents if p != parent]
+    _check_senders(coparent_messages, coparents, "co-parent", node)
+    msgs = [coparent_messages.get(p, vacuous(net.state_count(p))) for p in coparents]
     return _lambda_message_kernel(net, node, parent, lam_vec, msgs)[0]
 
 
@@ -541,15 +578,16 @@ class DelayedLoops:
         waiting arcs need; None at a fixed point."""
         if active is not self.last:
             self.round, self.fresh, self.waiting = 0, active.nodes, {}
+        by_id, children, order = net._by_id, net._children, net._order
         new = {w for v in self.fresh for w in net.skeleton_neighbors(v)
                if w in relevant and w not in active.nodes}
         nodes = active.nodes | new
         touched, self.fresh = self.fresh | new, new
-        arcs = {(p, c) for c in touched for p in net.parents(c) if p in nodes}
-        arcs.update((p, c) for p in touched for c in net.children(p) if c in nodes)
+        arcs = {(p, c) for c in touched for p in by_id[c].parents if p in nodes}
+        arcs.update([(p, c) for p in touched for c in children[p] if c in nodes])
         candidates = sorted(
             {a for a in arcs if a not in active.arcs} | self.waiting.keys(),
-            key=lambda a: (net.order(a[0]), net.order(a[1])),
+            key=lambda a: (order[a[0]], order[a[1]]),
         )
         sets = UnionFind()  # this round's new nodes; None is the active set
         # A repeated round follows one that added nothing: same arcs, same pieces.

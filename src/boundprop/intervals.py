@@ -11,9 +11,10 @@ containment survives float error at the cost of at most one ulp of width.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import le, mul
 from typing import Iterable, Iterator, Sequence
 
 COHERENCE_TOL = 1e-9
@@ -91,9 +92,12 @@ class IntervalVector:
         lo, hi = tuple(lo), tuple(hi)
         if not lo or len(lo) != len(hi):
             raise ValueError(f"bounds must be nonempty and of equal length: {len(lo)}, {len(hi)}")
-        if not all(map(le, lo, hi)):
-            for a, b in zip(lo, hi):
-                Interval(a, b)  # raises at the first crossed or NaN entry
+        _check_order(lo, hi)
+        return cls._of(lo, hi)
+
+    @classmethod
+    def _of(cls, lo: tuple, hi: tuple) -> "IntervalVector":
+        # For bounds already checked as ``from_bounds`` checks them.
         vec = object.__new__(cls)
         object.__setattr__(vec, "lo", lo)
         object.__setattr__(vec, "hi", hi)
@@ -104,10 +108,11 @@ class IntervalVector:
 
     @staticmethod
     def vacuous(n: int) -> "IntervalVector":
-        """Vector of [0, 1] intervals standing in for an uncomputed message."""
-        if n < 1:
-            raise ValueError("vacuous vector needs at least one state")
-        return IntervalVector.from_bounds((0.0,) * n, (1.0,) * n)
+        """Vector of [0, 1] intervals standing in for an uncomputed message,
+        one shared instance per length; n must be an int (a bool is not)."""
+        if type(n) is not int or n < 1:
+            raise ValueError(f"vacuous vector needs a positive int length, not {n!r}")
+        return _vacuous(n)
 
     @staticmethod
     def ones(n: int) -> "IntervalVector":
@@ -120,7 +125,11 @@ class IntervalVector:
 
     @staticmethod
     def indicator(n: int, k: int) -> "IntervalVector":
-        return IntervalVector.point(1.0 if i == k else 0.0 for i in range(n))
+        """The point vector of state k of n, one shared instance per (n, k);
+        n and k must be ints (a bool is not), k in range(n)."""
+        if type(n) is not int or type(k) is not int or not 0 <= k < n:
+            raise ValueError(f"indicator state {k!r} out of range for {n!r} states")
+        return _indicator(n, k)
 
     @property
     def entries(self) -> tuple[Interval, ...]:
@@ -169,6 +178,25 @@ class IntervalVector:
 
 
 vacuous = IntervalVector.vacuous
+
+
+def _check_order(lo: Sequence[float], hi: Sequence[float]) -> None:
+    if not all(map(le, lo, hi)):
+        for a, b in zip(lo, hi):
+            Interval(a, b)  # raises at the first crossed or NaN entry
+
+
+# The constant vectors the kernels use, built once per shape for the
+# process; the public constructors check their arguments first, so a
+# memo key never stands for an argument the check would refuse.
+@functools.lru_cache(maxsize=256)
+def _vacuous(n: int) -> IntervalVector:
+    return IntervalVector.from_bounds((0.0,) * n, (1.0,) * n)
+
+
+@functools.lru_cache(maxsize=256)
+def _indicator(n: int, k: int) -> IntervalVector:
+    return IntervalVector.point(1.0 if i == k else 0.0 for i in range(n))
 
 
 def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
@@ -232,12 +260,20 @@ def _extreme(weights, b_lo: tuple, b_hi: tuple, spare: float, order) -> float:
             spare -= take
             if spare <= 0.0:
                 break
-    return sum([w * m for w, m in zip(weights, bstar) if m != 0.0])
+    # A zero entry of bstar adds a signed zero to a sum that is never
+    # -0.0, which leaves it unchanged, unless its weight is infinite (only
+    # the public ``simplex_dot`` takes those): then the product is NaN and
+    # the sum is taken again without the zero entries.
+    total = sum(map(mul, weights, bstar))
+    if total != total:
+        total = sum([w * m for w, m in zip(weights, bstar) if m != 0.0])
+    return total
 
 
-def _normalized(v: IntervalVector) -> tuple[IntervalVector, tuple[float, float]]:
-    """``normalize_scaled`` with the scale as a float pair."""
-    los, his = v.lo, v.hi
+def _normalized(los: Sequence[float], his: Sequence[float]) -> tuple[IntervalVector, tuple[float, float]]:
+    """``normalize_scaled`` of the bounds ``los`` and ``his``, of one
+    nonzero length, with the scale as a float pair."""
+    _check_order(los, his)
     hi_sum = sum(his)
     lo_sum = sum(los)
     if hi_sum <= 0.0:
@@ -251,7 +287,12 @@ def _normalized(v: IntervalVector) -> tuple[IntervalVector, tuple[float, float]]
         # Clamped into [0, 1]; a NaN passes, for from_bounds to reject.
         out_lo.append(0.0 if new_lo < 0.0 else 1.0 if new_lo > 1.0 else new_lo)
         out_hi.append(0.0 if new_hi < 0.0 else 1.0 if new_hi > 1.0 else new_hi)
-    return IntervalVector.from_bounds(out_lo, out_hi), (max(lo_sum, 0.0), hi_sum)
+    scale = (max(lo_sum, 0.0), hi_sum)
+    # Ordered finite bounds give ordered output bounds in [0, 1]; only an
+    # infinite bound, which makes a sum infinite or NaN, can give a NaN.
+    if -math.inf < lo_sum and hi_sum < math.inf:
+        return IntervalVector._of(tuple(out_lo), tuple(out_hi)), scale
+    return IntervalVector.from_bounds(out_lo, out_hi), scale
 
 
 def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
@@ -267,7 +308,7 @@ def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
     selection from ``v``; callers that track unnormalized magnitudes
     multiply it back in.
     """
-    vec, scale = _normalized(v)
+    vec, scale = _normalized(v.lo, v.hi)
     return vec, Interval(*scale)
 
 

@@ -64,6 +64,8 @@ class BeliefNetwork:
         # cost about as much as the parse); equal greedy orders stored once.
         self._tables: dict[str, tuple] = {}
         self._orders: dict[tuple, tuple] = {}
+        # Skeleton neighbours, likewise built per node on first use.
+        self._neighbors: dict[str, tuple[str, ...]] = {}
 
     def _validate(self) -> None:
         for n in self.nodes:
@@ -166,8 +168,11 @@ class BeliefNetwork:
     # -- structural queries ----------------------------------------------
 
     def skeleton_neighbors(self, node_id: str) -> tuple[str, ...]:
-        n = self.node(node_id)
-        return tuple(dict.fromkeys(n.parents + self._children[node_id]))
+        found = self._neighbors.get(node_id)
+        if found is None:
+            n = self.node(node_id)
+            found = self._neighbors[node_id] = tuple(dict.fromkeys(n.parents + self._children[node_id]))
+        return found
 
     def ancestral_closure(self, seed: Iterable[str], closed: Container[str] = frozenset()) -> set[str]:
         """The seed nodes together with all their ancestors, leaving out
@@ -297,6 +302,7 @@ def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Co
     other intermediate node is unobserved.  The source never blocks.
     With ``within``, a trail stops where it leaves that set.
     """
+    by_id, children = net._by_id, net._children
     seen: set[tuple[str, bool]] = set()
     stack = [(source, False)]  # (node, arrived along an arc into it)
     while stack:
@@ -307,11 +313,11 @@ def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Co
         if v in observed and v != source:
             # Only a collider passes on: back up to the other parents.
             if down:
-                stack.extend((p, False) for p in net.parents(v))
+                stack += [(p, False) for p in by_id[v].parents]
             continue
-        stack.extend((c, True) for c in net.children(v))
+        stack += [(c, True) for c in children[v]]
         if not down or v in below:
-            stack.extend((p, False) for p in net.parents(v))
+            stack += [(p, False) for p in by_id[v].parents]
     return {v for v, _ in seen}
 
 

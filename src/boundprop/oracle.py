@@ -6,17 +6,21 @@ state-space cap; the point polytree solver is linear-time but limited
 to singly connected networks.  Both check the asked node and the
 evidence as the engine does: an unknown node raises ``KeyError`` and a
 state that is not an ``int`` in range raises ``ValueError``.
+
+NumPy is imported by the functions that enumerate, not by the module,
+so importing the package does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .intervals import ConflictingEvidenceError
 from .network import BeliefNetwork, _check_evidence, is_polytree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATE_SPACE_CAP = 2 ** 24
 
@@ -27,6 +31,8 @@ class StateSpaceError(ValueError):
 
 def joint_table(net: BeliefNetwork) -> np.ndarray:
     """Full joint distribution as an array with one axis per node."""
+    import numpy as np
+
     shape = tuple(net.state_count(v) for v in net.node_ids())
     total = math.prod(shape)
     if total > STATE_SPACE_CAP:
@@ -64,6 +70,8 @@ def enumerate_marginal(
     net: BeliefNetwork, evidence: Mapping[str, int], node: str
 ) -> tuple[float, ...]:
     """Exact conditional marginal of ``node`` by summing the joint."""
+    import numpy as np
+
     sub = _sliced_joint(net, evidence, node)
     if node in evidence:
         total = float(np.sum(sub))
@@ -93,6 +101,8 @@ def clamped_state_range(
     envelope a propagation that severed the clamp node's outgoing
     influence must still contain.
     """
+    import numpy as np
+
     if query in evidence or clamp in evidence or clamp == query:
         raise ValueError("query and clamp must be distinct unobserved nodes")
     sub = _sliced_joint(net, evidence, query, clamp)

@@ -133,6 +133,35 @@ def test_lambda_msg_point_inputs_match_point_solver(chain_ab):
     assert got.max_width <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda net, m: pi_hat(net, "B", {"Z": m}), "'Z', which is not a parent of 'B'"),
+        (lambda net, m: pi_hat(net, "D", {"B": m, "A": m}), "'A', which is not a parent of 'D'"),
+        (lambda net, m: lambda_msg(net, "D", "B", m, {"B": m}), "'B', which is not a co-parent of 'D'"),
+        (lambda net, m: lambda_msg(net, "D", "B", m, {"A": m}), "'A', which is not a co-parent of 'D'"),
+        (lambda net, m: lambda_hat(net, "A", {"B": m, "D": m}), "'D', which is not a child of 'A'"),
+        (lambda net, m: pi_msg(net, "A", "B", m, {"D": m}), "'D', which is not a child of 'A'"),
+        (lambda net, m: pi_msg(net, "A", "D", m, {}), "'D' is not a child of 'A'"),
+        (lambda net, m: lambda_msg(net, "D", "A", m, {}), "'A' is not a parent of 'D'"),
+    ],
+)
+def test_single_step_functions_reject_a_message_from_a_non_neighbour(diamond, call, message):
+    # Such a message used to be ignored, its sender's real slot vacuous,
+    # and a pi message to a node that is not a child was still sent.
+    with pytest.raises(ValueError, match=message):
+        call(diamond, vacuous(2))
+
+
+def test_single_step_functions_take_each_neighbour(diamond):
+    m = IntervalVector.point([0.4, 0.6])
+    assert pi_hat(diamond, "D", {"B": m, "C": m}) == pi_hat(diamond, "D", {"C": m, "B": m})
+    assert lambda_msg(diamond, "D", "B", m, {"C": m}).is_coherent()
+    assert lambda_hat(diamond, "A", {"B": m, "C": m}) == lambda_hat(diamond, "A", {"C": m, "B": m})
+    # The receiving child's own message is a child's message, left out.
+    assert pi_msg(diamond, "A", "B", m, {"B": vacuous(2), "C": m}) == pi_msg(diamond, "A", "B", m, {"C": m})
+
+
 # -- the table kernels against bodies that build every vector afresh ---------
 #
 # The references are the kernels as they were before a node's columns and
@@ -331,6 +360,16 @@ def test_active_set_validation(chain_ab):
     with pytest.raises(ValueError):
         ActiveSet(frozenset({"A", "B"}), frozenset()).validate(chain_ab, "B")
     ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")})).validate(chain_ab, "B")
+
+
+def test_an_uncut_loop_raises_instead_of_growing_the_stack():
+    # A triangle plus a lone node: as many arcs as a tree on four nodes,
+    # so the loop is neither searched for nor cut, and the triangle's
+    # messages depend on each other.
+    net = build_net("tri", {"A": [], "B": ["A"], "C": ["A", "B"], "D": []}, seed=3)
+    active = ActiveSet(frozenset("ABCD"), frozenset({("A", "B"), ("A", "C"), ("B", "C")}))
+    with pytest.raises(RuntimeError, match=r"message \(.*\) depends on itself"):
+        loops.evaluate(net, active, _Context(net, {}, "C"), {})
 
 
 # -- cache --------------------------------------------------------------------

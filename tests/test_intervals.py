@@ -453,3 +453,17 @@ def test_constructors_equal_their_per_entry_definitions():
     for build in (IntervalVector.ones, lambda n: IntervalVector.indicator(n, 0)):
         with pytest.raises(ValueError):
             build(0)
+
+
+def test_indicator_and_vacuous_reject_a_bad_state_even_when_memoized():
+    # The shared vectors are memoized on their arguments, where True is 1
+    # and 2.0 is 2; each argument is checked before the memo is asked.
+    IntervalVector.indicator(2, 1), IntervalVector.indicator(2, 0), vacuous(2), vacuous(1)
+    for k in (2, 5, -1, True, False, 1.0):
+        with pytest.raises(ValueError, match="out of range"):
+            IntervalVector.indicator(2, k)
+    with pytest.raises(ValueError, match="out of range"):
+        IntervalVector.indicator(2.0, 1)
+    for n in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="positive int length"):
+            vacuous(n)

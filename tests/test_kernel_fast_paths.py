@@ -49,7 +49,7 @@ def _general_pi_value(net, x, parent_msgs):
     weights = _joint_weights(parent_msgs)
     spare = _spare(weights, len(columns[0]))
     bounds = [_general_dot(c, c, weights, spare, o) for c, o in zip(columns, orders)]
-    return _normalized(IntervalVector.from_bounds(*zip(*bounds)))
+    return _normalized(*zip(*bounds))
 
 
 def _general_lambda_message(net, x, u, lam, coparent_msgs):
@@ -69,7 +69,7 @@ def _general_lambda_message(net, x, u, lam, coparent_msgs):
         if min(a_lo) < 0.0:
             raise ValueError("simplex_dot requires nonnegative entries")
         out.append(_general_dot(a_lo, a_hi, weights, spare, _orders(a_lo, a_hi)))
-    return _normalized(IntervalVector.from_bounds(*zip(*out)))
+    return _normalized(*zip(*out))
 
 
 def _general_lambda_value(n, child_msgs):
@@ -211,10 +211,20 @@ def test_lambda_message_without_coparents_rejects_a_negative_inner_bound():
         lambda_msg(CHAIN, "B", "A", lam, {})
 
 
+FORK = BeliefNetwork(
+    "fork",
+    [
+        Node("A", ("t", "f"), (), ((0.3, 0.7),)),
+        Node("B", ("t", "f"), ("A",), ((0.9, 0.1), (0.2, 0.8))),
+        Node("C", ("t", "f"), ("A",), ((0.6, 0.4), (0.5, 0.5))),
+    ],
+)
+
+
 @pytest.mark.parametrize("first", [vacuous(3), IntervalVector.from_bounds((-0.25, 0.5), (0.5, 1.0))])
 def test_lambda_value_checks_its_first_child_message(first):
     with pytest.raises(ValueError, match="equal lengths and nonnegative bounds"):
-        lambda_hat(CHAIN, "A", {"B": first, "C": IntervalVector.point((0.5, 0.5))})
+        lambda_hat(FORK, "A", {"B": first, "C": IntervalVector.point((0.5, 0.5))})
 
 
 # -- a tree is evaluated without a loop search --------------------------------

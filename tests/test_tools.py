@@ -1,5 +1,6 @@
 """The bounds digest must see every field it claims to cover."""
 
+import hashlib
 import random
 import sys
 import types
@@ -42,3 +43,30 @@ def test_digest_lines_carry_every_answer_field(monkeypatch):
         assert line.split(" ")[-r.iterations :] == [
             ",".join(x.hex() for x in (*b.lo, *b.hi)) for b in r.bels
         ]
+
+
+def test_digest_prints_a_line_per_seed_and_workload_before_the_total(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    nets = [gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.2, seed=s)) for s in (5, 6)]
+
+    def small(name, net):
+        def generate(seed):
+            free = net.node_ids()[seed : seed + 2]
+            queries = tuple(tool.workloads.Query(0, q, {}, "bfs", 0.05) for q in free)
+            return tool.workloads.Workload(name, "", (serialize_network(net),), queries)
+
+        return generate
+
+    generators = {"zeta": small("zeta", nets[0]), "alpha": small("alpha", nets[1])}
+    monkeypatch.setattr(tool.workloads, "GENERATORS", generators)
+    assert tool.main(["--seeds", "1", "2"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    total, count, parts = hashlib.sha256(), 0, []
+    for seed in (1, 2):
+        for name in ("alpha", "zeta"):
+            data = [f"{seed} {line}\n".encode() for line in tool.answer_lines(generators[name](seed))]
+            parts.append(f"{seed} {name} {len(data)} {hashlib.sha256(b''.join(data)).hexdigest()}")
+            total.update(b"".join(data))
+            count += len(data)
+    assert printed == parts + [f"{count} queries sha256 {total.hexdigest()}"]
+    assert len(set(parts)) == 4

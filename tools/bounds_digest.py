@@ -6,12 +6,14 @@ Run from the root of a checkout:
 
 For each seed, each workload of ``perfbench/workloads.py`` is generated
 and every one of its queries is answered once, as the benchmark asks it.
-The tool prints the number of queries and one sha256 over each answer's
-status, iterations, node visits, active-set sizes and the bounds of
-every iteration, written as float hex, so that two checkouts print the
-same line exactly when their answers are bit-identical.  A query that
-raises one of the failures the benchmark counts is digested as the name
-of its exception.  Nothing is written to disk.
+The tool digests each answer's status, iterations, node visits,
+active-set sizes and the bounds of every iteration, written as float
+hex, so that two checkouts print the same lines exactly when their
+answers are bit-identical.  A query that raises one of the failures the
+benchmark counts is digested as the name of its exception.  It prints
+one ``seed workload count sha256`` line per seed and workload, so that
+a mismatch names the workload, and last the total line, the number of
+queries and one sha256 over all of them.  Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -58,10 +60,16 @@ def main(argv: list[str] | None = None) -> int:
     digest = hashlib.sha256()
     count = 0
     for seed in args.seeds:
-        for _, generate in sorted(workloads.GENERATORS.items()):
+        for name, generate in sorted(workloads.GENERATORS.items()):
+            part = hashlib.sha256()
+            part_count = 0
             for line in answer_lines(generate(seed)):
-                digest.update(f"{seed} {line}\n".encode())
-                count += 1
+                data = f"{seed} {line}\n".encode()
+                digest.update(data)
+                part.update(data)
+                part_count += 1
+            print(f"{seed} {name} {part_count} {part.hexdigest()}", flush=True)
+            count += part_count
     print(f"{count} queries sha256 {digest.hexdigest()}")
     return 0
 

@@ -523,14 +523,21 @@ class StopCriterion:
 @dataclass
 class QueryResult:
     query: str
-    bel: IntervalVector
     status: str
-    iterations: int
+    bels: list[IntervalVector]
     active_nodes: list[int] = field(default_factory=list)
     elapsed: list[float] = field(default_factory=list)
-    bels: list[IntervalVector] = field(default_factory=list)
     node_visits: int = 0
     threshold_answer: bool | None = None
+
+    @property
+    def bel(self) -> IntervalVector:
+        """The last iteration's belief bounds."""
+        return self.bels[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.bels)
 
     @property
     def achieved_width(self) -> float:
@@ -659,8 +666,6 @@ def answer_query(
     bels: list[IntervalVector] = []
     visits = 0
     started = time.perf_counter()
-    status = SATURATED
-    bel = vacuous(net.state_count(query))
     while True:
         t0 = time.perf_counter()
         bel, v = evaluate(net, active, ctx, cache)
@@ -686,12 +691,10 @@ def answer_query(
             break
     return QueryResult(
         query=query,
-        bel=bel,
         status=status,
-        iterations=len(bels),
+        bels=bels,
         active_nodes=sizes,
         elapsed=timings,
-        bels=bels,
         node_visits=visits,
         threshold_answer=stop.verdict(bel),
     )

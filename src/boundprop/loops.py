@@ -1,17 +1,20 @@
 """Multiply connected inference over the active set.
 
-Cycles wholly inside the active set are handled by clamping a loop
-cutset: every joint cutset instance is evaluated as an ordinary
-singly connected propagation, and the per-instance answers are mixed
-with the constrained dot product under interval instance weights.
-Cycles only partially inside the active set need no special handling,
-because the absent arcs already contribute vacuous messages.
+Cycles wholly inside the active set that evidence leaves open are
+handled by clamping a loop cutset: every joint cutset instance is
+evaluated as an ordinary singly connected propagation, and the
+per-instance answers are mixed with the constrained dot product under
+interval instance weights.  A set whose loops evidence already cuts (an
+empty cut) is one plain run.  Cycles only partially inside the active
+set need no special handling, because the absent arcs already
+contribute vacuous messages.
 
 Instance weights come from the evidence masses the runs track (the
 product of every normalization they discard), multiplied as float
 pairs; no ``Interval`` is built here.  The weight vector is normalized
 jointly, which makes it coherent by construction and keeps the true
-instance distribution inside it.
+instance distribution inside it, so by total probability the mixture
+bounds the belief as it stands.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
     _dot_bounds,
+    _indicator,
+    _normalized,
     _orders,
     _spare,
-    normalize,
-    vacuous,
+    _vacuous,
 )
 from .network import BeliefNetwork, LoopCluster, UnionFind, find_loop_clusters, skeleton_acyclic
 
@@ -52,21 +56,20 @@ def select_loop_cutset(
     Greedy by descending skeleton degree inside the cluster, ties by
     network order.  Only nodes with an outgoing arc on some cycle can
     cut it, so pure sinks are never candidates.  ``presplit`` nodes
-    (already observed) cut for free and are not selected again.
+    (already observed) cut for free and are not selected again.  Every
+    skeleton cycle of a DAG has at least two distinct arc tails, so the
+    result cuts the cluster whenever ``exclude`` holds at most one node.
     """
-    arcs = sorted(cluster.arcs, key=lambda a: (net.order(a[0]), net.order(a[1])))
-    degree = Counter(v for arc in arcs for v in arc)
-    tails = {p for p, _ in arcs if p not in exclude and p not in presplit}
+    degree = Counter(v for arc in cluster.arcs for v in arc)
+    tails = {p for p, _ in cluster.arcs if p not in exclude and p not in presplit}
     candidates = sorted(tails, key=lambda v: (-degree[v], net.order(v)))
     chosen: list[str] = []
     split = set(presplit)
     for v in candidates:
-        if skeleton_acyclic(arcs, split):
+        if skeleton_acyclic(cluster.arcs, split):
             break
         split.add(v)
         chosen.append(v)
-    if not skeleton_acyclic(arcs, split):
-        raise RuntimeError(f"could not cut all loops in cluster {sorted(cluster.nodes)}")
     return tuple(chosen)
 
 
@@ -78,16 +81,16 @@ def _pinned_column_factor(
     msgs = []
     for p in net.parents(node):
         if (p, node) in active.arcs and p in pinned:
-            msgs.append(IntervalVector.indicator(net.state_count(p), pinned[p]))
+            msgs.append(_indicator(net.state_count(p), pinned[p]))
         else:
-            msgs.append(vacuous(net.state_count(p)))
+            msgs.append(_vacuous(net.state_count(p)))
     columns, orders, _ = net._kernel_tables(node)
     column, order = columns[pinned[node]], orders[pinned[node]]
     weights = _joint_weights(msgs)
     return _dot_bounds(column, column, weights, _spare(weights, len(column)), order)
 
 
-def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
+def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str], observed: Mapping[str, int]):
     """Where each instance's mass is accounted for.
 
     Clamping silences a node's outgoing arcs, which can split the
@@ -100,7 +103,7 @@ def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
     instance, which the joint weight normalization cancels.
     """
     net = ctx.net
-    split = set(cut) | {v for v in ctx.evidence if v in active.nodes}
+    split = set(cut).union(observed)
     sets = UnionFind()
     # A pinned node's table still ties it to its unpinned parents, so
     # only arcs leaving a pinned node break connectivity.
@@ -128,22 +131,17 @@ def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str]):
         else:
             # Piece of pinned nodes only; each contributes its own column.
             direct_factors.extend(members[root])
-    return sorted(representatives, key=net.order), sorted(set(direct_factors), key=net.order)
+    return sorted(representatives, key=net.order), sorted(direct_factors, key=net.order)
 
 
 def _conditioned_bel(
-    ctx: _Context,
-    active: ActiveSet,
-    cut: list[str],
-    cache: dict,
+    ctx: _Context, active: ActiveSet, cut: list[str], observed: Mapping[str, int], cache: dict
 ) -> tuple[IntervalVector, int]:
     net, query = ctx.net, ctx.query
-    n_q = net.state_count(query)
     total = math.prod(map(net.state_count, cut))
     if total > INSTANCE_CAP:
         raise CutsetOverflowError(f"{total} cutset instances exceed the cap of {INSTANCE_CAP}")
-    representatives, direct_factors = _mass_plan(ctx, active, cut)
-    observed = {v: s for v, s in ctx.evidence.items() if v in active.nodes}
+    representatives, direct_factors = _mass_plan(ctx, active, cut, observed)
     # A clamped node's indicator suppresses its own boundary: evidence
     # hanging off its absent arcs would have scaled each instance by an
     # unknown likelihood, so the instance weights must absorb a [0, 1]
@@ -169,15 +167,18 @@ def _conditioned_bel(
             if boundary_unknown:
                 lo = 0.0
         except ConflictingEvidenceError:
-            vec, lo, hi = vacuous(n_q), 0.0, 0.0
+            vec, lo, hi = _vacuous(net.state_count(query)), 0.0, 0.0
         bels.append(vec)
         masses.append((lo, hi))
         visits += run.visits
-    weights = normalize(IntervalVector.from_bounds(*zip(*masses)))
+    weights, _ = _normalized(*zip(*masses))
     spare = _spare(weights, len(bels))
     columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
     out = [_dot_bounds(lo, hi, weights, spare, _orders(lo, hi)) for lo, hi in columns]
-    return normalize(IntervalVector.from_bounds(*zip(*out))), visits
+    # Not normalized again: by total probability the mixture is a bound, and
+    # on netgen loopy sweeps a second normalization widened it by up to 0.92.
+    lo, hi = zip(*[(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)) for a, b in out])
+    return IntervalVector._of(lo, hi), visits
 
 
 def evaluate(
@@ -188,25 +189,20 @@ def evaluate(
 
     The active set must be connected, as ``propagate`` validates and
     growth keeps it; then one with an arc fewer than its nodes is a tree
-    and is evaluated without a search for loop clusters.  ``cache``
-    carries messages between evaluations (see ``engine``).
+    and is evaluated without a search for loop clusters.  The clusters
+    hold every cycle, so cutting each cuts the set.  ``cache`` carries
+    messages between evaluations (see ``engine``).
     """
     query = ctx.query
-    tree = len(active.arcs) == len(active.nodes) - 1
-    clusters = [] if tree else find_loop_clusters(active.nodes, active.arcs)
-    if not clusters:
-        run = _Run(ctx, active, {}, cache)
-        return run.belief(query), run.visits
-    observed = frozenset(v for v in ctx.evidence if v in active.nodes)
-    cut: list[str] = []
-    for cl in clusters:
-        cut.extend(
-            select_loop_cutset(net, cl, exclude=frozenset({query}), presplit=observed)
-        )
-    cut = sorted(set(cut), key=net.order)
-    if not skeleton_acyclic(active.arcs, set(cut) | observed):
-        raise RuntimeError("cutset failed to cut the active set")
-    return _conditioned_bel(ctx, active, cut, cache)
+    if len(active.arcs) >= len(active.nodes):
+        observed = {v: ctx.evidence[v] for v in active.nodes if v in ctx.evidence}
+        exclude, presplit = frozenset({query}), frozenset(observed)
+        clusters = find_loop_clusters(active.nodes, active.arcs)
+        cut = [c for cl in clusters for c in select_loop_cutset(net, cl, exclude, presplit)]
+        if cut:
+            return _conditioned_bel(ctx, active, sorted(cut, key=net.order), observed, cache)
+    run = _Run(ctx, active, {}, cache)
+    return run.belief(query), run.visits
 
 
 def propagate(
@@ -218,9 +214,9 @@ def propagate(
     """Belief bounds at the query from one evaluation over any active set,
     under ``evidence`` laid over the evidence stored on the network.
 
-    Loops wholly inside the active set are conditioned away; loops the
-    active set only grazes are already singly connected there and
-    propagate with vacuous messages on every absent arc.
+    Loops wholly inside the active set that evidence leaves open are
+    conditioned away; loops the active set only grazes are already singly
+    connected there and propagate with vacuous messages on every absent arc.
     """
     active.validate(net, query)
     bel, _ = evaluate(net, active, _Context(net, evidence, query), {})

@@ -24,7 +24,9 @@ from boundprop import (
     vacuous,
 )
 from boundprop import loops
-from boundprop.engine import _joint_weights, _Run
+from boundprop.engine import LOOP_DELAYS, _joint_weights, _Run
+from boundprop.intervals import _normalized
+from boundprop.network import _Context
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
 from boundprop.oracle import clamped_state_range
 
@@ -137,6 +139,22 @@ def test_condition_cluster_observed_inside(figure_net):
         assert bel.contains_point(want, 1e-9)
 
 
+def test_evidence_that_cuts_the_only_loop_needs_no_conditioning(diamond, monkeypatch):
+    # B observed splits A-B-D-C: the cut is empty and one plain run answers.
+    def conditioned(*args):
+        raise AssertionError("conditioned on an empty cut")
+
+    monkeypatch.setattr(loops, "_conditioned_bel", conditioned)
+    active = full_active(diamond)
+    for state in (0, 1):
+        ev = {"B": state}
+        for q in "ACD":
+            bel = propagate(diamond, active, ev, q)
+            plain = _Run(_Context(diamond, ev, q), active, {}, {}).belief(q)
+            assert (bel.lo, bel.hi) == (plain.lo, plain.hi)
+            assert bel.contains_point(enumerate_marginal(diamond, ev, q), 1e-9)
+
+
 def test_evidence_is_checked_at_every_entry_point(diamond):
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
@@ -154,10 +172,11 @@ def test_evidence_is_checked_at_every_entry_point(diamond):
 def test_incoherent_mixing_weights_raise(diamond, monkeypatch):
     # Joint normalization makes the instance weights coherent; the check
     # that stands behind it is the one simplex_dot makes, in every mode.
-    def incoherent(v):
-        return IntervalVector([Interval(0.0, 0.1 / len(v))] * len(v))
+    def incoherent(los, his):
+        n = len(los)
+        return IntervalVector([Interval(0.0, 0.1 / n)] * n), (0.0, 1.0)
 
-    monkeypatch.setattr(loops, "normalize", incoherent)
+    monkeypatch.setattr(loops, "_normalized", incoherent)
     with pytest.raises(CoherenceError):
         propagate(diamond, full_active(diamond), {}, "D")
 
@@ -285,7 +304,8 @@ def test_anytime_on_loopy_networks_sound_everywhere():
 # its masses were float pairs: every factor an ``Interval``, multiplied
 # with ``iv_mul``, and a pinned-only node's column dotted with the public
 # ``simplex_dot`` as a fresh point vector, which sorts it again.  The
-# weights and the mixed bounds must be the same floats.
+# mixture is clamped into [0, 1] and not normalized again.  The weights
+# and the mixed bounds must be the same floats.
 
 
 def _ref_piece_mass(run, x):
@@ -308,8 +328,8 @@ def _ref_column_mass(net, active, node, pinned):
 def _ref_conditioned(ctx, active, cut, seen):
     """The instance weights and the mixed bounds, as the references compute them."""
     net, query = ctx.net, ctx.query
-    representatives, direct_factors = loops._mass_plan(ctx, active, cut)
     observed = {v: s for v, s in ctx.evidence.items() if v in active.nodes}
+    representatives, direct_factors = loops._mass_plan(ctx, active, cut, observed)
     boundary_unknown = any(
         (c, w) not in active.arcs and w in ctx for c in cut for w in net.children(c)
     )
@@ -348,16 +368,17 @@ def _ref_conditioned(ctx, active, cut, seen):
         return weights, "conflict"
     columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
     out = [simplex_dot(IntervalVector.from_bounds(lo, hi), mix) for lo, hi in columns]
-    return weights, normalize(IntervalVector(out))
+    unit = [Interval(min(max(e.lo, 0.0), 1.0), min(max(e.hi, 0.0), 1.0)) for e in out]
+    return weights, IntervalVector(unit)
 
 
 def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
     calls = []
     inner = loops._conditioned_bel
 
-    def spy(ctx, active, cut, cache):
-        calls.append((ctx, active, cut))
-        return inner(ctx, active, cut, cache)
+    def spy(ctx, active, cut, observed, cache):
+        calls.append((ctx, active, cut, observed))
+        return inner(ctx, active, cut, observed, cache)
 
     monkeypatch.setattr(loops, "_conditioned_bel", spy)
     for seed in range(40):
@@ -371,7 +392,7 @@ def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
                 answer_query(net, q, ev, strategy=strategy)
             # Growth stops at an observed query, so ask the observed nodes
             # over the sets grown for q, where their pi values are boxes.
-            for _, active, _ in calls[start:]:
+            for _, active, _, _ in calls[start:]:
                 for v in sorted(ev.keys() & active.nodes):
                     propagate(net, active, ev, v)
         except ConflictingEvidenceError:
@@ -379,23 +400,23 @@ def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
     monkeypatch.undo()
 
     cases = dict.fromkeys(("representatives", "pinned_only", "observed_query", "boundary_unknown"), 0)
-    for ctx, active, cut in calls:
+    for ctx, active, cut, observed in calls:
         seen = {}
         want_weights, want = _ref_conditioned(ctx, active, cut, seen)
         weights = []
 
-        def recorded(v):
-            weights.append(v)
-            return normalize(v)
+        def recorded(los, his):
+            weights.append((tuple(los), tuple(his)))
+            return _normalized(los, his)
 
-        monkeypatch.setattr(loops, "normalize", recorded)
+        monkeypatch.setattr(loops, "_normalized", recorded)
         try:
-            got, _ = loops._conditioned_bel(ctx, active, cut, NoCache())
+            got, _ = loops._conditioned_bel(ctx, active, cut, observed, NoCache())
         except ConflictingEvidenceError:
             got = "conflict"
         monkeypatch.undo()
-        # The first vector conditioning normalizes is its instance weights.
-        assert (weights[0].lo, weights[0].hi) == (want_weights.lo, want_weights.hi)
+        # The one vector conditioning normalizes is its instance weights.
+        assert weights == [(want_weights.lo, want_weights.hi)]
         if want == "conflict":
             assert got == "conflict"
         else:
@@ -404,3 +425,38 @@ def test_conditioned_masses_bit_identical_to_interval_masses(monkeypatch):
             cases[case] += hit
     assert len(calls) > 80
     assert all(cases.values()), cases
+
+
+def test_conditioned_mixtures_are_sound_and_inside_their_normalization(monkeypatch):
+    # The mixture is not normalized again.  Normalizing it would keep the
+    # truth inside; the mixture must keep it too, and be no wider than that
+    # normalization beyond rounding.
+    mixtures = []
+    inner = loops._conditioned_bel
+
+    def spy(ctx, active, cut, observed, cache):
+        bel, visits = inner(ctx, active, cut, observed, cache)
+        mixtures.append((len(cut), bel))
+        return bel, visits
+
+    monkeypatch.setattr(loops, "_conditioned_bel", spy)
+    for seed in range(60):
+        ratio = 1.2 + 0.1 * (seed % 3)
+        net = gen_loopy(GenSpec(node_count=9 + seed % 3, topology="loopy", arc_ratio=ratio, seed=700 + seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        try:
+            want = enumerate_marginal(net, ev, q)
+        except ConflictingEvidenceError:
+            continue
+        start = len(mixtures)
+        for strategy in LOOP_DELAYS:
+            answer_query(net, q, ev, strategy=strategy)
+        for _, bel in mixtures[start:]:
+            assert bel.contains_point(want, 1e-9), (seed, q, ev)
+            renormalized = normalize(bel)
+            for lo, hi, r_lo, r_hi in zip(bel.lo, bel.hi, renormalized.lo, renormalized.hi):
+                assert r_lo - 1e-12 <= lo and hi <= r_hi + 1e-12, (seed, q, ev)
+    assert len(mixtures) > 60
+    assert sum(size >= 2 for size, _ in mixtures) > 20

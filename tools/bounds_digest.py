@@ -13,7 +13,10 @@ answers are bit-identical.  A query that raises one of the failures the
 benchmark counts is digested as the name of its exception.  It prints
 one ``seed workload count sha256`` line per seed and workload, so that
 a mismatch names the workload, and last the total line, the number of
-queries and one sha256 over all of them.  Nothing is written to disk.
+queries and one sha256 over all of them.  A change that alters the
+bounds of one workload by design alters that workload's lines and the
+total line; the other workloads' lines must still match.  Nothing is
+written to disk.
 """
 
 from __future__ import annotations

@@ -30,6 +30,34 @@ when the node is first used, and each kernel call checks the coherence
 of each weight vector once.  No ``Interval`` is built below the public
 functions, except by the public ``simplex_dot`` that a mass calls.
 
+A message whose one input is another message is that input.  A pi
+message from a node with no other child message would only normalize
+the node's pi value again, and a lambda value with exactly one child
+message would only normalize that message again.  So ``_Run.value``
+gives such a message its input's ``(vector, scale)`` pair: it neither
+computes nor caches it, and it is not a node visit.  That is sound, and
+up to rounding it is never wider than normalizing again:
+
+- every kernel returns a normalized vector, so the message its input
+  bounds is a distribution, and normalizing it discards a mass of
+  exactly 1, the factor the alias's scale keeps;
+- normalizing the output of a normalization again never tightens it.
+  When ``(lo, hi)`` is the normalization of raw bounds ``(L, H)``, take
+  the point ``t`` of the raw box with ``t_i = L_i`` and ``t_j = H_j``
+  for every other j.  Then ``lo_i = t_i / sum(t)`` and ``hi_j >= t_j /
+  sum(t)``, so ``lo_i + sum_{j != i} hi_j >= 1`` and a second
+  normalization can only lower ``lo_i``; the mirror argument shows it
+  can only raise ``hi_i``.
+
+The public ``pi_msg`` and ``lambda_hat`` still normalize, since a
+caller's vectors need not be normalized.
+
+Two kernel results depend on the network alone and are built once.  A
+node's pi value under vacuous parent messages, which for a root is its
+prior, is kept on the network on the node's first use, next to its
+kernel tables.  The lambda value of a node with no child message is one
+shared uniform vector per state count.
+
 A cache is a plain ``dict`` that carries values from one evaluation to
 the next.  Each entry maps a message key to ``(signature, value)``,
 where the signature is the message's pinned state and the arguments its
@@ -56,6 +84,7 @@ answer and holds no strategy or query state.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -147,18 +176,26 @@ class ActiveSet:
 # and the same errors as the general body:
 # - pi value, one parent: the joint weights would be its message times
 #   1.0, which is the message itself.
-# - pi value, every parent message vacuous: the weights are 0/1 with
-#   spare 1, so the greedy pass puts all of it on the first entry of each
-#   order, and a column's bounds are its least and greatest entries
-#   (where the sum would turn a -0.0 entry into 0.0, normalizing does).
+# - pi value, every parent message vacuous, a root included: the weights
+#   are 0/1 with spare 1, so the greedy pass puts all of it on the first
+#   entry of each order, and a column's bounds are its least and greatest
+#   entries (where the sum would turn a -0.0 entry into 0.0, normalizing
+#   does).  The result depends on the node alone, so the network keeps it
+#   (``BeliefNetwork._priors``) on first use and every later call returns
+#   that one pair.
 # - lambda message, no co-parents: the outer pass dots each inner bound
 #   against the point weight (1.0,) with no spare, which returns it.
 # - lambda value: the product starts from the first child message, not
-#   from ones (1.0 * y is y).
+#   from ones (1.0 * y is y); with no child message it is the shared
+#   ``_uniform`` pair of its state count.
 # - ``intervals._dot_bounds`` of a point against point weights: both
 #   greedy passes are the one sum over the weights' lower bounds.
 # - ``loops.evaluate`` of a connected active set with an arc fewer than
 #   its nodes: that set is a tree, so it has no loop to search for.
+#
+# The schedule, not a kernel, skips the messages that are their one
+# input (``_ALIASED``, see the module docstring).  That alone changes
+# floats: bounds and scales only get tighter, up to rounding.
 
 
 def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
@@ -173,14 +210,17 @@ def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
 
 
 def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
-    columns, orders, _ = net._kernel_tables(x)
     if (
-        parent_msgs
-        and all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
-        and math.prod(map(len, parent_msgs)) == len(columns[0])
+        all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
+        and math.prod(map(len, parent_msgs)) == len(net._by_id[x].cpt)
     ):
-        bounds = [(c[lo[0]], c[hi[0]]) for c, (lo, hi) in zip(columns, orders)]
-        return _normalized(*zip(*bounds))
+        found = net._priors.get(x)
+        if found is None:
+            columns, orders, _ = net._kernel_tables(x)
+            bounds = [(c[lo[0]], c[hi[0]]) for c, (lo, hi) in zip(columns, orders)]
+            found = net._priors[x] = _normalized(*zip(*bounds))
+        return found
+    columns, orders, _ = net._kernel_tables(x)
     if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
         weights = parent_msgs[0]
     else:
@@ -200,10 +240,18 @@ def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
     return _normalized(lo, hi)
 
 
+@functools.lru_cache(maxsize=256)
+def _uniform(n: int):
+    """The lambda value of a node with no child message, one per state count."""
+    return _normalized_product(IntervalVector.ones(n), ())
+
+
 def _lambda_value_kernel(n: int, child_msgs: Sequence[IntervalVector]):
     """Lambda value: the normalized product of the child messages, ones
     for a node with none."""
-    if child_msgs and len(child_msgs[0]) == n and min(child_msgs[0].lo) >= 0.0:
+    if not child_msgs:
+        return _uniform(n)
+    if len(child_msgs[0]) == n and min(child_msgs[0].lo) >= 0.0:
         return _normalized_product(child_msgs[0], child_msgs[1:])
     return _normalized_product(IntervalVector.ones(n), child_msgs)
 
@@ -242,6 +290,10 @@ def _lambda_message_kernel(
 
 
 # -- propagation core ---------------------------------------------------------
+
+# The kinds of message that are their input when an unpinned one has
+# exactly one input and that input is a message (see the module docstring).
+_ALIASED = ("pi_msg", "lam_val")
 
 
 class _Run:
@@ -322,6 +374,9 @@ class _Run:
                     stack += [(i, None) for i in ins[1] if type(i) is tuple and i not in memo]
                 continue
             pinned, inputs = ins
+            if pinned is None and len(inputs) == 1 and k[0] in _ALIASED and type(inputs[0]) is tuple:
+                memo[k] = memo[inputs[0]]
+                continue
             args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
             entry = cache.get(k)
             if entry is not None and entry[0] == (pinned, args):
@@ -348,14 +403,17 @@ class _Run:
                 msgs.append(a[0])
                 scale = a[1] if scale is None else (scale[0] * a[1][0], scale[1] * a[1][1])
         if kind == "pi_val":
-            vec, z = _pi_value_kernel(net, x, msgs)
+            out = _pi_value_kernel(net, x, msgs)
         elif kind == "lam_val":
-            vec, z = _lambda_value_kernel(len(net._by_id[x].states), msgs)
+            out = _lambda_value_kernel(len(net._by_id[x].states), msgs)
         elif kind == "pi_msg":
-            vec, z = _normalized_product(msgs[0], msgs[1:])
+            out = _normalized_product(msgs[0], msgs[1:])
         else:
-            vec, z = _lambda_message_kernel(net, x, key[2], msgs[0], msgs[1:])
-        return vec, z if scale is None else (scale[0] * z[0], scale[1] * z[1])
+            out = _lambda_message_kernel(net, x, key[2], msgs[0], msgs[1:])
+        if scale is None:
+            return out
+        vec, z = out
+        return vec, (scale[0] * z[0], scale[1] * z[1])
 
     def belief(self, x: str) -> IntervalVector:
         """Belief bounds at x."""
@@ -522,6 +580,14 @@ class StopCriterion:
 
 @dataclass
 class QueryResult:
+    """One query's answer: the belief bounds of every iteration, with the
+    active-set size and time of each.
+
+    ``node_visits`` counts the kernel calls of every evaluation: a
+    message reused from the cache, or given its one input's value (see
+    the module docstring), is not a visit.
+    """
+
     query: str
     status: str
     bels: list[IntervalVector]

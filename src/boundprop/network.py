@@ -64,6 +64,9 @@ class BeliefNetwork:
         # cost about as much as the parse); equal greedy orders stored once.
         self._tables: dict[str, tuple] = {}
         self._orders: dict[tuple, tuple] = {}
+        # The pi value of each node under vacuous parent messages, built
+        # by ``engine._pi_value_kernel`` on first use.
+        self._priors: dict[str, tuple] = {}
         # Skeleton neighbours, likewise built per node on first use.
         self._neighbors: dict[str, tuple[str, ...]] = {}
 
@@ -242,7 +245,10 @@ class _Context:
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int] | None, query: str):
         self.net = net
         self.query = query
-        self.observed = net._observe({**net.evidence, **(evidence or {})})
+        stored = net.evidence
+        # A merged copy only when both sides give evidence; ``_observe``
+        # checks and copies whichever mapping it is given.
+        self.observed = net._observe({**stored, **evidence} if stored and evidence else evidence or stored)
         self.evidence = self.observed.evidence
         self.own = net.ancestral_closure((query,), closed=self.observed.ancestors)
 

@@ -453,6 +453,90 @@ def test_cache_is_shared_with_clamped_runs(figure_net):
     assert cached_visits < fresh_visits
 
 
+CHAIN3 = """
+network chain3
+node A states a0 a1 a2
+node B states b0 b1 b2
+node C states c0 c1 c2
+parents A
+parents B A
+parents C B
+cpt A
+0.2 0.3 0.5
+cpt B
+0.7 0.2 0.1
+0.1 0.6 0.3
+0.2 0.2 0.6
+cpt C
+0.8 0.1 0.1
+0.1 0.8 0.1
+0.1 0.1 0.8
+"""
+
+
+def test_a_message_with_one_input_is_that_input():
+    # With A outside the active set, B's pi value is a box.  Its message
+    # to C has no other input, so the engine passes the box on, where the
+    # public pi_msg normalizes it a second time, which here widens it.
+    net = parse_network(CHAIN3)
+    active = ActiveSet(frozenset({"B", "C"}), frozenset({("B", "C")}))
+    bel = propagate(net, active, {}, "C")
+    pi_b = pi_hat(net, "B", {})
+    msg = pi_msg(net, "B", "C", pi_b, {})
+    assert all(lo < a or hi > b for lo, hi, a, b in zip(msg.lo, msg.hi, pi_b.lo, pi_b.hi))
+    composed = bel_hat(pi_hat(net, "C", {"B": msg}), lambda_hat(net, "C", {}))
+    assert all(c_lo < lo and hi < c_hi for lo, hi, c_lo, c_hi in zip(bel.lo, bel.hi, composed.lo, composed.hi))
+    assert bel.contains_point(enumerate_marginal(net, {}, "C"))
+
+
+def test_aliased_messages_are_neither_computed_nor_cached():
+    # n0 -> ... -> n4 with n4 observed, asking n2.  The kernels run for
+    # pi values n0-n2, lambda messages n4->n3 and n3->n2 and n4's
+    # indicator; the pi messages n0->n1 and n1->n2 and the lambda values
+    # of n2 and n3 are their one input.
+    net = build_net("chain5", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(5)}, seed=3)
+    cache = {}
+    bel, visits = loops.evaluate(net, full_active(net), _Context(net, {"n4": 0}, "n2"), cache)
+    assert visits == 6
+    assert sorted(cache) == [
+        ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("lam_val", "n4"),
+        ("pi_val", "n0"), ("pi_val", "n1"), ("pi_val", "n2"),
+    ]
+    assert bel.contains_point(enumerate_marginal(net, {"n4": 0}, "n2"), 1e-12)
+    assert bel.max_width <= 1e-12
+
+
+def test_every_iteration_contains_the_posterior_on_a_netgen_sweep():
+    rng = random.Random(20)
+    for seed in range(16):
+        topology = ("polytree", "loopy")[seed % 2]
+        spec = GenSpec(node_count=10, topology=topology, arc_ratio=1.3, seed=900 + seed)
+        net = gen_polytree(spec) if topology == "polytree" else gen_loopy(spec)
+        ev = sample_evidence(net, rng)
+        for q in rng.sample([v for v in net.node_ids() if v not in ev], 3):
+            want = enumerate_marginal(net, ev, q)
+            for strategy in LOOP_DELAYS:
+                r = answer_query(net, q, ev, strategy=strategy)
+                assert all(b.contains_point(want, 1e-9) for b in r.bels), (seed, q, strategy)
+
+
+def test_a_vacuous_parent_prior_is_built_once_per_network():
+    # A -> B -> C: B's pi value with A outside the active set, and A's
+    # own prior, are the same objects in every query on the network; a
+    # lambda value without child messages is one object per state count.
+    net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
+    values = []
+    for query in "BC":
+        cache = {}
+        active = ActiveSet(frozenset({"B", "C"}), frozenset({("B", "C")}))
+        loops.evaluate(net, active, _Context(net, {}, query), cache)
+        values.append(cache[("pi_val", "B")][1])
+    assert values[0] is values[1]
+    assert pi_hat(net, "A", {}) is pi_hat(net, "A", {})
+    assert pi_hat(net, "B", {}) is values[0][0]
+    assert lambda_hat(net, "C", {}) is lambda_hat(net, "A", {})
+
+
 def _outcome(net, query, evidence):
     """Everything an answer reports that the evidence memo could touch."""
     r = answer_query(net, query, evidence, stop=StopCriterion.width(0.05))
@@ -542,6 +626,18 @@ def test_a_failed_evidence_check_is_never_kept():
         for state in (0.5, 1.0, True, "1"):
             with pytest.raises(ValueError, match="must be an int"):
                 answer_query(net, "A", {"C": state})
+
+
+def test_a_callers_evidence_is_read_afresh_on_every_query(figure_net):
+    ev = {"X": 0}
+    answer_query(figure_net, "A", ev)
+    ev["X"] = 1
+    r = answer_query(figure_net, "A", ev)
+    assert r.bels == answer_query(BeliefNetwork(figure_net.name, figure_net.nodes), "A", {"X": 1}).bels
+    assert r.bels[-1].contains_point(enumerate_marginal(figure_net, {"X": 1}, "A"), 1e-12)
+    ev["X"] = 2
+    with pytest.raises(ValueError, match="out of range"):
+        answer_query(figure_net, "A", ev)
 
 
 def test_evidence_closure_is_built_once_per_evidence(monkeypatch):

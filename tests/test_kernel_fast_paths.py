@@ -200,8 +200,11 @@ def test_one_parent_pi_value_rejects_a_negative_bound():
 
 
 def test_vacuous_pi_value_rejects_a_wrong_length():
-    with pytest.raises(ValueError, match="equal-length"):
-        pi_hat(CHAIN, "B", {"A": vacuous(3)})
+    # Also once the network keeps B's prior under a vacuous parent.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="equal-length"):
+            pi_hat(CHAIN, "B", {"A": vacuous(3)})
+        pi_hat(CHAIN, "B", {})
 
 
 def test_lambda_message_without_coparents_rejects_a_negative_inner_bound():

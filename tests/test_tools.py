@@ -1,4 +1,4 @@
-"""The bounds digest must see every field it claims to cover."""
+"""The bounds tools must see every field they claim to cover."""
 
 import hashlib
 import random
@@ -9,17 +9,18 @@ from pathlib import Path
 from boundprop import StopCriterion, answer_query, serialize_network
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bounds_digest.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _load_tool(monkeypatch):
+def _load_tool(monkeypatch, name="bounds_digest"):
     # Executed from its source text; the path and bytecode settings it
     # makes for a run of its own are put back after the test.
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    module = types.ModuleType("bounds_digest")
-    module.__file__ = str(TOOL)
-    exec(compile(TOOL.read_text(encoding="utf-8"), str(TOOL), "exec"), module.__dict__)
+    tool = TOOLS / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(tool)
+    exec(compile(tool.read_text(encoding="utf-8"), str(tool), "exec"), module.__dict__)
     return module
 
 
@@ -70,3 +71,41 @@ def test_digest_prints_a_line_per_seed_and_workload_before_the_total(monkeypatch
             count += len(data)
     assert printed == parts + [f"{count} queries sha256 {total.hexdigest()}"]
     assert len(set(parts)) == 4
+
+
+def test_compare_counts_each_entry_that_moves(monkeypatch):
+    tool = _load_tool(monkeypatch, "bounds_compare")
+    parent = [
+        ["satisfied", 7, [[[0.25, 0.5], [0.5, 0.75]], [[0.5, 0.25], [0.5, 0.5]]]],
+        ["ConflictingEvidenceError", 0, []],
+    ]
+    change = [
+        ["saturated", 5, [[[0.125, 0.5], [0.5, 0.5]]]],
+        ["ConflictingEvidenceError", 0, []],
+    ]
+    # Entry 0 of iteration 0 is wider by 0.125; entry 1 is tighter by 0.25.
+    assert tool.compare(parent, change) == dict(
+        wider=1, max_wider=0.125, tighter=1, max_tighter=0.25, outcomes=1, iterations=[2, 1], visits=[7, 5]
+    )
+
+
+def test_compare_against_this_checkout_reports_no_change(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch, "bounds_compare")
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "perfbench"))
+    import workloads
+
+    net = gen_loopy(GenSpec(node_count=12, topology="loopy", arc_ratio=1.3, seed=4))
+    ev = sample_evidence(net, random.Random(4))
+    free = [v for v in net.node_ids() if v not in ev][:3]
+
+    def generate(seed):
+        queries = tuple(workloads.Query(0, q, ev, "bfs", 0.05) for q in free)
+        return workloads.Workload("small", "", (serialize_network(net),), queries)
+
+    # The tool imports the workloads module its test already holds.
+    monkeypatch.setattr(workloads, "GENERATORS", {"small": generate})
+    assert tool.main([str(TOOLS.parent), "--seeds", "1"]) == 0
+    line = capsys.readouterr().out.strip()
+    visits = sum(answer_query(net, q, ev, stop=StopCriterion.width(0.05)).node_visits for q in free)
+    assert line.startswith("1 small 3 queries: wider 0 (max 0), tighter 0 (max 0), ")
+    assert line.endswith(f"node_visits {visits} -> {visits}, outcomes changed 0")

@@ -1,0 +1,137 @@
+"""Compare the bounds two checkouts give on the benchmark's queries.
+
+Run from the root of a checkout, naming another one, such as the parent
+commit unpacked with ``git archive``:
+
+    python3 tools/bounds_compare.py PARENT_CHECKOUT --seeds 1 2
+
+For each seed, each workload of this checkout's ``perfbench/workloads.py``
+is generated once.  Each checkout's package answers every query, as the
+benchmark asks it, in a child process of its own.  Iteration k of a
+query is compared with iteration k of the same query on the other side.
+Growth does not read the bounds, so both sides evaluated the same active
+set there; an iteration that only one side made counts in its totals
+alone.  An entry, one state's interval at one iteration, is wider when
+one of its bounds lies outside the parent's, and tighter when one lies
+inside it.  One line is printed per seed and workload, in the form
+
+    SEED WORKLOAD N queries: wider W (max DW), tighter T (max DT),
+    iterations I0 -> I1, node_visits V0 -> V1, outcomes changed K
+
+on one line.  DW and DT are the largest differences of a bound, the
+totals read parent -> this checkout, and an outcome is a query's status
+or the failure it raised.  A change that should only tighten bounds must
+read ``wider 0``, or wider only by rounding.  Nothing is written to disk.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+# The failures the benchmark counts, by name: a checkout may lack one.
+FAILURES = ("ConflictingEvidenceError", "CutsetOverflowError")
+
+
+def answer(checkout: str) -> None:
+    """Answer the workload read as JSON from stdin with the checkout's
+    package: one JSON line per query, ``[outcome, node_visits, bels]``
+    with each belief as ``[lo, hi]``."""
+    sys.path.insert(0, str(Path(checkout) / "src"))
+    import boundprop
+
+    failures = tuple(getattr(boundprop, name) for name in FAILURES if hasattr(boundprop, name))
+    workload = json.load(sys.stdin)
+    nets = [boundprop.parse_network(text) for text in workload["texts"]]
+    for net, node, evidence, strategy, width in workload["queries"]:
+        stop = boundprop.StopCriterion.width(width)
+        try:
+            r = boundprop.answer_query(nets[net], node, evidence, strategy=strategy, stop=stop)
+        except failures as exc:
+            print(json.dumps([type(exc).__name__, 0, []]))
+            continue
+        print(json.dumps([r.status, r.node_visits, [[b.lo, b.hi] for b in r.bels]]))
+
+
+def answers(checkout: Path, workload) -> list:
+    """The answers of one checkout's package to every query of the workload."""
+    data = {
+        "texts": list(workload.texts),
+        "queries": [[q.net, q.node, q.evidence, q.strategy, q.width] for q in workload.queries],
+    }
+    # The child's errors go to this process's stderr.
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--answer", str(checkout)],
+        input=json.dumps(data),
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    ).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def compare(parent: list, change: list) -> dict:
+    """Entries wider and tighter in ``change`` than in ``parent``, each
+    with its largest difference, and each side's totals."""
+    out = dict(wider=0, max_wider=0.0, tighter=0, max_tighter=0.0, outcomes=0,
+               iterations=[0, 0], visits=[0, 0])
+    for a, b in zip(parent, change, strict=True):
+        out["outcomes"] += a[0] != b[0]
+        for side, (_, visits, bels) in enumerate((a, b)):
+            out["iterations"][side] += len(bels)
+            out["visits"][side] += visits
+        for (a_lo, a_hi), (b_lo, b_hi) in zip(a[2], b[2]):
+            for lo, hi, new_lo, new_hi in zip(a_lo, a_hi, b_lo, b_hi):
+                wider, tighter = max(lo - new_lo, new_hi - hi), max(new_lo - lo, hi - new_hi)
+                if wider > 0.0:
+                    out["wider"] += 1
+                    out["max_wider"] = max(out["max_wider"], wider)
+                if tighter > 0.0:
+                    out["tighter"] += 1
+                    out["max_tighter"] = max(out["max_tighter"], tighter)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", nargs="?", help="the checkout to compare this one against")
+    ap.add_argument("--seeds", type=int, nargs="+")
+    ap.add_argument("--answer", metavar="CHECKOUT", help="answer one workload given on stdin (each side's child)")
+    args = ap.parse_args(argv)
+    if args.answer is not None:
+        answer(args.answer)
+        return 0
+    if args.parent is None or args.seeds is None:
+        ap.error("a parent checkout and --seeds are required")
+    # Else a child would import whatever other boundprop it finds.
+    if not (Path(args.parent) / "src" / "boundprop" / "__init__.py").is_file():
+        ap.error(f"{args.parent} holds no src/boundprop package")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    checkouts = (Path(args.parent).resolve(), ROOT)
+    with ThreadPoolExecutor(2) as pool:
+        for seed in args.seeds:
+            for name, generate in sorted(workloads.GENERATORS.items()):
+                w = generate(seed)
+                c = compare(*pool.map(answers, checkouts, (w, w)))
+                print(
+                    f"{seed} {name} {len(w.queries)} queries: "
+                    f"wider {c['wider']} (max {c['max_wider']:.3g}), "
+                    f"tighter {c['tighter']} (max {c['max_tighter']:.3g}), "
+                    f"iterations {c['iterations'][0]} -> {c['iterations'][1]}, "
+                    f"node_visits {c['visits'][0]} -> {c['visits'][1]}, "
+                    f"outcomes changed {c['outcomes']}",
+                    flush=True,
+                )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

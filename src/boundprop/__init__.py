@@ -7,23 +7,19 @@ and the bounds tighten as more of the network is brought in.
 """
 
 from .intervals import (
-    COHERENCE_TOL,
     CoherenceError,
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
     iv_mul,
-    normalize,
     simplex_dot,
     vacuous,
 )
 from .network import (
     BeliefNetwork,
-    Evidence,
     LoopCluster,
     NetworkFormatError,
     Node,
-    d_separated,
     find_loop_clusters,
     is_polytree,
     parse_network,
@@ -32,7 +28,6 @@ from .network import (
 )
 from .engine import (
     ActiveSet,
-    DelayedLoops,
     QueryResult,
     StopCriterion,
     answer_query,
@@ -54,12 +49,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSet",
     "BeliefNetwork",
-    "COHERENCE_TOL",
     "CoherenceError",
     "ConflictingEvidenceError",
     "CutsetOverflowError",
-    "DelayedLoops",
-    "Evidence",
     "Interval",
     "IntervalVector",
     "LoopCluster",
@@ -69,14 +61,12 @@ __all__ = [
     "StopCriterion",
     "answer_query",
     "bel_hat",
-    "d_separated",
     "enumerate_marginal",
     "find_loop_clusters",
     "is_polytree",
     "iv_mul",
     "lambda_hat",
     "lambda_msg",
-    "normalize",
     "parse_network",
     "pi_hat",
     "pi_msg",

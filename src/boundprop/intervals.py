@@ -52,10 +52,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -154,27 +150,13 @@ class IntervalVector:
         return "(" + ", ".join(repr(e) for e in self) + ")"
 
     @property
-    def lo_sum(self) -> float:
-        return sum(self.lo)
-
-    @property
-    def hi_sum(self) -> float:
-        return sum(self.hi)
-
-    @property
     def max_width(self) -> float:
         return max(b - a for a, b in zip(self.lo, self.hi))
-
-    def is_coherent(self) -> bool:
-        return self.lo_sum <= 1.0 + COHERENCE_TOL and self.hi_sum >= 1.0 - COHERENCE_TOL
 
     def contains_point(self, values: Sequence[float], slack: float = 0.0) -> bool:
         if len(values) != len(self.lo):
             return False
         return all(a - slack <= v <= b + slack for a, b, v in zip(self.lo, self.hi, values))
-
-    def midpoints(self) -> tuple[float, ...]:
-        return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
 
 vacuous = IntervalVector.vacuous
@@ -310,9 +292,3 @@ def normalize_scaled(v: IntervalVector) -> tuple[IntervalVector, Interval]:
     """
     vec, scale = _normalized(v.lo, v.hi)
     return vec, Interval(*scale)
-
-
-def normalize(v: IntervalVector) -> IntervalVector:
-    """Normalize an interval vector; result is coherent and in [0, 1]."""
-    vec, _ = normalize_scaled(v)
-    return vec

@@ -296,7 +296,7 @@ def is_polytree(net: BeliefNetwork) -> bool:
     return skeleton_acyclic(net.arcs)
 
 
-# -- d-separation ---------------------------------------------------------
+# -- relevance ------------------------------------------------------------
 
 
 def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Container[str],
@@ -325,28 +325,6 @@ def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Co
         if not down or v in below:
             stack += [(p, False) for p in by_id[v].parents]
     return {v for v, _ in seen}
-
-
-def reachable_from(net: BeliefNetwork, source: str, observed: Iterable[str]) -> set[str]:
-    """Nodes joined to ``source`` by a trail active given ``observed``.
-
-    A trail is active when every intermediate collider is observed or
-    has an observed descendant and every other intermediate node is
-    unobserved.  The endpoints themselves never block: an observed
-    neighbor of the source is still reached, which is what message
-    propagation needs (its observation feeds the source directly).
-    """
-    z = set(observed)
-    return _trails(net, source, z, net.ancestral_closure(z))
-
-
-def d_separated(net: BeliefNetwork, a: str, b: str, evidence: Mapping[str, int] | Iterable[str]) -> bool:
-    """True when no active trail joins ``a`` and ``b`` given the evidence."""
-    observed = evidence.keys() if isinstance(evidence, Mapping) else evidence
-    net.node(a), net.node(b)
-    if a == b:
-        return False
-    return b not in reachable_from(net, a, observed)
 
 
 def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int] | Iterable[str]) -> set[str]:

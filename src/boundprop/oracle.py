@@ -90,44 +90,6 @@ def enumerate_marginal(
     return tuple(float(x) for x in vec / total)
 
 
-def clamped_state_range(
-    net: BeliefNetwork, evidence: Mapping[str, int], query: str, clamp: str
-) -> tuple[tuple[float, float], ...]:
-    """Per-state min and max of the query conditional over clamp states.
-
-    For each state b of ``clamp``, the joint is evaluated with b held
-    fixed (not summed), the query conditional is formed, and the
-    pointwise envelope over b is returned.  This is the reference
-    envelope a propagation that severed the clamp node's outgoing
-    influence must still contain.
-    """
-    import numpy as np
-
-    if query in evidence or clamp in evidence or clamp == query:
-        raise ValueError("query and clamp must be distinct unobserved nodes")
-    sub = _sliced_joint(net, evidence, query, clamp)
-    remaining = [v for v in net.node_ids() if v not in evidence]
-    q_axis = remaining.index(query)
-    b_axis = remaining.index(clamp)
-    n_q = net.state_count(query)
-    lo = [float("inf")] * n_q
-    hi = [float("-inf")] * n_q
-    for b in range(net.state_count(clamp)):
-        plane = np.take(sub, b, axis=b_axis)
-        axes = tuple(i for i in range(plane.ndim) if i != (q_axis if q_axis < b_axis else q_axis - 1))
-        vec = np.sum(plane, axis=axes)
-        total = float(np.sum(vec))
-        if total <= 0.0:
-            continue
-        cond = vec / total
-        for i in range(n_q):
-            lo[i] = min(lo[i], float(cond[i]))
-            hi[i] = max(hi[i], float(cond[i]))
-    if lo[0] == float("inf"):
-        raise ConflictingEvidenceError("evidence has zero probability")
-    return tuple(zip(lo, hi))
-
-
 def polytree_exact(
     net: BeliefNetwork, evidence: Mapping[str, int], node: str
 ) -> tuple[float, ...]:

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from boundprop import parse_network
+from boundprop.intervals import COHERENCE_TOL, ConflictingEvidenceError
 from boundprop.netgen import sample_skewed_row
+from boundprop.oracle import _sliced_joint
 
 
 def build_net(name, spec, seed=None, state_counts=None):
@@ -79,3 +81,49 @@ class NoCache(dict):
 
     def __setitem__(self, key, value):
         pass
+
+
+def is_coherent(v):
+    """True when the box of the interval vector ``v`` still holds a
+    distribution: sum(lo) <= 1 <= sum(hi), up to ``COHERENCE_TOL``."""
+    return sum(v.lo) <= 1.0 + COHERENCE_TOL and sum(v.hi) >= 1.0 - COHERENCE_TOL
+
+
+def midpoints(v):
+    return tuple(0.5 * (a + b) for a, b in zip(v.lo, v.hi))
+
+
+def clamped_state_range(net, evidence, query, clamp):
+    """Per-state min and max of the query conditional over clamp states.
+
+    For each state b of ``clamp``, the joint is evaluated with b held
+    fixed (not summed), the query conditional is formed, and the
+    pointwise envelope over b is returned.  This is the reference
+    envelope a propagation that severed the clamp node's outgoing
+    influence must still contain.
+    """
+    import numpy as np
+
+    if query in evidence or clamp in evidence or clamp == query:
+        raise ValueError("query and clamp must be distinct unobserved nodes")
+    sub = _sliced_joint(net, evidence, query, clamp)
+    remaining = [v for v in net.node_ids() if v not in evidence]
+    q_axis = remaining.index(query)
+    b_axis = remaining.index(clamp)
+    n_q = net.state_count(query)
+    lo = [float("inf")] * n_q
+    hi = [float("-inf")] * n_q
+    for b in range(net.state_count(clamp)):
+        plane = np.take(sub, b, axis=b_axis)
+        axes = tuple(i for i in range(plane.ndim) if i != (q_axis if q_axis < b_axis else q_axis - 1))
+        vec = np.sum(plane, axis=axes)
+        total = float(np.sum(vec))
+        if total <= 0.0:
+            continue
+        cond = vec / total
+        for i in range(n_q):
+            lo[i] = min(lo[i], float(cond[i]))
+            hi[i] = max(hi[i], float(cond[i]))
+    if lo[0] == float("inf"):
+        raise ConflictingEvidenceError("evidence has zero probability")
+    return tuple(zip(lo, hi))

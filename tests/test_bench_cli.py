@@ -181,6 +181,24 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--threshold", "n1:s0=0.5"], "threshold must contain '>' or '<'"),
+    (["--threshold", "n1>0.5"], "threshold must look like ID:STATE>P"),
+    (["--threshold", "n1:<0.5"], "threshold must look like ID:STATE>P"),
+    (["--node", "n2", "--threshold", "n1:s0>0.5"], "--node disagrees with the threshold's node"),
+    ([], "--node is required without --threshold"),
+    (["--target-width", "0.1"], "--node is required without --threshold"),
+])
+def test_cli_query_rejects_a_malformed_question(tmp_path, capsys, flags, message):
+    path = tmp_path / "net.txt"
+    main(["gen", "--nodes", "8", "--seed", "11", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["query", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_has_no_loop_delay_option(tmp_path, capsys):
     path = tmp_path / "net.txt"
     main(["gen", "--nodes", "8", "--seed", "11", "--out", str(path)])

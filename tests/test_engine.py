@@ -37,7 +37,6 @@ from boundprop.intervals import (
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
-    normalize,
     normalize_scaled,
     simplex_dot,
     vacuous,
@@ -45,7 +44,7 @@ from boundprop.intervals import (
 from boundprop.network import Node, UnionFind
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 
-from conftest import NoCache, build_net
+from conftest import NoCache, build_net, is_coherent
 
 
 def full_active(net):
@@ -64,7 +63,7 @@ def test_pi_hat_root_is_prior(chain_ab):
 def test_pi_hat_vacuous_parent_spans_columns(chain_ab):
     got = pi_hat(chain_ab, "B", {"A": vacuous(2)})
     # columns span [0.2, 0.9] and [0.1, 0.8] before normalization
-    want = normalize(IntervalVector([Interval(0.2, 0.9), Interval(0.1, 0.8)]))
+    want, _ = normalize_scaled(IntervalVector([Interval(0.2, 0.9), Interval(0.1, 0.8)]))
     assert got == want
 
 
@@ -106,7 +105,7 @@ def test_bel_hat_normalized_product():
 def test_pi_msg_single_child_is_pi(chain_ab):
     pi = IntervalVector.point([0.3, 0.7])
     msg = pi_msg(chain_ab, "A", "B", pi, {})
-    assert msg == normalize(pi)
+    assert msg == normalize_scaled(pi)[0]
 
 
 def test_pi_msg_vacuous_siblings_widen():
@@ -120,7 +119,7 @@ def test_pi_msg_vacuous_siblings_widen():
 def test_lambda_msg_vacuous_child_spans_rows(chain_ab):
     # message B sends to A when nothing is known below B
     got = lambda_msg(chain_ab, "B", "A", vacuous(2), {})
-    want = normalize(IntervalVector([Interval(0.1, 0.9), Interval(0.2, 0.8)]))
+    want, _ = normalize_scaled(IntervalVector([Interval(0.1, 0.9), Interval(0.2, 0.8)]))
     assert got == want
 
 
@@ -156,7 +155,7 @@ def test_single_step_functions_reject_a_message_from_a_non_neighbour(diamond, ca
 def test_single_step_functions_take_each_neighbour(diamond):
     m = IntervalVector.point([0.4, 0.6])
     assert pi_hat(diamond, "D", {"B": m, "C": m}) == pi_hat(diamond, "D", {"C": m, "B": m})
-    assert lambda_msg(diamond, "D", "B", m, {"C": m}).is_coherent()
+    assert is_coherent(lambda_msg(diamond, "D", "B", m, {"C": m}))
     assert lambda_hat(diamond, "A", {"B": m, "C": m}) == lambda_hat(diamond, "A", {"C": m, "B": m})
     # The receiving child's own message is a child's message, left out.
     assert pi_msg(diamond, "A", "B", m, {"B": vacuous(2), "C": m}) == pi_msg(diamond, "A", "B", m, {"C": m})
@@ -360,6 +359,31 @@ def test_active_set_validation(chain_ab):
     with pytest.raises(ValueError):
         ActiveSet(frozenset({"A", "B"}), frozenset()).validate(chain_ab, "B")
     ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")})).validate(chain_ab, "B")
+
+
+@pytest.mark.parametrize("nodes, arc, message", [
+    ("AB", ("B", "A"), r"arc \('B', 'A'\) not in network"),
+    ("AB", ("A", "Z"), r"arc \('A', 'Z'\) not in network"),
+    ("B", ("A", "B"), r"arc \('A', 'B'\) endpoint outside active set"),
+])
+def test_propagate_rejects_a_bad_arc(chain_ab, nodes, arc, message):
+    with pytest.raises(ValueError, match=message):
+        propagate(chain_ab, ActiveSet(frozenset(nodes), frozenset({arc})), {}, "B")
+
+
+def test_an_observed_query_in_an_impossible_state_raises():
+    # B is never t: its observation contradicts the network, so the
+    # belief of the observed query has no answer, whatever the active set.
+    net = parse_network(
+        "network z\nnode A states t f\nnode B states t f\nparents B A\n"
+        "cpt A\n0.5 0.5\ncpt B\n0 1\n0 1\n"
+    )
+    full = ActiveSet(frozenset("AB"), frozenset({("A", "B")}))
+    for active in (ActiveSet.initial("B"), full):
+        with pytest.raises(ConflictingEvidenceError, match="observed state 0 of 'B' has zero probability"):
+            propagate(net, active, {"B": 0}, "B")
+    with pytest.raises(ConflictingEvidenceError, match="zero probability"):
+        answer_query(net, "B", {"B": 0})
 
 
 def test_an_uncut_loop_raises_instead_of_growing_the_stack():

@@ -10,12 +10,12 @@ from boundprop import (
     CutsetOverflowError,
     Interval,
     IntervalVector,
+    StopCriterion,
     answer_query,
     enumerate_marginal,
     find_loop_clusters,
     iv_mul,
     lambda_msg,
-    normalize,
     parse_network,
     pi_hat,
     propagate,
@@ -25,12 +25,11 @@ from boundprop import (
 )
 from boundprop import loops
 from boundprop.engine import LOOP_DELAYS, _joint_weights, _Run
-from boundprop.intervals import _normalized
+from boundprop.intervals import _normalized, normalize_scaled
 from boundprop.network import _Context
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
-from boundprop.oracle import clamped_state_range
 
-from conftest import NoCache, build_net
+from conftest import NoCache, build_net, clamped_state_range, midpoints
 
 
 def full_active(net):
@@ -262,6 +261,35 @@ def test_conflicting_evidence_propagates():
         propagate(net, full_active(net), {"D": 0, "E": 0}, "X")
 
 
+def test_a_cutset_instance_that_contradicts_the_evidence_weighs_nothing(monkeypatch):
+    # A diamond whose D is never s0 once B = s1.  Observing D = s0 makes
+    # the instance B = s1 impossible: its run raises, and the mixture
+    # takes it as a vacuous belief of zero mass.
+    net = parse_network(
+        "network d\nnode A states s0 s1\nnode B states s0 s1\nnode C states s0 s1\n"
+        "node D states s0 s1\nparents A\nparents B A\nparents C A\nparents D B C\n"
+        "cpt A\n0.3 0.7\ncpt B\n0.6 0.4\n0.2 0.8\ncpt C\n0.5 0.5\n0.9 0.1\n"
+        "cpt D\n0.7 0.3\n0.4 0.6\n0 1\n0 1\n"
+    )
+    conflicts = []
+
+    class Spy(loops._Run):
+        def belief(self, x):
+            try:
+                return super().belief(x)
+            except ConflictingEvidenceError:
+                conflicts.append(dict(self.clamps))
+                raise
+
+    monkeypatch.setattr(loops, "_Run", Spy)
+    want = enumerate_marginal(net, {"D": 0}, "A")
+    res = answer_query(net, "A", {"D": 0}, strategy="bfs", stop=StopCriterion.width(0.0))
+    assert {"B": 1} in conflicts
+    for bel in res.bels:
+        assert bel.contains_point(want, 1e-9)
+    assert res.bel.max_width <= 1e-9
+
+
 def test_hidden_coupling_between_cutset_and_detached_evidence():
     # H ties the loop's natural cutset node c to far-away evidence o, and
     # the observed node m detaches u's piece mid-growth.  The instance
@@ -280,7 +308,7 @@ def test_hidden_coupling_between_cutset_and_detached_evidence():
                     assert bel.contains_point(want, 1e-9), (seed, ev, strat)
                 if strat != "no-loops":
                     assert res.bel.max_width <= 1e-6
-                    for mid, e in zip(res.bel.midpoints(), want):
+                    for mid, e in zip(midpoints(res.bel), want):
                         assert abs(mid - e) <= 1e-6
 
 
@@ -363,7 +391,7 @@ def _ref_conditioned(ctx, active, cut, seen):
         masses.append(mass)
     weights = IntervalVector(masses)
     try:
-        mix = normalize(weights)
+        mix, _ = normalize_scaled(weights)
     except ConflictingEvidenceError:
         return weights, "conflict"
     columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
@@ -455,7 +483,7 @@ def test_conditioned_mixtures_are_sound_and_inside_their_normalization(monkeypat
             answer_query(net, q, ev, strategy=strategy)
         for _, bel in mixtures[start:]:
             assert bel.contains_point(want, 1e-9), (seed, q, ev)
-            renormalized = normalize(bel)
+            renormalized, _ = normalize_scaled(bel)
             for lo, hi, r_lo, r_hi in zip(bel.lo, bel.hi, renormalized.lo, renormalized.hi):
                 assert r_lo - 1e-12 <= lo and hi <= r_hi + 1e-12, (seed, q, ev)
     assert len(mixtures) > 60

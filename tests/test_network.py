@@ -5,7 +5,6 @@ import pytest
 from boundprop import (
     BeliefNetwork,
     NetworkFormatError,
-    d_separated,
     find_loop_clusters,
     is_polytree,
     parse_network,
@@ -14,7 +13,7 @@ from boundprop import (
 )
 from boundprop.engine import _Context
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree
-from boundprop.network import reachable_from
+from boundprop.network import Node, _trails
 
 from conftest import build_net
 
@@ -82,6 +81,65 @@ def test_parse_rejects_missing_cpt():
         parse_network(text)
 
 
+_HEAD = "network x\nnode A states t f\n"
+
+# One row per check on a network file that the tests above leave out:
+# the text, the message and the line the error names (None where the
+# whole file is at fault).
+MALFORMED = [
+    (_HEAD + "cpt A\n0.5\n", "cpt row for 'A' has 1 values, expected 2", 4),
+    (_HEAD + "node B states t f\nparents B A\ncpt B\n0.5 0.5\nnode C states t f\n",
+     "expected 1 more cpt row(s) for 'B'", 7),
+    ("network\n", "network line needs exactly one name", 1),
+    ("network x\nnetwork y\n", "duplicate network line", 2),
+    (_HEAD + "node A states u v\n", "duplicate node 'A'", 3),
+    ("network x\nparents\n", "parents line needs a node id", 2),
+    ("network x\nparents A\n", "parents for undeclared node 'A'", 2),
+    (_HEAD + "parents A\nparents A\n", "duplicate parents line for 'A'", 4),
+    (_HEAD + "node B states t f\ncpt B\n0.5 0.5\nparents B A\n", "parents of 'B' declared after its cpt", 6),
+    ("network x\ncpt\n", "cpt line needs exactly one node id", 2),
+    ("network x\ncpt A\n", "cpt for undeclared node 'A'", 2),
+    (_HEAD + "cpt A\n0.5 0.5\ncpt A\n0.5 0.5\n", "duplicate cpt for 'A'", 5),
+    (_HEAD + "evidence A\n", "evidence line must read: evidence <id> <state>", 3),
+    ("network x\nevidence A t\n", "evidence for undeclared node 'A'", 2),
+    (_HEAD + "evidence A u\n", "node 'A' has no state 'u'", 3),
+    (_HEAD + "evidence A t\nevidence A f\n", "duplicate evidence for 'A'", 4),
+    (_HEAD + "cpt A\n", "file ended with 1 cpt row(s) missing for 'A'", None),
+    ("node A states t f\ncpt A\n0.5 0.5\n", "missing network line", None),
+    ("network x\nnode A states t t\ncpt A\n0.5 0.5\n", "node 'A' has duplicate state names", None),
+    (_HEAD + "node B states t f\nparents B A A\ncpt A\n0.5 0.5\ncpt B\n" + "0.5 0.5\n" * 4,
+     "node 'B' lists a parent twice", None),
+    (_HEAD + "cpt A\n1.5 -0.5\n", "cpt entry 1.5 of 'A' outside [0, 1]", None),
+]
+
+
+@pytest.mark.parametrize("text, message, line", MALFORMED)
+def test_parse_names_each_malformed_line(text, message, line):
+    with pytest.raises(NetworkFormatError) as exc:
+        parse_network(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+_ROW2, _ROW1 = (0.5, 0.5), (1.0,)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([Node("A", ("t", "f"), (), (_ROW2,))] * 2, "duplicate node id"),
+    ([Node("B", ("t", "f"), ("Z",), (_ROW2, _ROW2))], "unknown node reference 'Z' in parents of 'B'"),
+    ([Node("A", ("t",), (), (_ROW1,))], "node 'A' needs at least two states"),
+    ([Node("A", ("t", "f"), (), (_ROW2, _ROW2))], "cpt of 'A' has 2 rows, expected 1"),
+    ([Node("A", ("t", "f"), (), (_ROW1,))], "cpt row 0 of 'A' has wrong length"),
+])
+def test_network_rejects_a_malformed_node(nodes, message):
+    # A parsed file never reaches these checks, since the parser refuses
+    # each case first, so the nodes are built directly.
+    with pytest.raises(NetworkFormatError) as exc:
+        BeliefNetwork("x", nodes)
+    assert exc.value.line is None
+    assert str(exc.value) == message
+
+
 def test_parse_evidence_line():
     text = (
         "network x\nnode A states t f\nparents A\ncpt A\n0.5 0.5\n"
@@ -113,6 +171,18 @@ def test_is_polytree():
     assert is_polytree(single)
     dia = build_net("d", {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"]})
     assert not is_polytree(dia)
+
+
+def _reachable(net, source, observed):
+    """Nodes joined to ``source`` by a trail active given ``observed``;
+    the endpoints never block."""
+    z = set(observed)
+    return _trails(net, source, z, net.ancestral_closure(z))
+
+
+def d_separated(net, a, b, observed):
+    """True when no trail active given ``observed`` joins a and b."""
+    return b not in _reachable(net, a, observed)
 
 
 def test_d_separation_chain_and_collider():
@@ -207,7 +277,7 @@ def test_relevant_set_examples():
 def _relevant_reference(net, query, evidence):
     """The definition: active trails from the query, cut to the ancestral
     closure of the query and the evidence."""
-    return (reachable_from(net, query, evidence) & net.ancestral_closure({query, *evidence})) | {query}
+    return (_reachable(net, query, evidence) & net.ancestral_closure({query, *evidence})) | {query}
 
 
 def test_relevant_set_matches_its_definition_on_random_networks():

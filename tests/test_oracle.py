@@ -6,9 +6,9 @@ import pytest
 from boundprop import enumerate_marginal, parse_network, polytree_exact
 from boundprop.intervals import ConflictingEvidenceError
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
-from boundprop.oracle import StateSpaceError, clamped_state_range, joint_table
+from boundprop.oracle import StateSpaceError, joint_table
 
-from conftest import build_net
+from conftest import build_net, clamped_state_range
 
 
 def test_chain_hand_value(chain_ab):

@@ -13,8 +13,7 @@ import sys
 from . import loops, netgen
 from .bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from .engine import BUDGET, LOOP_DELAYS, SATISFIED, SATURATED, StopCriterion, answer_query
-from .intervals import ConflictingEvidenceError
-from .network import NetworkFormatError, is_polytree, parse_network, serialize_network
+from .network import is_polytree, parse_network, serialize_network
 from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
 
 
@@ -178,16 +177,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        NetworkFormatError,
-        ConflictingEvidenceError,
-        loops.CutsetOverflowError,
-        netgen.GenerationError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (loops.CutsetOverflowError, netgen.GenerationError, ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -188,6 +188,8 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     (["--node", "n2", "--threshold", "n1:s0>0.5"], "--node disagrees with the threshold's node"),
     ([], "--node is required without --threshold"),
     (["--target-width", "0.1"], "--node is required without --threshold"),
+    (["--node", "zz"], "no node 'zz' in network 'polytree-8-s11'"),
+    (["--threshold", "n1:zz>0.5"], "node 'n1' has no state 'zz'"),
 ])
 def test_cli_query_rejects_a_malformed_question(tmp_path, capsys, flags, message):
     path = tmp_path / "net.txt"

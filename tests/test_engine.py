@@ -1051,3 +1051,46 @@ def test_evaluation_work_is_linear_on_a_long_chain():
         assert res.iterations <= math.ceil(math.log2(n)) + 2
         assert res.node_visits <= 5 * n
         assert walks <= 2 * n
+
+
+def _walled_neighbourhood(rest_size):
+    """A fixed neighbourhood w1 -> a -> q <- b <- w2, q -> c, embedded in
+    a random polytree that carries its own evidence.  The observed walls
+    join it to the rest only as a chain (r -> w1 -> a) and a fork
+    (b <- w2 -> root), never as a collider, so d-separation cuts the rest
+    off the query at every size.  Both walls reach the one rest tree, so
+    they close a loop, and the evidence cuts that too."""
+    rest = gen_polytree(GenSpec(node_count=rest_size, seed=rest_size))
+    evidence = sample_evidence(rest, random.Random(rest_size))
+    r = rest.node_ids()[-1]
+    root = next(v for v in rest.node_ids() if not rest.parents(v) and v != r)
+    old = rest.node(root)
+    two = ("s0", "s1")
+    nodes = [Node(root, old.states, ("w2",), old.cpt * 2) if n.id == root else n for n in rest.nodes]
+    nodes += [
+        Node("w1", two, (r,), ((0.3, 0.7),) * rest.state_count(r)),
+        Node("w2", two, (), ((0.6, 0.4),)),
+        Node("a", two, ("w1",), ((0.9, 0.1), (0.2, 0.8))),
+        Node("b", two, ("w2",), ((0.7, 0.3), (0.25, 0.75))),
+        Node("q", ("s0", "s1", "s2"), ("a", "b"),
+             ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3), (0.4, 0.4, 0.2), (0.05, 0.15, 0.8))),
+        Node("c", two, ("q",), ((0.8, 0.2), (0.3, 0.7), (0.45, 0.55))),
+    ]
+    return BeliefNetwork(f"walled-{rest_size}", nodes), {**evidence, "w1": 1, "w2": 0, "c": 1}
+
+
+def test_a_walled_query_reads_the_same_at_every_network_size():
+    # The structural target without timing: what the engine does for a
+    # query, and the bounds it gives, depend on the query's relevant
+    # part alone, however large the network around it.
+    seen = {}
+    for size in (1000, 10000, 40000):
+        net, evidence = _walled_neighbourhood(size)
+        assert len(evidence) > 100
+        assert relevant_set(net, "q", evidence) == {"q", "a", "b", "c", "w1", "w2"}
+        for strategy in ("bfs", "delayed"):
+            r = answer_query(net, "q", evidence, strategy=strategy, stop=StopCriterion.width(0.0))
+            bels = [[x.hex() for x in (*b.lo, *b.hi)] for b in r.bels]
+            got = (r.status, r.iterations, r.node_visits, r.active_nodes, bels)
+            assert seen.setdefault(strategy, got) == got, (size, strategy)
+    assert seen["bfs"][:4] == (SATISFIED, 3, 12, [1, 4, 6])

@@ -9,6 +9,12 @@ empty cut) is one plain run.  Cycles only partially inside the active
 set need no special handling, because the absent arcs already
 contribute vacuous messages.
 
+A conditioned evaluation costs one run per instance, the product of the
+cut nodes' state counts, so the cut of each loop cluster is chosen for
+that product (``select_loop_cutset``): a greedy over the 2-core of the
+arcs not yet cut picks the tail with the fewest states per core arc it
+cuts, and picks that later ones made redundant are dropped.
+
 Instance weights come from the evidence masses the runs track (the
 product of every normalization they discard), multiplied as float
 pairs; no ``Interval`` is built here.  The weight vector is normalized
@@ -51,26 +57,69 @@ def select_loop_cutset(
     exclude: frozenset[str] = frozenset(),
     presplit: frozenset[str] = frozenset(),
 ) -> tuple[str, ...]:
-    """Pick nodes whose clamping makes the cluster singly connected.
+    """Pick nodes whose clamping makes the cluster singly connected, with
+    few joint instances (the product of their state counts).
 
-    Greedy by descending skeleton degree inside the cluster, ties by
-    network order.  Only nodes with an outgoing arc on some cycle can
-    cut it, so pure sinks are never candidates.  ``presplit`` nodes
-    (already observed) cut for free and are not selected again.  Every
-    skeleton cycle of a DAG has at least two distinct arc tails, so the
-    result cuts the cluster whenever ``exclude`` holds at most one node.
+    A weighted 2-core greedy (Becker & Geiger, UAI 1994).  Clamping a
+    node silences its out-arcs, so ``presplit`` nodes (already
+    observed) cut for free.  Repeat: prune the skeleton of the arcs whose
+    tail is not yet split to its 2-core, and stop once it is empty; else
+    split the tail ``v`` in the core, outside ``exclude``, with the least
+    ``(log2(states) / d(v), states, network order)``.  ``d(v)`` counts
+    all of v's core arcs when v has at most one in-arc in the core, and
+    only its core out-arcs otherwise: clamping v cuts every core cycle
+    through v except those that enter v twice.  Then drop each pick whose
+    removal still leaves the cluster cut, the most states first and,
+    among equal counts, the latest in network order first.
+
+    Every skeleton cycle of a DAG has at least two distinct arc tails,
+    so the result cuts the cluster whenever ``exclude`` holds at most
+    one node; otherwise the picks made until no candidate is left are
+    returned.
     """
-    degree = Counter(v for arc in cluster.arcs for v in arc)
-    tails = {p for p, _ in cluster.arcs if p not in exclude and p not in presplit}
-    candidates = sorted(tails, key=lambda v: (-degree[v], net.order(v)))
-    chosen: list[str] = []
     split = set(presplit)
-    for v in candidates:
-        if skeleton_acyclic(cluster.arcs, split):
+    chosen: list[str] = []
+    while True:
+        core = _two_core([(p, c) for p, c in cluster.arcs if p not in split])
+        ins, outs = Counter(c for _, c in core), Counter(p for p, _ in core)
+        ranked = []
+        for v in outs.keys() - exclude:
+            d = outs[v] + ins[v] if ins[v] <= 1 else outs[v]
+            k = net.state_count(v)
+            ranked.append((math.log2(k) / d, k, net.order(v), v))
+        if not ranked:
             break
+        v = min(ranked)[-1]
         split.add(v)
         chosen.append(v)
-    return tuple(chosen)
+    for v in sorted(chosen, key=lambda v: (-net.state_count(v), -net.order(v))):
+        if skeleton_acyclic(cluster.arcs, split - {v}):
+            split.remove(v)
+    return tuple(v for v in chosen if v in split)
+
+
+def _two_core(arcs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The arcs of the skeleton's 2-core: what is left once nodes with at
+    most one arc are pruned until none is left.  Empty when the skeleton
+    has no cycle."""
+    neighbours: dict[str, list[str]] = {}
+    for p, c in arcs:
+        neighbours.setdefault(p, []).append(c)
+        neighbours.setdefault(c, []).append(p)
+    degree = {v: len(ws) for v, ws in neighbours.items()}
+    leaves = [v for v, d in degree.items() if d <= 1]
+    pruned: set[str] = set()
+    while leaves:
+        v = leaves.pop()
+        if v in pruned:
+            continue
+        pruned.add(v)
+        for w in neighbours[v]:
+            if w not in pruned:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    return [(p, c) for p, c in arcs if p not in pruned and c not in pruned]
 
 
 def _pinned_column_factor(

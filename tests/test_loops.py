@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from boundprop import (
 from boundprop import loops
 from boundprop.engine import LOOP_DELAYS, _joint_weights, _Run
 from boundprop.intervals import _normalized, normalize_scaled
-from boundprop.network import _Context
+from boundprop.network import _Context, skeleton_acyclic
 from boundprop.netgen import GenSpec, gen_loopy, sample_evidence
 
 from conftest import NoCache, build_net, clamped_state_range, midpoints
@@ -41,8 +42,9 @@ def test_select_cutset_diamond(diamond):
     assert select_loop_cutset(diamond, cluster) == ("A",)
 
 
-def test_select_cutset_fused_diamonds():
-    fused = build_net(
+def fused_diamonds():
+    # Two diamonds A-B-D-C and D-E-G-F joined at D.
+    return build_net(
         "f",
         {
             "A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"],
@@ -50,9 +52,13 @@ def test_select_cutset_fused_diamonds():
         },
         seed=2,
     )
+
+
+def test_select_cutset_fused_diamonds():
+    fused = fused_diamonds()
     (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
     cutset = select_loop_cutset(fused, cluster)
-    assert len(cutset) <= 2
+    assert len(cutset) == 2
 
 
 def test_select_cutset_single_cycle():
@@ -67,6 +73,77 @@ def test_select_cutset_single_cycle():
         assert len(cluster.nodes) == k
         cutset = select_loop_cutset(net, cluster)
         assert len(cutset) == 1
+
+
+def test_select_cutset_cuts_a_cycle_at_its_fewest_states():
+    # A cycle with a 4-state fork A and a 2-state pass-through tail B:
+    # each cuts two core arcs, and clamping B runs 2 instances, not 4.
+    net = build_net("cycle", {"A": [], "B": ["A"], "C": ["B", "A"]}, seed=1, state_counts={"A": 4})
+    (cluster,) = find_loop_clusters(net.node_ids(), net.arcs)
+    assert select_loop_cutset(net, cluster) == ("B",)
+
+
+def test_select_cutset_drops_a_pick_that_later_picks_made_redundant():
+    # C (2 states over two core arcs) is picked before A (3 states over
+    # three), but then A must be picked as well, and A alone cuts every
+    # cycle: 3 instances in place of 6.
+    spec = {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C", "A"]}
+    net = build_net("redundant", spec, seed=3, state_counts={"A": 3, "B": 3})
+    (cluster,) = find_loop_clusters(net.node_ids(), net.arcs)
+    assert select_loop_cutset(net, cluster) == ("A",)
+
+
+def test_select_cutset_leaves_what_evidence_already_cut():
+    fused = fused_diamonds()
+    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
+    assert select_loop_cutset(fused, cluster, presplit=frozenset({"A", "D"})) == ()
+    assert select_loop_cutset(fused, cluster, presplit=frozenset({"A"})) == ("D",)
+
+
+def test_select_cutset_never_picks_the_excluded_node():
+    fused = fused_diamonds()
+    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
+    for q in fused.node_ids():
+        cutset = select_loop_cutset(fused, cluster, exclude=frozenset({q}))
+        assert q not in cutset
+        assert len(cutset) == 2 and skeleton_acyclic(cluster.arcs, cutset)
+
+
+def test_cutset_cuts_every_cluster_and_no_pick_is_redundant():
+    rng = random.Random(23)
+    checked = 0
+    for seed in range(30):
+        spec = GenSpec(node_count=12 + seed % 9, topology="loopy", arc_ratio=1.3, seed=seed)
+        net = gen_loopy(spec)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        for cluster in find_loop_clusters(net.node_ids(), net.arcs):
+            cutset = select_loop_cutset(net, cluster, frozenset({q}), frozenset(ev))
+            split = set(cutset) | set(ev)
+            assert q not in cutset and not set(cutset) & set(ev)
+            assert skeleton_acyclic(cluster.arcs, split)
+            for v in cutset:
+                assert not skeleton_acyclic(cluster.arcs, split - {v})
+            checked += len(cutset)
+    assert checked > 30
+
+
+def test_the_cut_of_a_loopy_query_stays_within_a_thousand_instances(monkeypatch):
+    # A 50-node loopy network whose query once asked for 143,327,232
+    # instances and raised CutsetOverflowError.
+    instances = []
+
+    def spy(ctx, active, cut, observed, cache):
+        instances.append(math.prod(net.state_count(c) for c in cut))
+        return conditioned(ctx, active, cut, observed, cache)
+
+    conditioned = loops._conditioned_bel
+    monkeypatch.setattr(loops, "_conditioned_bel", spy)
+    net = gen_loopy(GenSpec(node_count=50, topology="loopy", arc_ratio=1.3, seed=202))
+    ev = sample_evidence(net, random.Random(7))
+    q = next(v for v in net.node_ids() if v not in ev)
+    answer_query(net, q, ev, strategy="bfs", stop=StopCriterion.width(0.0), budget_ms=200)
+    assert instances and max(instances) <= 1024
 
 
 def test_cutset_renders_skeleton_acyclic():
@@ -111,7 +188,8 @@ def test_condition_cluster_exact_on_diamond(diamond):
                 # the observed node already cuts the loop for free
                 assert cutset == ()
             elif q != "A":
-                # greedy picks the fork; the query itself is never clamped
+                # every tail cuts two core arcs at two states, so network
+                # order picks the fork; the query itself is never clamped
                 assert cutset == ("A",)
             else:
                 assert len(cutset) == 1

@@ -1,6 +1,7 @@
 """The bounds tool must see every field it claims to cover."""
 
 import hashlib
+import math
 import random
 import sys
 import types
@@ -109,6 +110,18 @@ def test_compare_counts_a_query_whose_active_sets_differ(monkeypatch):
     )
 
 
+def test_anytime_area_weighs_each_width_by_the_nodes_its_iteration_added(monkeypatch):
+    tool = _load_tool(monkeypatch)
+    answers = [
+        # Width 1 over the first node, then 0.25 over three more: 1.75 / 4.
+        ["satisfied", 5, [1, 4], [[[0.0, 0.0], [1.0, 1.0]], [[0.25, 0.5], [0.5, 0.75]]]],
+        ["ConflictingEvidenceError", 0, [], []],
+        ["saturated", 1, [2], [[[0.5, 0.5], [0.5, 0.5]]]],
+    ]
+    assert tool.anytime_area(answers) == (0.4375 + 0.0) / 2
+    assert math.isnan(tool.anytime_area(answers[1:2]))
+
+
 def test_compare_against_this_checkout_reports_no_change(monkeypatch, capsys):
     tool = _load_tool(monkeypatch)
     import workloads
@@ -124,7 +137,16 @@ def test_compare_against_this_checkout_reports_no_change(monkeypatch, capsys):
     monkeypatch.setattr(workloads, "GENERATORS", {"small": generate})
     assert tool.main([str(TOOLS.parent), "--seeds", "1"]) == 0
     line, parent_total, total = capsys.readouterr().out.splitlines()
-    visits = sum(answer_query(net, q, ev, stop=StopCriterion.width(0.05)).node_visits for q in free)
+    results = [answer_query(net, q, ev, stop=StopCriterion.width(0.05)) for q in free]
+    visits = sum(r.node_visits for r in results)
+    areas = [
+        sum(w * (n - m) for w, n, m in zip(r.widths, r.active_nodes, [0, *r.active_nodes])) / r.active_nodes[-1]
+        for r in results
+    ]
+    area = f"{sum(areas) / len(areas):.4f}"
     assert line.startswith("1 small 3 queries: wider 0 (max 0), tighter 0 (max 0), ")
-    assert line.endswith(f"node_visits {visits} -> {visits}, outcomes changed 0, active sets changed 0")
+    assert line.endswith(
+        f"node_visits {visits} -> {visits}, anytime area {area} -> {area}, "
+        "outcomes changed 0, active sets changed 0"
+    )
     assert parent_total == total and total.startswith("3 queries sha256 ")

@@ -32,14 +32,18 @@ lies outside the parent's, and tighter when one lies inside it.  One
 line is printed per seed and workload, in the form
 
     SEED WORKLOAD N queries: wider W (max DW), tighter T (max DT),
-    iterations I0 -> I1, node_visits V0 -> V1, outcomes changed K,
-    active sets changed A
+    iterations I0 -> I1, node_visits V0 -> V1, anytime area R0 -> R1,
+    outcomes changed K, active sets changed A
 
 on one line, and last the parent's total line, then this checkout's.
-DW and DT are the largest differences of a bound, the totals read
-parent -> this checkout, and an outcome is a query's status or the
-failure it raised.  A change that should only tighten bounds must read
-``wider 0``, or wider only by rounding.  Nothing is written to disk.
+DW and DT are the largest differences of a bound, the totals and the
+mean anytime areas read parent -> this checkout, and an outcome is a
+query's status or the failure it raised.  A query's anytime area is
+sum_i width_i * (n_i - n_(i-1)) / n_final, with width_i the widest
+interval of iteration i, n_i its active-set size and n_0 = 0: the lower,
+the sooner its bounds tightened as its active set grew.  A change that
+should only tighten bounds must read ``wider 0``, or wider only by
+rounding.  Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -130,6 +135,22 @@ def compare(parent: list, change: list) -> dict:
     return out
 
 
+def anytime_area(answers: list) -> float:
+    """The mean anytime area (see above) of the answered queries: the
+    widest interval of each iteration, weighed by the share of the final
+    active set that iteration added."""
+    areas = []
+    for outcome, _, sizes, bels in answers:
+        if outcome in FAILURES:
+            continue
+        area, last = 0.0, 0
+        for n, (lo, hi) in zip(sizes, bels, strict=True):
+            area += max(b - a for a, b in zip(lo, hi)) * (n - last)
+            last = n
+        areas.append(area / last)
+    return sum(areas) / len(areas) if areas else math.nan
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", nargs="?", help="the checkout to compare this one against")
@@ -171,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"tighter {c['tighter']} (max {c['max_tighter']:.3g}), "
                     f"iterations {c['iterations'][0]} -> {c['iterations'][1]}, "
                     f"node_visits {c['visits'][0]} -> {c['visits'][1]}, "
+                    f"anytime area {anytime_area(sides[0]):.4f} -> {anytime_area(sides[1]):.4f}, "
                     f"outcomes changed {c['outcomes']}, active sets changed {c['active']}",
                     flush=True,
                 )

@@ -32,7 +32,7 @@ def _write(text: str, path: str | None) -> int:
 
 
 def _parse_evidence(net, pairs):
-    out = dict(net.evidence)
+    out = {}
     for item in pairs or []:
         if "=" not in item:
             raise ValueError(f"evidence must look like ID=STATE, got {item!r}")

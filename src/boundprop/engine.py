@@ -74,10 +74,12 @@ fresh one.
 
 A query's evidence is the caller's evidence laid over the evidence
 stored on the network, merged in the one per-query ``_Context`` that
-every entry point builds.  A network keeps the last merged evidence it
-was asked about, checked, with the ancestral closure of its nodes, so a
-stream of queries under one evidence pays for that closure once and
-each query walks only its own ancestors outside it.  That one slot is
+``answer_query``, ``propagate`` and ``relevant_set`` build.  A network
+keeps one slot for the last merged evidence it was asked about: the
+mapping, its checked copy and the ancestral closure of its nodes.  A
+stream of queries under one evidence mapping pays for that closure once,
+and each query walks only its own ancestors outside it; an equal mapping
+that is not the kept one is checked again first.  That one slot is
 derived from the network and the evidence alone: it never changes an
 answer and holds no strategy or query state.
 """

@@ -58,8 +58,8 @@ class BeliefNetwork:
             _check_evidence(self, self.evidence)
         except (KeyError, ValueError) as exc:
             raise NetworkFormatError(f"stored evidence: {exc.args[0]}") from None
-        # The last evidence asked about, checked, with its closure.
-        self._observed: _Observed | None = None
+        # The last evidence mapping asked about, its checked copy and An(Z).
+        self._observed: tuple[Mapping[str, int], Evidence, set[str]] | None = None
         # Kernel tables, built per node on first use (at parse they would
         # cost about as much as the parse); equal greedy orders stored once.
         self._tables: dict[str, tuple] = {}
@@ -190,16 +190,28 @@ class BeliefNetwork:
             stack.extend(self.node(v).parents)
         return out
 
-    def _observe(self, evidence: Mapping[str, int]) -> "_Observed":
-        """The checked evidence and its ancestral closure, rebuilt only when
-        the evidence differs from the last set asked about.  A check that
-        fails raises before anything is kept.  The sets are compared with
-        ``==``, so a state equal to a kept int (``1.0``, ``True``) is read
-        as that int without a check."""
-        found = self._observed
-        if found is None or found.evidence != evidence:
-            found = self._observed = _Observed(self, evidence)
-        return found
+    def _observe(self, evidence: Mapping[str, int]) -> tuple[Evidence, set[str]]:
+        """The checked evidence and An(Z), the ancestral closure of its
+        nodes Z, kept in one slot for every query and entry point.
+
+        The slot holds the mapping last asked about, its checked copy and
+        An(Z), and is rebuilt, checked first, when the mapping is not
+        ``==`` to that copy; a check that fails raises before anything is
+        kept.  An equal mapping that is not the kept object is checked
+        (O(|Z|), no closure) before the slot is reused, so ``{"C": True}``
+        or ``{"C": 1.0}`` after ``{"C": 1}`` raises.  Left open: the kept
+        mapping itself changed in place to an equal state (``1`` to
+        ``True``) is read as the kept int without a check; an immutable
+        observation value would close that.
+        """
+        kept = self._observed
+        if kept is None or kept[1] != evidence:
+            _check_evidence(self, evidence)
+            checked = dict(evidence)
+            kept = self._observed = (evidence, checked, self.ancestral_closure(checked))
+        elif kept[0] is not evidence:
+            _check_evidence(self, evidence)
+        return kept[1], kept[2]
 
 
 def _check_evidence(net: BeliefNetwork, evidence: Mapping[str, int]) -> None:
@@ -214,33 +226,21 @@ def _check_evidence(net: BeliefNetwork, evidence: Mapping[str, int]) -> None:
             raise ValueError(f"evidence state {s} out of range for {v!r}")
 
 
-class _Observed:
-    """Evidence checked against one network (``_check_evidence``) and
-    An(Z), the ancestral closure of its nodes Z: one per evidence, for
-    every query."""
-
-    __slots__ = ("evidence", "ancestors")
-
-    def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int]):
-        _check_evidence(net, evidence)
-        self.evidence: Evidence = dict(evidence)
-        self.ancestors = net.ancestral_closure(self.evidence)
-
-
 class _Context:
     """Per-query constants shared by every evaluation of one query.
 
     The caller's evidence is laid over the evidence stored on the
-    network; this is the one place a query reads the stored set, so
-    every entry point answers under the same evidence.  Every entry
-    point builds one, so the query and the evidence are checked here
-    (see ``_Observed``).  The checked evidence and An(Z) come from the
-    network's one kept ``_Observed``; ``own`` is the query's own
-    ancestors outside An(Z), walked for this query only, so ``v in ctx``
-    tests membership in An({q} ∪ Z) without copying either set.
+    network; this is the one place the engine reads the stored set, so
+    ``answer_query``, ``propagate`` and ``relevant_set`` answer under
+    the same evidence.  Each builds one, so the query and the evidence
+    are checked here.  The checked evidence and An(Z) come from the
+    network's one kept slot (``BeliefNetwork._observe``); ``own`` is the
+    query's own ancestors outside An(Z), walked for this query only, so
+    ``v in ctx`` tests membership in An({q} ∪ Z) without copying either
+    set.
     """
 
-    __slots__ = ("net", "query", "observed", "evidence", "own")
+    __slots__ = ("net", "query", "evidence", "ancestors", "own")
 
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int] | None, query: str):
         self.net = net
@@ -248,12 +248,13 @@ class _Context:
         stored = net.evidence
         # A merged copy only when both sides give evidence; ``_observe``
         # checks and copies whichever mapping it is given.
-        self.observed = net._observe({**stored, **evidence} if stored and evidence else evidence or stored)
-        self.evidence = self.observed.evidence
-        self.own = net.ancestral_closure((query,), closed=self.observed.ancestors)
+        self.evidence, self.ancestors = net._observe(
+            {**stored, **evidence} if stored and evidence else evidence or stored
+        )
+        self.own = net.ancestral_closure((query,), closed=self.ancestors)
 
     def __contains__(self, v: str) -> bool:
-        return v in self.own or v in self.observed.ancestors
+        return v in self.own or v in self.ancestors
 
 
 class UnionFind:
@@ -327,7 +328,7 @@ def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Co
     return {v for v, _ in seen}
 
 
-def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int] | Iterable[str]) -> set[str]:
+def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int]) -> set[str]:
     """Nodes that can influence the query's posterior.
 
     A node matters only if it is joined to the query by an active trail
@@ -338,15 +339,13 @@ def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int] | I
     leaves it never comes back, and one walk that stops there finds
     them all.
 
-    ``evidence`` is the whole observed set, as a mapping or node ids;
-    evidence stored on the network is not added.  The engine passes its
-    per-query ``_Context`` instead, whose merged evidence and closures
-    the walk reuses.
+    ``evidence`` is laid over the evidence stored on the network and
+    checked, as ``answer_query`` does, through one ``_Context``.  The
+    engine passes its per-query ``_Context`` instead, whose evidence
+    and closures the walk reuses.
     """
-    if isinstance(evidence, _Context):
-        return _trails(net, query, evidence.evidence, evidence.observed.ancestors, evidence)
-    z = set(evidence)
-    return _trails(net, query, z, net.ancestral_closure(z), net.ancestral_closure({query, *z}))
+    ctx = evidence if isinstance(evidence, _Context) else _Context(net, evidence, query)
+    return _trails(net, query, ctx.evidence, ctx.ancestors, ctx)
 
 
 # -- loop structure --------------------------------------------------------
@@ -361,45 +360,33 @@ class LoopCluster:
 
 
 def _skeleton_bridges(nodes: Collection[str], edges: Collection[tuple[str, str]]) -> set[frozenset[str]]:
-    """Bridges of the undirected multigraph, by iterative lowpoint DFS."""
+    """Bridges of the undirected multigraph in O(V + E): a depth-first
+    preorder from an explicit stack whose entries carry the tree edge
+    they arrived by, then lowpoints over that preorder reversed, so each
+    node's descendants are done before it."""
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
     for i, (a, b) in enumerate(edges):
         adj[a].append((b, i))
         adj[b].append((a, i))
-    visited: set[str] = set()
     disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    bridges: set[frozenset[str]] = set()
-    counter = 0
+    preorder: list[tuple[str, str | None, int]] = []  # (node, tree parent, tree edge)
     for root in nodes:
-        if root in visited:
-            continue
-        stack: list[tuple[str, int, Iterator[tuple[str, int]]]] = []
-        visited.add(root)
-        disc[root] = low[root] = counter
-        counter += 1
-        stack.append((root, -1, iter(adj[root])))
+        stack: list[tuple[str, str | None, int]] = [(root, None, -1)]
         while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, edge_id in it:
-                if edge_id == in_edge:
-                    continue
-                if w not in visited:
-                    visited.add(w)
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, edge_id, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(frozenset((u, v)))
+            entry = stack.pop()
+            v = entry[0]
+            if v not in disc:
+                disc[v] = len(preorder)
+                preorder.append(entry)
+                stack += [(w, v, i) for w, i in adj[v] if w not in disc]
+    low = dict(disc)
+    bridges: set[frozenset[str]] = set()
+    for v, u, edge in reversed(preorder):
+        low[v] = min([low[v]] + [disc[w] for w, i in adj[v] if i != edge])
+        if u is not None:
+            low[u] = min(low[u], low[v])
+            if low[v] > disc[u]:
+                bridges.add(frozenset((u, v)))
     return bridges
 
 

@@ -3,9 +3,11 @@
 Both are deliberately independent of the interval machinery so they can
 serve as oracles for it.  Enumeration works on any network up to a
 state-space cap; the point polytree solver is linear-time but limited
-to singly connected networks.  Both check the asked node and the
-evidence as the engine does: an unknown node raises ``KeyError`` and a
-state that is not an ``int`` in range raises ``ValueError``.
+to singly connected networks.  Both answer under the caller's evidence
+laid over the evidence stored on the network, and check the asked node
+and that evidence, as the engine does: an unknown node raises
+``KeyError`` and a state that is not an ``int`` in range raises
+``ValueError``.
 
 NumPy is imported by the functions that enumerate, not by the module,
 so importing the package does not pay for it.
@@ -72,6 +74,7 @@ def enumerate_marginal(
     """Exact conditional marginal of ``node`` by summing the joint."""
     import numpy as np
 
+    evidence = {**net.evidence, **evidence}
     sub = _sliced_joint(net, evidence, node)
     if node in evidence:
         total = float(np.sum(sub))
@@ -104,6 +107,7 @@ def polytree_exact(
     if not is_polytree(net):
         raise ValueError("polytree_exact requires a singly connected network")
     net.node(node)
+    evidence = {**net.evidence, **evidence}
     _check_evidence(net, evidence)
 
     def indicator(x: str) -> list[float]:

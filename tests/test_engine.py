@@ -624,6 +624,7 @@ def test_the_callers_state_wins_over_a_stored_one(figure_net):
     merged = {"B": 1, "X": 1}
     for q in "YACD":
         want = enumerate_marginal(figure_net, merged, q)
+        assert enumerate_marginal(stored, caller, q) == want
         r = answer_query(stored, q, caller)
         assert r.bels == answer_query(figure_net, q, merged).bels
         assert r.bels[-1].contains_point(want, 1e-12)
@@ -631,6 +632,36 @@ def test_the_callers_state_wins_over_a_stored_one(figure_net):
         bel = propagate(stored, active, caller, q)
         assert bel == propagate(figure_net, active, merged, q)
         assert bel.contains_point(want, 1e-12)
+    # The point solver reads the stored evidence too, on figure_net's
+    # tree: the arc C -> D dropped.
+    nodes = [n if n.id != "D" else Node("D", n.states, ("B",), n.cpt[::2]) for n in figure_net.nodes]
+    tree = BeliefNetwork("tree", nodes)
+    stored = BeliefNetwork("tree", nodes, evidence={"B": 0, "X": 1})
+    for q in "YACD":
+        assert polytree_exact(stored, caller, q) == polytree_exact(tree, merged, q)
+
+
+def test_relevant_set_reads_the_stored_evidence(figure_net):
+    ev = {"B": 0, "X": 1}
+    nets = [(figure_net, ev)]
+    for seed in range(6):
+        if seed % 2:
+            net = gen_polytree(GenSpec(node_count=14, seed=seed))
+        else:
+            net = gen_loopy(GenSpec(node_count=14, topology="loopy", arc_ratio=1.3, seed=seed))
+        nets.append((net, sample_evidence(net, random.Random(seed))))
+    saturated = 0
+    for plain, ev in nets:
+        stored = BeliefNetwork(plain.name, plain.nodes, evidence=ev)
+        for q in plain.node_ids():
+            rel = relevant_set(stored, q, {})
+            assert rel == relevant_set(plain, q, ev), (plain.name, q)
+            for strategy in LOOP_DELAYS:
+                r = answer_query(stored, q, strategy=strategy, stop=StopCriterion.width(0.0))
+                if r.status == SATURATED:
+                    assert r.active_nodes[-1] == len(rel), (plain.name, q, strategy)
+                    saturated += 1
+    assert saturated
 
 
 def test_a_failed_evidence_check_is_never_kept():
@@ -650,6 +681,16 @@ def test_a_failed_evidence_check_is_never_kept():
         for state in (0.5, 1.0, True, "1"):
             with pytest.raises(ValueError, match="must be an int"):
                 answer_query(net, "A", {"C": state})
+        # Nor after an equal int was kept: a mapping equal to the kept
+        # evidence is checked again before the kept slot is reused.
+        answer_query(net, "A", {"C": 1})
+        for state in (True, 1.0):
+            with pytest.raises(ValueError, match="must be an int"):
+                answer_query(net, "A", {"C": state})
+            with pytest.raises(ValueError, match="must be an int"):
+                propagate(net, active, {"C": state}, "A")
+            with pytest.raises(ValueError, match="must be an int"):
+                relevant_set(net, "A", {"C": state})
 
 
 def test_a_callers_evidence_is_read_afresh_on_every_query(figure_net):

@@ -20,6 +20,7 @@ from boundprop import (
     parse_network,
     pi_hat,
     propagate,
+    relevant_set,
     select_loop_cutset,
     simplex_dot,
     vacuous,
@@ -244,6 +245,10 @@ def test_evidence_is_checked_at_every_entry_point(diamond):
         propagate(diamond, full_active(diamond), {"B": 2}, "D")
     with pytest.raises(KeyError):
         propagate(diamond, full_active(diamond), {"Z": 0}, "D")
+    with pytest.raises(ValueError, match="out of range"):
+        relevant_set(net, "A", {"C": 7})
+    with pytest.raises(KeyError):
+        relevant_set(net, "A", {"Z": 0})
 
 
 def test_incoherent_mixing_weights_raise(diamond, monkeypatch):

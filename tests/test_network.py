@@ -295,7 +295,6 @@ def test_relevant_set_matches_its_definition_on_random_networks():
             query = rng.choice(observed) if observed and rng.random() < 1 / 3 else rng.choice(ids)
             want = _relevant_reference(net, query, evidence)
             assert relevant_set(net, query, evidence) == want, (net.name, query, evidence)
-            assert relevant_set(net, query, list(evidence)) == want, (net.name, query, evidence)
             # The engine's call, over the closure the network keeps for the evidence.
             assert relevant_set(net, query, _Context(net, evidence, query)) == want
 

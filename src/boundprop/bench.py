@@ -50,6 +50,18 @@ def load_suite(text: str) -> dict:
             raise ValueError(f"suite needs a {key!r} list")
     if not all(isinstance(entry, dict) for entry in suite["networks"]):
         raise ValueError("each of a suite's networks must be a JSON object")
+    # Read by ``int``, ``float`` or ``random.Random``, which take a number
+    # or a numeric string; a null seed would seed from the clock.
+    numbers = [(f"suite {key!r}", suite[key]) for key in ("seed", "queries_per_network", "budget_ms")]
+    numbers += [("suite 'target_widths' entry", w) for w in suite["target_widths"]]
+    numbers += [(f"suite network {key!r}", entry[key])
+                for entry in suite["networks"] for key in ("nodes", "ratio", "seed") if key in entry]
+    for where, value in numbers:
+        if value is None or isinstance(value, (list, dict)):
+            raise ValueError(f"{where} must be a number, not {json.dumps(value)}")
+    for entry in suite["networks"]:
+        if not isinstance(entry.get("file", ""), str):
+            raise ValueError(f"suite network 'file' must be a path, not {json.dumps(entry['file'])}")
     return suite
 
 

@@ -122,6 +122,10 @@ LOOP_DELAYS = {"bfs": 0, "no-loops": None, "delayed": 5}
 PACING_FACTOR = 2
 
 
+class _BudgetSpent(Exception):
+    """A conditioned evaluation reached ``_Context.deadline``."""
+
+
 # -- active set -------------------------------------------------------------
 
 
@@ -704,6 +708,13 @@ def answer_query(
     cost bound).  The stop criterion and the budget are tested after
     each evaluation.
 
+    ``budget_ms`` is also tested before each cutset instance of a
+    conditioned evaluation, so such an evaluation runs past it by at
+    most one instance's run.  One that runs out of budget is dropped:
+    the result keeps the evaluations already finished, with status
+    budget.  The first evaluation covers the query alone, a tree that
+    is never conditioned, so a result always holds at least one bound.
+
     ``strategy`` is a key of ``LOOP_DELAYS``: ``"bfs"``, ``"no-loops"``
     or ``"delayed"``.  Anything else, a ``DelayedLoops`` included, is a
     ``ValueError``; the query grows its active set with a
@@ -733,10 +744,15 @@ def answer_query(
     timings: list[float] = []
     bels: list[IntervalVector] = []
     visits = 0
-    started = time.perf_counter()
+    if budget_ms is not None:
+        ctx.deadline = time.perf_counter() + budget_ms / 1000.0
     while True:
         t0 = time.perf_counter()
-        bel, v = evaluate(net, active, ctx, cache)
+        try:
+            bel, v = evaluate(net, active, ctx, cache)
+        except _BudgetSpent:
+            status = BUDGET
+            break
         timings.append(time.perf_counter() - t0)
         bels.append(bel)
         sizes.append(len(active.nodes))
@@ -744,7 +760,7 @@ def answer_query(
         if stop.met(bel):
             status = SATISFIED
             break
-        if budget_ms is not None and (time.perf_counter() - started) * 1000.0 >= budget_ms:
+        if ctx.deadline is not None and time.perf_counter() >= ctx.deadline:
             status = BUDGET
             break
         last = active

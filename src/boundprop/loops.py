@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections import Counter
 from typing import Mapping
 
-from .engine import ActiveSet, _Context, _Run, _joint_weights
+from .engine import ActiveSet, _BudgetSpent, _Context, _Run, _joint_weights
 from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
@@ -204,6 +205,8 @@ def _conditioned_bel(
     masses: list[tuple[float, float]] = []
     visits = 0
     for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
+        if ctx.deadline is not None and time.perf_counter() >= ctx.deadline:
+            raise _BudgetSpent
         clamps = dict(zip(cut, inst))
         pinned = {**observed, **clamps}
         run = _Run(ctx, active, clamps, cache)

@@ -9,6 +9,7 @@ order, so files round-trip bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -237,10 +238,12 @@ class _Context:
     network's one kept slot (``BeliefNetwork._observe``); ``own`` is the
     query's own ancestors outside An(Z), walked for this query only, so
     ``v in ctx`` tests membership in An({q} ∪ Z) without copying either
-    set.
+    set.  ``deadline`` is the ``time.perf_counter()`` reading at which a
+    conditioned evaluation stops; only ``answer_query`` sets it, from
+    its ``budget_ms``.
     """
 
-    __slots__ = ("net", "query", "evidence", "ancestors", "own")
+    __slots__ = ("net", "query", "evidence", "ancestors", "own", "deadline")
 
     def __init__(self, net: BeliefNetwork, evidence: Mapping[str, int] | None, query: str):
         self.net = net
@@ -252,6 +255,7 @@ class _Context:
             {**stored, **evidence} if stored and evidence else evidence or stored
         )
         self.own = net.ancestral_closure((query,), closed=self.ancestors)
+        self.deadline: float | None = None
 
     def __contains__(self, v: str) -> bool:
         return v in self.own or v in self.ancestors
@@ -431,7 +435,9 @@ def parse_network(text: str) -> BeliefNetwork:
         network <name>
         node <id> states <s1> <s2> ...
         parents <id> [<p1> <p2> ...]
-        cpt <id>            (followed by one row per parent configuration)
+        cpt <id>            (followed by one row per parent configuration,
+                             in CPT row order; blank and comment lines
+                             may come between the rows)
         evidence <id> <state-name>
     """
     name: str | None = None
@@ -441,39 +447,10 @@ def parse_network(text: str) -> BeliefNetwork:
     evidence: dict[str, str] = {}
     node_order: list[str] = []
 
-    pending_cpt: str | None = None
-    pending_rows_needed = 0
-
-    def rows_expected(node_id: str) -> int:
-        total = 1
-        for p in parents.get(node_id, ()):
-            total *= len(states[p])
-        return total
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if pending_cpt is not None:
-            try:
-                row = tuple(float(t) for t in tokens)
-            except ValueError:
-                raise NetworkFormatError(
-                    f"expected {pending_rows_needed} more cpt row(s) for {pending_cpt!r}",
-                    lineno,
-                )
-            if len(row) != len(states[pending_cpt]):
-                raise NetworkFormatError(
-                    f"cpt row for {pending_cpt!r} has {len(row)} values, "
-                    f"expected {len(states[pending_cpt])}",
-                    lineno,
-                )
-            cpts[pending_cpt].append(row)
-            pending_rows_needed -= 1
-            if pending_rows_needed == 0:
-                pending_cpt = None
-            continue
+    # Each line with tokens, read lazily; a ``cpt`` line takes its rows from this stream.
+    lines = ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (tokens := raw.split("#", 1)[0].split()))
+    for lineno, tokens in lines:
         keyword = tokens[0]
         if keyword == "network":
             if len(tokens) != 2:
@@ -513,9 +490,25 @@ def parse_network(text: str) -> BeliefNetwork:
                 raise NetworkFormatError(f"cpt for undeclared node {node_id!r}", lineno)
             if node_id in cpts:
                 raise NetworkFormatError(f"duplicate cpt for {node_id!r}", lineno)
-            cpts[node_id] = []
-            pending_cpt = node_id
-            pending_rows_needed = rows_expected(node_id)
+            width = len(states[node_id])
+            needed = math.prod(len(states[p]) for p in parents.get(node_id, ()))
+            rows = cpts[node_id] = []
+            for lineno, tokens in itertools.islice(lines, needed):
+                try:
+                    row = tuple(map(float, tokens))
+                except ValueError:
+                    raise NetworkFormatError(
+                        f"expected {needed - len(rows)} more cpt row(s) for {node_id!r}", lineno
+                    ) from None
+                if len(row) != width:
+                    raise NetworkFormatError(
+                        f"cpt row for {node_id!r} has {len(row)} values, expected {width}", lineno
+                    )
+                rows.append(row)
+            if len(rows) < needed:
+                raise NetworkFormatError(
+                    f"file ended with {needed - len(rows)} cpt row(s) missing for {node_id!r}"
+                )
         elif keyword == "evidence":
             if len(tokens) != 3:
                 raise NetworkFormatError("evidence line must read: evidence <id> <state>", lineno)
@@ -532,10 +525,6 @@ def parse_network(text: str) -> BeliefNetwork:
         else:
             raise NetworkFormatError(f"unknown declaration {keyword!r}", lineno)
 
-    if pending_cpt is not None:
-        raise NetworkFormatError(
-            f"file ended with {pending_rows_needed} cpt row(s) missing for {pending_cpt!r}"
-        )
     if name is None:
         raise NetworkFormatError("missing network line")
     missing = [v for v in node_order if v not in cpts]

@@ -76,6 +76,35 @@ def test_cli_bench_rejects_a_malformed_suite(tmp_path, capsys, suite):
     assert err.startswith("error: ") and "suite" in err
 
 
+@pytest.mark.parametrize("bad", [None, [1], {"n": 1}])
+@pytest.mark.parametrize("field", [
+    "budget_ms", "target_widths", "queries_per_network", "seed",
+    "nodes", "ratio", "network seed", "file",
+])
+def test_cli_bench_rejects_a_value_that_is_not_a_number_or_path(tmp_path, capsys, field, bad):
+    suite = json.loads(json.dumps(SUITE))
+    key = field.removeprefix("network ")
+    if field == "target_widths":
+        suite["target_widths"] = [0.5, bad]
+    elif field in ("nodes", "ratio", "network seed", "file"):
+        suite["networks"][0][key] = bad
+    else:
+        suite[key] = bad
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", "--suite", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: suite ") and repr(key) in err
+
+
+def test_bench_suite_reads_numbers_given_as_strings():
+    suite = {**SUITE, "seed": "3", "queries_per_network": "1", "budget_ms": "30000",
+             "target_widths": ["0.5"], "strategies": ["bfs"],
+             "networks": [{"nodes": "8", "ratio": "1.2", "seed": "2", "topology": "loopy"}]}
+    records = list(run_bench(load_suite(json.dumps(suite))))
+    assert len(records) == 1 and records[0]["target_width"] == 0.5
+
+
 def test_bench_saturated_records_carry_width():
     suite = {
         "seed": 6,

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -993,6 +994,41 @@ def test_budget_must_be_a_nonnegative_number(chain_ab):
             answer_query(chain_ab, "B", {}, budget_ms=bad)
     res = answer_query(chain_ab, "B", {}, stop=StopCriterion.width(0.0), budget_ms=0)
     assert (res.status, res.iterations) == (BUDGET, 1)
+
+
+def test_budget_stops_a_conditioned_evaluation_between_instances(monkeypatch):
+    # A fake clock that moves one second per run built.  The third
+    # evaluation conditions the diamond's loop on a three-state node, and
+    # a budget of 3.5 s runs out after its second instance.
+    net = build_net("d3", {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"]}, seed=3,
+                    state_counts=dict.fromkeys("ABCD", 3))
+    clock = [0.0]
+    runs_per_evaluation = []
+    run, evaluate = loops._Run, loops.evaluate
+
+    class TickingRun(run):
+        def __init__(self, *args):
+            clock[0] += 1.0
+            super().__init__(*args)
+
+    def counting_evaluate(*args):
+        before = clock[0]
+        try:
+            return evaluate(*args)
+        finally:
+            runs_per_evaluation.append(int(clock[0] - before))
+
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(loops, "_Run", TickingRun)
+    monkeypatch.setattr(loops, "evaluate", counting_evaluate)
+    full = answer_query(net, "D", {}, stop=StopCriterion.width(0.0))
+    assert runs_per_evaluation == [1, 1, 3]
+    runs_per_evaluation.clear()
+    res = answer_query(net, "D", {}, stop=StopCriterion.width(0.0), budget_ms=3500)
+    assert res.status == BUDGET
+    assert res.bels == full.bels[:2]
+    assert runs_per_evaluation == [1, 1, 2]
+    assert len(res.elapsed) == len(res.active_nodes) == 2
 
 
 def test_every_iteration_sound(chain_ab):

@@ -121,6 +121,24 @@ def test_parse_names_each_malformed_line(text, message, line):
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
+def test_parse_skips_blank_and_comment_lines_between_cpt_rows():
+    plain = (
+        "network x\nnode A states t f\nnode B states t f\nparents B A\n"
+        "cpt A\n0.3 0.7\ncpt B\n0.9 0.1\n0.2 0.8\n"
+    )
+    spaced = plain.replace("\n0.9 0.1\n", "\n\n# first row\n0.9 0.1\n   \n  # second row\n\n")
+    assert spaced != plain
+    assert serialize_network(parse_network(spaced)) == serialize_network(parse_network(plain))
+
+
+def test_parse_names_the_line_of_a_bad_row_after_a_comment():
+    text = _HEAD + "node B states t f\nparents B A\ncpt B\n0.5 0.5\n# the second row\n\n0.5\n"
+    with pytest.raises(NetworkFormatError) as exc:
+        parse_network(text)
+    assert exc.value.line == 9
+    assert str(exc.value) == "line 9: cpt row for 'B' has 1 values, expected 2"
+
+
 _ROW2, _ROW1 = (0.5, 0.5), (1.0,)
 
 

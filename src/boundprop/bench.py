@@ -50,8 +50,9 @@ def load_suite(text: str) -> dict:
             raise ValueError(f"suite needs a {key!r} list")
     if not all(isinstance(entry, dict) for entry in suite["networks"]):
         raise ValueError("each of a suite's networks must be a JSON object")
-    # Read by ``int``, ``float`` or ``random.Random``, which take a number
-    # or a numeric string; a null seed would seed from the clock.
+    # Read by ``int`` or ``float``, which take a number or a numeric
+    # string, so ``"3"`` and ``3`` are one seed; null, a list or an object
+    # is rejected here, with the field that holds it.
     numbers = [(f"suite {key!r}", suite[key]) for key in ("seed", "queries_per_network", "budget_ms")]
     numbers += [("suite 'target_widths' entry", w) for w in suite["target_widths"]]
     numbers += [(f"suite network {key!r}", entry[key])
@@ -94,7 +95,7 @@ def _baseline_ms(net: BeliefNetwork, polytree: bool, evidence, query) -> float |
 
 def run_bench(suite: dict) -> Iterator[dict]:
     """Yield one record per (network, query, strategy, target width)."""
-    rng = random.Random(suite["seed"])
+    rng = random.Random(int(suite["seed"]))
     for entry in suite["networks"]:
         net = _suite_network(entry)
         n_arcs = len(net.arcs)

@@ -54,9 +54,9 @@ caller's vectors need not be normalized.
 
 Two kernel results depend on the network alone and are built once.  A
 node's pi value under vacuous parent messages, which for a root is its
-prior, is kept on the network on the node's first use, next to its
-kernel tables.  The lambda value of a node with no child message is one
-shared uniform vector per state count.
+prior, is in the node's record on the network, which the kernels only
+read.  The lambda value of a node with no child message is one shared
+uniform vector per state count.
 
 A cache is a plain ``dict`` that carries values from one evaluation to
 the next.  Each entry maps a message key to ``(signature, value)``,
@@ -165,18 +165,19 @@ class ActiveSet:
 #
 # One body per message formula, called by ``_Run`` and by the public
 # single-step functions.  Each returns a normalized vector with the mass
-# its normalization discarded, as a float pair.  A node's CPT columns and
-# the greedy orders of its columns and rows are built on the node's first
-# use and kept on the network (``BeliefNetwork._kernel_tables``).  A call
-# checks the coherence of each weight vector once, dots every column or
-# row against it on bare floats, and builds one ``IntervalVector``.  The
-# inner loops run in builtins: a greedy pass ends in one
-# ``sum(map(mul, ...))`` (``intervals._extreme`` says why that is the sum
-# without the zero entries), a kernel hands its raw bound lists to
-# ``intervals._normalized``, which checks them once, and the vacuous and
-# indicator vectors are shared instances, one per shape.  The schedule
-# reads the network's node and child tables directly, and growth reads a
-# node's skeleton neighbours, which the network keeps per node.
+# its normalization discarded, as a float pair.  A node's constants are
+# one record, built on its first use and kept on the network
+# (``BeliefNetwork._kernel_tables``); a lambda message groups its inner
+# bounds by that record's rows for each state of the receiving parent.
+# A call checks the coherence of each weight vector once, dots every
+# column or row against it on bare floats, and builds one
+# ``IntervalVector``.  The inner loops run in builtins: a greedy pass
+# ends in one ``sum(map(mul, ...))`` (``intervals._extreme`` says why
+# that is the sum without the zero entries), a kernel hands its raw bound
+# lists to ``intervals._normalized``, which checks them once, and the
+# vacuous and indicator vectors are shared instances, one per shape.
+# The schedule reads the network's node and child tables directly, and
+# growth reads a node's skeleton neighbours, its parents then children.
 #
 # A kernel skips the work its inputs make trivial, with the same floats
 # and the same errors as the general body:
@@ -186,9 +187,8 @@ class ActiveSet:
 #   are 0/1 with spare 1, so the greedy pass puts all of it on the first
 #   entry of each order, and a column's bounds are its least and greatest
 #   entries (where the sum would turn a -0.0 entry into 0.0, normalizing
-#   does).  The result depends on the node alone, so the network keeps it
-#   (``BeliefNetwork._priors``) on first use and every later call returns
-#   that one pair.
+#   does).  The result depends on the node alone, so it is part of the
+#   node's record and every call returns that one pair.
 # - lambda message, no co-parents: the outer pass dots each inner bound
 #   against the point weight (1.0,) with no spare, which returns it.
 # - lambda value: the product starts from the first child message, not
@@ -220,13 +220,8 @@ def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalV
         all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
         and math.prod(map(len, parent_msgs)) == len(net._by_id[x].cpt)
     ):
-        found = net._priors.get(x)
-        if found is None:
-            columns, orders, _ = net._kernel_tables(x)
-            bounds = [(c[lo[0]], c[hi[0]]) for c, (lo, hi) in zip(columns, orders)]
-            found = net._priors[x] = _normalized(*zip(*bounds))
-        return found
-    columns, orders, _ = net._kernel_tables(x)
+        return net._kernel_tables(x)[3]
+    columns, orders, _, _, _ = net._kernel_tables(x)
     if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
         weights = parent_msgs[0]
     else:
@@ -272,23 +267,18 @@ def _lambda_message_kernel(
     """The inner pass bounds the likelihood for each joint configuration
     of x's parents; the outer pass sums out the co-parents of u under
     their message weights."""
-    parents = net.parents(x)
-    n_u = net.state_count(u)
-    # Rows are stored last parent fastest, so they come in runs of
-    # ``stride`` rows with u fixed, u's state cycling from run to run.
-    stride = math.prod(map(net.state_count, parents[parents.index(u) + 1 :]))
     rows = net.node(x).cpt
-    _, _, orders = net._kernel_tables(x)
+    _, _, orders, _, rows_by_parent = net._kernel_tables(x)
+    groups = rows_by_parent[net.parents(x).index(u)]
     weights = _joint_weights(coparent_msgs)
     spare = _spare(lam, len(rows[0]))
     inner = [_dot_bounds(r, r, lam, spare, o) for r, o in zip(rows, orders)]
     if not coparent_msgs and min(lo for lo, _ in inner) >= 0.0:
         return _normalized(*zip(*inner))
-    runs = [inner[b : b + stride] for b in range(0, len(inner), stride)]
-    spare = _spare(weights, len(rows) // n_u)
+    spare = _spare(weights, len(groups[0]))
     out = []
-    for y in range(n_u):
-        a_lo, a_hi = zip(*[d for run in runs[y::n_u] for d in run])
+    for rows_of_y in groups:
+        a_lo, a_hi = zip(*[inner[r] for r in rows_of_y])
         if min(a_lo) < 0.0:
             raise ValueError("simplex_dot requires nonnegative entries")
         out.append(_dot_bounds(a_lo, a_hi, weights, spare, _orders(a_lo, a_hi)))

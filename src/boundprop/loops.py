@@ -134,7 +134,7 @@ def _pinned_column_factor(
             msgs.append(_indicator(net.state_count(p), pinned[p]))
         else:
             msgs.append(_vacuous(net.state_count(p)))
-    columns, orders, _ = net._kernel_tables(node)
+    columns, orders, _, _, _ = net._kernel_tables(node)
     column, order = columns[pinned[node]], orders[pinned[node]]
     weights = _joint_weights(msgs)
     return _dot_bounds(column, column, weights, _spare(weights, len(column)), order)

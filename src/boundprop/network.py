@@ -1,6 +1,10 @@
 """Belief-network representation, validation, and structural queries.
 
-Networks are immutable after construction.  Conditional probability
+A network's nodes, tables and stored evidence never change after
+construction.  It keeps two memos, neither of which changes an answer:
+one record per node derived from its table on first use
+(``BeliefNetwork._kernel_tables``) and one slot for the last evidence
+asked about (``BeliefNetwork._observe``).  Conditional probability
 tables are stored as one row per joint parent configuration, with the
 last-listed parent varying fastest; that order is also the on-disk row
 order, so files round-trip bit for bit.
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
 
-from .intervals import _orders
+from .intervals import _normalized, _orders
 
 ROW_SUM_TOL = 1e-9
 
@@ -61,15 +65,11 @@ class BeliefNetwork:
             raise NetworkFormatError(f"stored evidence: {exc.args[0]}") from None
         # The last evidence mapping asked about, its checked copy and An(Z).
         self._observed: tuple[Mapping[str, int], Evidence, set[str]] | None = None
-        # Kernel tables, built per node on first use (at parse they would
-        # cost about as much as the parse); equal greedy orders stored once.
+        # The derived record of each node (``_kernel_tables``), built on
+        # first use (at parse it would cost about as much as the parse);
+        # equal greedy orders are stored once across nodes.
         self._tables: dict[str, tuple] = {}
         self._orders: dict[tuple, tuple] = {}
-        # The pi value of each node under vacuous parent messages, built
-        # by ``engine._pi_value_kernel`` on first use.
-        self._priors: dict[str, tuple] = {}
-        # Skeleton neighbours, likewise built per node on first use.
-        self._neighbors: dict[str, tuple[str, ...]] = {}
 
     def _validate(self) -> None:
         for n in self.nodes:
@@ -158,25 +158,31 @@ class BeliefNetwork:
         return itertools.product(*ranges)
 
     def _kernel_tables(self, node_id: str):
-        """The node's CPT columns as float tuples, the greedy orders
-        (``intervals._orders``) of each column and those of each row."""
+        """The node's derived record, built once: its CPT columns as float
+        tuples, the greedy orders (``intervals._orders``) of each column
+        and of each row, its pi value under vacuous parent messages (see
+        ``engine``'s kernel fast paths) and, per parent, the row indices
+        of each of its states, ascending."""
         found = self._tables.get(node_id)
         if found is None:
             cpt = self.node(node_id).cpt
             columns = tuple(zip(*cpt))
             shared = self._orders
             orders = [tuple(shared.setdefault(o, o) for o in map(_orders, v, v)) for v in (columns, cpt)]
-            found = self._tables[node_id] = (columns, *orders)
+            prior = _normalized(*zip(*[(c[lo[0]], c[hi[0]]) for c, (lo, hi) in zip(columns, orders[0])]))
+            configs = tuple(self.parent_configs(node_id))
+            groups = tuple(
+                tuple(tuple(r for r, c in enumerate(configs) if c[i] == y) for y in range(self.state_count(p)))
+                for i, p in enumerate(self.parents(node_id))
+            )
+            found = self._tables[node_id] = (columns, *orders, prior, groups)
         return found
 
     # -- structural queries ----------------------------------------------
 
     def skeleton_neighbors(self, node_id: str) -> tuple[str, ...]:
-        found = self._neighbors.get(node_id)
-        if found is None:
-            n = self.node(node_id)
-            found = self._neighbors[node_id] = tuple(dict.fromkeys(n.parents + self._children[node_id]))
-        return found
+        # No duplicates: parents are distinct, and in a DAG no parent is a child.
+        return self.node(node_id).parents + self._children[node_id]
 
     def ancestral_closure(self, seed: Iterable[str], closed: Container[str] = frozenset()) -> set[str]:
         """The seed nodes together with all their ancestors, leaving out

@@ -105,6 +105,14 @@ def test_bench_suite_reads_numbers_given_as_strings():
     assert len(records) == 1 and records[0]["target_width"] == 0.5
 
 
+def test_bench_seed_given_as_a_string_samples_the_same_queries():
+    def sampled(seed):
+        suite = {**SUITE, "seed": seed, "strategies": ["bfs"]}
+        return [(r["network"], r["query"], r["evidence_count"]) for r in run_bench(load_suite(json.dumps(suite)))]
+
+    assert sampled("3") == sampled(3)
+
+
 def test_bench_saturated_records_carry_width():
     suite = {
         "seed": 6,

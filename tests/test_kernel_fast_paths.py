@@ -45,7 +45,7 @@ def _general_dot(a_lo, a_hi, b, spare, orders):
 
 
 def _general_pi_value(net, x, parent_msgs):
-    columns, orders, _ = net._kernel_tables(x)
+    columns, orders, _, _, _ = net._kernel_tables(x)
     weights = _joint_weights(parent_msgs)
     spare = _spare(weights, len(columns[0]))
     bounds = [_general_dot(c, c, weights, spare, o) for c, o in zip(columns, orders)]
@@ -57,7 +57,7 @@ def _general_lambda_message(net, x, u, lam, coparent_msgs):
     n_u = net.state_count(u)
     stride = math.prod(map(net.state_count, parents[parents.index(u) + 1 :]))
     rows = net.node(x).cpt
-    _, _, orders = net._kernel_tables(x)
+    _, _, orders, _, _ = net._kernel_tables(x)
     weights = _joint_weights(coparent_msgs)
     spare = _spare(lam, len(rows[0]))
     inner = [_general_dot(r, r, lam, spare, o) for r, o in zip(rows, orders)]
@@ -174,7 +174,7 @@ def test_lambda_value_fast_path_equals_the_general_body(n, data):
 @settings(max_examples=150, deadline=None)
 @given(_net(), st.data())
 def test_point_dot_fast_path_equals_the_general_body(net, data):
-    columns, orders, _ = net._kernel_tables("x")
+    columns, orders, _, _, _ = net._kernel_tables("x")
     weights = data.draw(_message(len(columns[0]), bad=False))
     spare = _spare(weights, len(columns[0]))
     for c, o in zip(columns, orders):

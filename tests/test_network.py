@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -189,6 +190,37 @@ def test_is_polytree():
     assert is_polytree(single)
     dia = build_net("d", {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"]})
     assert not is_polytree(dia)
+
+
+def test_skeleton_neighbors_hold_no_duplicates():
+    # Parents are distinct and no parent is also a child, so parents then
+    # children is the deduplicated list.
+    nets = [gen_polytree(GenSpec(node_count=25, seed=s)) for s in range(15)]
+    nets += [gen_loopy(GenSpec(node_count=25, topology="loopy", arc_ratio=1.4, seed=s)) for s in range(15)]
+    nets.append(build_net("h", {"A": [], "B": [], "C": [], "X": ["A", "B", "C"], "D": ["A", "X"], "E": ["X"]}))
+    assert nets[-1].skeleton_neighbors("X") == ("A", "B", "C", "D", "E")
+    for net in nets:
+        for v in net.node_ids():
+            expected = tuple(dict.fromkeys(net.parents(v) + net.children(v)))
+            assert net.skeleton_neighbors(v) == expected
+
+
+@pytest.mark.parametrize("counts", [c for k in (1, 2, 3) for c in itertools.product((2, 3, 4), repeat=k)])
+def test_kernel_record_groups_the_rows_of_each_parent_state(counts):
+    parents = [f"p{i}" for i in range(len(counts))]
+    spec = {**{p: [] for p in parents}, "x": parents}
+    net = build_net("g", spec, seed=1, state_counts={**dict(zip(parents, counts)), "x": 3})
+    record = net._kernel_tables("x")
+    configs = list(net.parent_configs("x"))
+    groups = record[4]
+    assert len(groups) == len(parents)
+    for i, by_state in enumerate(groups):
+        assert len(by_state) == counts[i]
+        assert sorted(r for rows in by_state for r in rows) == list(range(len(net.node("x").cpt)))
+        for y, rows in enumerate(by_state):
+            assert list(rows) == sorted(rows)
+            assert rows == tuple(r for r, config in enumerate(configs) if config[i] == y)
+    assert net._kernel_tables("x") is record
 
 
 def _reachable(net, source, observed):

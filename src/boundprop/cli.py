@@ -37,6 +37,8 @@ def _parse_evidence(net, pairs):
         if "=" not in item:
             raise ValueError(f"evidence must look like ID=STATE, got {item!r}")
         node, state = item.split("=", 1)
+        if node in out:
+            raise ValueError(f"duplicate evidence for {node!r}")
         out[node] = net.state_index(node, state)
     return out
 

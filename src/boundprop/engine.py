@@ -27,8 +27,9 @@ by which conditioned evaluations (see ``loops``) weight cutset
 instances.  The kernels run on bare floats: a node's CPT columns and
 the greedy orders of its columns and rows are derived once per network,
 when the node is first used, and each kernel call checks the coherence
-of each weight vector once.  No ``Interval`` is built below the public
-functions, except by the public ``simplex_dot`` that a mass calls.
+of each weight vector once and fills each distinct greedy order once.
+No ``Interval`` is built below the public functions, except by the
+public ``simplex_dot`` that a mass calls.
 
 A message whose one input is another message is that input.  A pi
 message from a node with no other child message would only normalize
@@ -97,6 +98,7 @@ from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
     _dot_bounds,
+    _dot_table,
     _indicator,
     _normalized,
     _orders,
@@ -169,13 +171,16 @@ class ActiveSet:
 # one record, built on its first use and kept on the network
 # (``BeliefNetwork._kernel_tables``); a lambda message groups its inner
 # bounds by that record's rows for each state of the receiving parent.
-# A call checks the coherence of each weight vector once, dots every
-# column or row against it on bare floats, and builds one
-# ``IntervalVector``.  The inner loops run in builtins: a greedy pass
-# ends in one ``sum(map(mul, ...))`` (``intervals._extreme`` says why
-# that is the sum without the zero entries), a kernel hands its raw bound
-# lists to ``intervals._normalized``, which checks them once, and the
-# vacuous and indicator vectors are shared instances, one per shape.
+# A call checks the coherence of each weight vector once, dots its whole
+# table of columns or rows against it on bare floats
+# (``intervals._dot_table``), and builds one ``IntervalVector``.  A
+# greedy fill depends on the weights, the spare mass and the visiting
+# order alone, so the table computes each distinct order's fill once
+# (equal orders are one object in the record) and each bound as one
+# ``sum(map(mul, ...))`` (``intervals._weighted_sum`` says why that is
+# the sum without the zero entries).  A kernel hands its raw bound lists
+# to ``intervals._normalized``, which checks them once, and the vacuous
+# and indicator vectors are shared instances, one per shape.
 # The schedule reads the network's node and child tables directly, and
 # growth reads a node's skeleton neighbours, its parents then children.
 #
@@ -226,9 +231,7 @@ def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalV
         weights = parent_msgs[0]
     else:
         weights = _joint_weights(parent_msgs)
-    spare = _spare(weights, len(columns[0]))
-    bounds = [_dot_bounds(c, c, weights, spare, o) for c, o in zip(columns, orders)]
-    return _normalized(*zip(*bounds))
+    return _normalized(*_dot_table(columns, orders, weights, _spare(weights, len(columns[0]))))
 
 
 def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
@@ -267,18 +270,21 @@ def _lambda_message_kernel(
     """The inner pass bounds the likelihood for each joint configuration
     of x's parents; the outer pass sums out the co-parents of u under
     their message weights."""
-    rows = net.node(x).cpt
+    rows = net._by_id[x].cpt
     _, _, orders, _, rows_by_parent = net._kernel_tables(x)
-    groups = rows_by_parent[net.parents(x).index(u)]
-    weights = _joint_weights(coparent_msgs)
-    spare = _spare(lam, len(rows[0]))
-    inner = [_dot_bounds(r, r, lam, spare, o) for r, o in zip(rows, orders)]
-    if not coparent_msgs and min(lo for lo, _ in inner) >= 0.0:
-        return _normalized(*zip(*inner))
+    if coparent_msgs:
+        weights = _joint_weights(coparent_msgs)
+    lows, highs = _dot_table(rows, orders, lam, _spare(lam, len(rows[0])))
+    if not coparent_msgs:
+        # As the outer pass checks each row; min alone can miss one after a NaN.
+        if not min(lows) >= 0.0 and any(lo < 0.0 for lo in lows):
+            raise ValueError("simplex_dot requires nonnegative entries")
+        return _normalized(lows, highs)
+    groups = rows_by_parent[net._by_id[x].parents.index(u)]
     spare = _spare(weights, len(groups[0]))
     out = []
     for rows_of_y in groups:
-        a_lo, a_hi = zip(*[inner[r] for r in rows_of_y])
+        a_lo, a_hi = [lows[r] for r in rows_of_y], [highs[r] for r in rows_of_y]
         if min(a_lo) < 0.0:
             raise ValueError("simplex_dot requires nonnegative entries")
         out.append(_dot_bounds(a_lo, a_hi, weights, spare, _orders(a_lo, a_hi)))
@@ -630,7 +636,11 @@ class DelayedLoops:
     the nodes the last round added (``fresh``) can have relevant
     neighbors outside.  A round scans their arcs, their new neighbors'
     arcs and the arcs still ``waiting``: it costs what it adds, not the
-    size of the active set.  An object serves one growth; a set that
+    size of the active set.
+
+    One ``step`` call runs as many rounds as the pacing between two
+    evaluations needs, on mutable node and arc sets, and builds one
+    ``ActiveSet`` at the end.  An object serves one growth; a set that
     ``step`` did not last return starts a new one from all its nodes.
     ``answer_query`` builds one per query from ``LOOP_DELAYS``, so no
     waiting round outlives its query.
@@ -642,39 +652,47 @@ class DelayedLoops:
         self.delay = delay
         self.round, self.fresh, self.waiting, self.last = 0, frozenset(), {}, None
 
-    def step(self, net: BeliefNetwork, active: ActiveSet, relevant: set[str]) -> ActiveSet | None:
-        """The next different active set, after as many rounds as the
-        waiting arcs need; None at a fixed point."""
+    def step(self, net: BeliefNetwork, active: ActiveSet, relevant: set[str], size: int) -> ActiveSet | None:
+        """The active set after the rounds that change it and grow it to
+        at least ``size`` nodes, or to the fixed point of growth; None
+        when ``active`` is already at the fixed point.  A ``size`` the set
+        already holds gives the next different set."""
         if active is not self.last:
             self.round, self.fresh, self.waiting = 0, active.nodes, {}
         by_id, children, order = net._by_id, net._children, net._order
-        new = {w for v in self.fresh for w in net.skeleton_neighbors(v)
-               if w in relevant and w not in active.nodes}
-        nodes = active.nodes | new
-        touched, self.fresh = self.fresh | new, new
-        arcs = {(p, c) for c in touched for p in by_id[c].parents if p in nodes}
-        arcs.update([(p, c) for p in touched for c in children[p] if c in nodes])
-        candidates = sorted(
-            {a for a in arcs if a not in active.arcs} | self.waiting.keys(),
-            key=lambda a: (order[a[0]], order[a[1]]),
-        )
-        sets = UnionFind()  # this round's new nodes; None is the active set
-        # A repeated round follows one that added nothing: same arcs, same pieces.
+        nodes, arcs, waiting = set(active.nodes), set(active.arcs), self.waiting
+        changed = False
         while True:
             self.round += 1
-            added = []
+            new = {w for v in self.fresh for w in net.skeleton_neighbors(v)
+                   if w in relevant and w not in nodes}
+            nodes |= new
+            touched, self.fresh = self.fresh | new, new
+            found = {(p, c) for c in touched for p in by_id[c].parents if p in nodes}
+            found.update([(p, c) for p in touched for c in children[p] if c in nodes])
+            candidates = sorted(
+                {a for a in found if a not in arcs} | waiting.keys(),
+                key=lambda a: (order[a[0]], order[a[1]]),
+            )
+            sets = UnionFind()  # this round's new nodes; None is the set before it
+            count = len(arcs)
             for p, c in candidates:
                 if sets.union(p if p in new else None, c if c in new else None):
-                    added.append((p, c))
+                    arcs.add((p, c))
                 elif self.delay is not None:
-                    if self.round - self.waiting.setdefault((p, c), self.round) >= self.delay:
-                        del self.waiting[(p, c)]
-                        added.append((p, c))
-            if new or added:
-                self.last = ActiveSet(nodes, active.arcs.union(added))
-                return self.last
-            if not self.waiting:
-                return None
+                    if self.round - waiting.setdefault((p, c), self.round) >= self.delay:
+                        del waiting[(p, c)]
+                        arcs.add((p, c))
+            if new or len(arcs) > count:
+                changed = True
+                if len(nodes) >= size:
+                    break
+            elif not waiting:
+                if not changed:
+                    return None
+                break
+        self.last = ActiveSet(frozenset(nodes), frozenset(arcs))
+        return self.last
 
 
 # -- the anytime loop -----------------------------------------------------------
@@ -691,12 +709,13 @@ def answer_query(
     """Iteratively expand and propagate until the stop criterion holds.
 
     One iteration is one evaluation.  The first is over the query node
-    alone; each later one is made once the strategy has grown the active
-    set to at least ``PACING_FACTOR`` (g) times the nodes of the last
-    evaluated set, or to its fixed point, which is always evaluated
-    before the status becomes saturated (the module docstring gives the
-    cost bound).  The stop criterion and the budget are tested after
-    each evaluation.
+    alone; each later one follows one growth call, ``DelayedLoops.step``
+    with a size of ``PACING_FACTOR`` (g) times the nodes of the last
+    evaluated set, which grows the active set to that size or to its
+    fixed point.  The fixed point is always evaluated before the status
+    becomes saturated, when the next call finds nothing to add (the
+    module docstring gives the cost bound).  The stop criterion and the
+    budget are tested after each evaluation.
 
     ``budget_ms`` is also tested before each cutset instance of a
     conditioned evaluation, so such an evaluation runs past it by at
@@ -753,16 +772,11 @@ def answer_query(
         if ctx.deadline is not None and time.perf_counter() >= ctx.deadline:
             status = BUDGET
             break
-        last = active
-        grown = growth.step(net, active, relevant)
-        while grown is not None and len(grown.nodes) < PACING_FACTOR * len(last.nodes):
-            active = grown
-            grown = growth.step(net, active, relevant)
-        if grown is not None:
-            active = grown
-        elif active is last:
+        grown = growth.step(net, active, relevant, PACING_FACTOR * len(active.nodes))
+        if grown is None:
             status = SATURATED
             break
+        active = grown
     return QueryResult(
         query=query,
         status=status,

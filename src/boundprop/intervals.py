@@ -230,18 +230,28 @@ def _dot_bounds(a_lo, a_hi, b: IntervalVector, spare: float, orders) -> tuple[fl
 
 
 def _extreme(weights, b_lo: tuple, b_hi: tuple, spare: float, order) -> float:
-    bstar = b_lo
-    if spare > 0.0:
-        bstar = list(b_lo)
-        for i in order:
-            room = b_hi[i] - b_lo[i]
-            if room <= 0.0:
-                continue
-            take = room if room < spare else spare
-            bstar[i] += take
-            spare -= take
-            if spare <= 0.0:
-                break
+    return _weighted_sum(weights, _fill(b_lo, b_hi, spare, order))
+
+
+def _fill(b_lo: tuple, b_hi: tuple, spare: float, order) -> Sequence[float]:
+    """The greedy weights: b_lo with the spare mass moved onto the entries
+    of ``order`` in turn, each up to its upper bound."""
+    if spare <= 0.0:
+        return b_lo
+    bstar = list(b_lo)
+    for i in order:
+        room = b_hi[i] - b_lo[i]
+        if room <= 0.0:
+            continue
+        take = room if room < spare else spare
+        bstar[i] += take
+        spare -= take
+        if spare <= 0.0:
+            break
+    return bstar
+
+
+def _weighted_sum(weights, bstar) -> float:
     # A zero entry of bstar adds a signed zero to a sum that is never
     # -0.0, which leaves it unchanged, unless its weight is infinite (only
     # the public ``simplex_dot`` takes those): then the product is NaN and
@@ -250,6 +260,39 @@ def _extreme(weights, b_lo: tuple, b_hi: tuple, spare: float, order) -> float:
     if total != total:
         total = sum([w * m for w, m in zip(weights, bstar) if m != 0.0])
     return total
+
+
+def _dot_table(vectors, orders, b: IntervalVector, spare: float) -> tuple[list[float], list[float]]:
+    """``_dot_bounds(v, v, b, spare, o)`` of each point vector v of a table
+    with its orders o, as the list of lower and the list of upper bounds.
+
+    A greedy fill depends on b, the spare mass and the order alone, so each
+    distinct order is filled once per call.  Against point weights (no
+    spare) both bounds are the one sum over b.lo, and the two lists are
+    one list.
+    """
+    b_lo, b_hi = b.lo, b.hi
+    lows = []
+    if spare <= 0.0:
+        for v in vectors:
+            lows.append(_weighted_sum(v, b_lo))
+        return lows, lows
+    highs = []
+    fills: dict = {}
+    for v, (lo_order, hi_order) in zip(vectors, orders):
+        fill = fills.get(lo_order)
+        if fill is None:
+            fill = fills[lo_order] = _fill(b_lo, b_hi, spare, lo_order)
+        lower = _weighted_sum(v, fill)
+        fill = fills.get(hi_order)
+        if fill is None:
+            fill = fills[hi_order] = _fill(b_lo, b_hi, spare, hi_order)
+        upper = _weighted_sum(v, fill)
+        if lower > upper:
+            lower, upper = _outward(lower, upper)
+        lows.append(lower)
+        highs.append(upper)
+    return lows, highs
 
 
 def _normalized(los: Sequence[float], his: Sequence[float]) -> tuple[IntervalVector, tuple[float, float]]:

@@ -218,6 +218,20 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["query", "exact"])
+@pytest.mark.parametrize("states", [("s0", "s1"), ("s0", "s0")])
+def test_cli_rejects_a_node_observed_twice(tmp_path, capsys, command, states):
+    # As a network file with a second evidence line for one node is refused.
+    path = tmp_path / "net.txt"
+    main(["gen", "--nodes", "6", "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    evidence = [arg for s in states for arg in ("--evidence", f"n5={s}")]
+    assert main([command, str(path), "--node", "n0", *evidence]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: duplicate evidence for 'n5'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--threshold", "n1:s0=0.5"], "threshold must contain '>' or '<'"),
     (["--threshold", "n1>0.5"], "threshold must look like ID:STATE>P"),

@@ -28,6 +28,7 @@ from boundprop.engine import (
     SATISFIED,
     SATURATED,
     LOOP_DELAYS,
+    PACING_FACTOR,
     DelayedLoops,
     _Context,
     _joint_weights,
@@ -596,7 +597,7 @@ def _saturated(net, query, evidence):
     grow = DelayedLoops(LOOP_DELAYS["bfs"])
     active = ActiveSet.initial(query)
     while True:
-        grown = grow.step(net, active, relevant)
+        grown = grow.step(net, active, relevant, 0)
         if grown is None:
             return active
         active = grown
@@ -764,7 +765,7 @@ def test_propagation_leaves_the_recursion_limit_alone(long_chain):
 def test_expand_chain_one_step():
     net = build_net("c", {"A": [], "B": ["A"], "C": ["B"]}, seed=1)
     rel = relevant_set(net, "C", {"A": 0})
-    grown = DelayedLoops(0).step(net, ActiveSet.initial("C"), rel)
+    grown = DelayedLoops(0).step(net, ActiveSet.initial("C"), rel, 0)
     assert grown.nodes == frozenset({"B", "C"})
     assert grown.arcs == frozenset({("B", "C")})
 
@@ -773,7 +774,7 @@ def test_expand_no_loops_excludes_closing_arc(figure_net):
     strat = DelayedLoops(None)
     rel = relevant_set(figure_net, "C", {"X": 0})
     active = ActiveSet.initial("C")
-    while (nxt := strat.step(figure_net, active, rel)) is not None:
+    while (nxt := strat.step(figure_net, active, rel, 0)) is not None:
         active = nxt
     assert is_polytree_subgraph(active)
     assert active.nodes == frozenset("YABCDX")
@@ -802,7 +803,7 @@ def test_expand_fixed_point_returns_none():
     net = build_net("c", {"A": [], "B": ["A"]}, seed=1)
     active = ActiveSet(frozenset({"A", "B"}), frozenset({("A", "B")}))
     rel = relevant_set(net, "B", {})
-    assert DelayedLoops(0).step(net, active, rel) is None
+    assert DelayedLoops(0).step(net, active, rel, 0) is None
 
 
 def test_no_loops_stays_polytree_on_random_networks():
@@ -816,7 +817,7 @@ def test_no_loops_stays_polytree_on_random_networks():
         active = ActiveSet.initial(q)
         while active is not None:
             assert is_polytree_subgraph(active)
-            active = strat.step(net, active, rel)
+            active = strat.step(net, active, rel, 0)
 
 
 def test_strategy_names_are_one_growth_rule_by_loop_delay():
@@ -833,7 +834,7 @@ def test_waiting_rounds_run_inside_one_step(figure_net):
     rel = relevant_set(figure_net, "C", {"X": 0})
     active = ActiveSet.initial("C")
     steps = 0
-    while (nxt := strat.step(figure_net, active, rel)) is not None:
+    while (nxt := strat.step(figure_net, active, rel, 0)) is not None:
         assert nxt != active
         active = nxt
         steps += 1
@@ -850,7 +851,8 @@ class _RebuildGrowth:
     def __init__(self, delay):
         self.delay, self.round, self.first_seen = delay, 0, {}
 
-    def step(self, net, active, relevant):
+    def step(self, net, active, relevant, size):
+        assert size == 0  # the next different set, as ``_growth`` asks
         nodes = set(active.nodes)
         nodes.update(
             w for v in active.nodes for w in net.skeleton_neighbors(v) if w in relevant
@@ -889,7 +891,7 @@ class _RebuildGrowth:
 def _growth(grow, net, start, rel):
     """Every set ``grow`` returns from ``start`` to its fixed point."""
     sets = [start]
-    while (nxt := grow.step(net, sets[-1], rel)) is not None:
+    while (nxt := grow.step(net, sets[-1], rel, 0)) is not None:
         sets.append(nxt)
     return sets
 
@@ -927,6 +929,40 @@ def test_a_set_step_did_not_return_starts_a_new_growth():
             assert sets == _growth(_RebuildGrowth(2), net, start, rel)
             for s in sets:
                 assert all(p in s.nodes and c in s.nodes for p, c in s.arcs)
+
+
+def _stepped(grow, net, active, rel, size):
+    """Steps to the next different set, repeated until one holds ``size``
+    nodes or growth reaches its fixed point; None if none differs."""
+    grown = active
+    while len(grown.nodes) < size or grown is active:
+        nxt = grow.step(net, grown, rel, 0)
+        if nxt is None:
+            break
+        grown = nxt
+    return None if grown is active else grown
+
+
+@pytest.mark.parametrize("strategy", sorted(LOOP_DELAYS))
+def test_a_sized_step_equals_the_steps_it_spans(strategy):
+    sizes = (lambda n: 0, lambda n: n + 1, lambda n: PACING_FACTOR * n, lambda n: 3 * n, lambda n: 10**9)
+    for seed in range(10):
+        net = gen_loopy(GenSpec(node_count=10 + 2 * seed, topology="loopy", arc_ratio=1.3, seed=seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        for q in rng.sample([v for v in net.node_ids() if v not in ev], 2):
+            rel = relevant_set(net, q, ev)
+            for size in sizes:
+                grow, ref = DelayedLoops(LOOP_DELAYS[strategy]), DelayedLoops(LOOP_DELAYS[strategy])
+                got = want = ActiveSet.initial(q)
+                while True:
+                    got = grow.step(net, got, rel, size(len(got.nodes)))
+                    want = _stepped(ref, net, want, rel, size(len(want.nodes)))
+                    assert grow.round == ref.round
+                    if got is None:
+                        assert want is None
+                        break
+                    assert (got.nodes, got.arcs) == (want.nodes, want.arcs)
 
 
 def test_strategy_must_be_a_name_or_growth_rule(chain_ab):
@@ -1095,6 +1131,33 @@ def test_evaluations_are_a_doubling_subsequence_of_the_growth(topology, strategy
         assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:-1]))
         if res.status == SATURATED:
             assert picked[-1] == sets[-1]
+
+
+@pytest.mark.parametrize("strategy", sorted(LOOP_DELAYS))
+def test_one_growth_call_per_evaluation(monkeypatch, strategy):
+    # Every evaluation but the first follows one call, and a saturated
+    # query makes one more that finds the fixed point.
+    calls = 0
+    step = DelayedLoops.step
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(DelayedLoops, "step", counted)
+    iterations = 0
+    for seed in range(8):
+        for gen, topology in ((gen_polytree, "polytree"), (gen_loopy, "loopy")):
+            net = gen(GenSpec(node_count=20 + seed, topology=topology, arc_ratio=1.3, seed=seed))
+            rng = random.Random(seed)
+            ev = sample_evidence(net, rng)
+            q = rng.choice([v for v in net.node_ids() if v not in ev])
+            calls = 0
+            res = answer_query(net, q, ev, strategy=strategy, stop=StopCriterion.width(0.0))
+            assert res.iterations - 1 <= calls <= res.iterations
+            iterations += res.iterations
+    assert iterations > 16
 
 
 def test_evaluation_work_is_linear_on_a_long_chain():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,13 @@ from boundprop.intervals import (
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
+    _dot_bounds,
+    _dot_table,
+    _extreme,
+    _fill,
+    _orders,
     _outward,
+    _spare,
     iv_mul,
     normalize_scaled,
     simplex_dot,
@@ -384,6 +391,101 @@ def test_flat_kernels_bit_identical_to_per_entry_bodies():
         msgs = [_random_values(rng, k) if rng.random() < 0.5 else _random_weights(rng, k) for k in sizes]
         got = _joint_weights([IntervalVector(m) for m in msgs])
         assert _hex(got) == _hex(_ref_joint_weights(msgs))
+
+
+# -- a table dotted against one weight vector ---------------------------------
+#
+# ``_dot_table`` fills each distinct greedy order once per call; each of
+# its bounds must be the floats, or the error, of the per-vector
+# ``_dot_bounds`` call it replaces.
+
+
+def _per_vector(vectors, orders, b, spare):
+    bounds = [_dot_bounds(v, v, b, spare, o) for v, o in zip(vectors, orders)]
+    return [lo for lo, _ in bounds], [hi for _, hi in bounds]
+
+
+def _table_outcome(dot, vectors, orders, b, spare):
+    try:
+        lows, highs = dot(vectors, orders, b, spare)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in lows], [v.hex() for v in highs]
+
+
+def _check_table(vectors, orders, b):
+    spare = _spare(b, len(vectors[0]))
+    got = _table_outcome(_dot_table, vectors, orders, b, spare)
+    assert got == _table_outcome(_per_vector, vectors, orders, b, spare)
+    if spare <= 0.0:
+        lows, highs = _dot_table(vectors, orders, b, spare)
+        assert lows is highs
+
+
+# Ties, zeros of both signs and an infinite entry are common.
+_ENTRY = st.sampled_from((0.0, -0.0, 0.1, 0.125, 0.25, 1 / 3, 0.5, 1.0, math.inf)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _weights(draw, k):
+    """A point (spare 0), a vacuous vector or a coherent box around a point."""
+    raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    p = [v / sum(raw) for v in raw]
+    kind = draw(st.sampled_from(("point", "vacuous", "box")))
+    if kind == "point":
+        return IntervalVector.point(p)
+    if kind == "vacuous":
+        return vacuous(k)
+    r = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k))
+    return IntervalVector.from_bounds([v * f for v, f in zip(p, r)], [v + (1.0 - v) * f for v, f in zip(p, r[k:])])
+
+
+@st.composite
+def _table(draw):
+    """Point vectors with their greedy orders, equal orders one object as
+    on a network, or with orders drawn from a few shared permutations."""
+    k = draw(st.integers(2, 4))
+    vectors = draw(st.lists(st.tuples(*[_ENTRY] * k), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        shared: dict = {}
+        orders = [tuple(shared.setdefault(o, o) for o in _orders(v, v)) for v in vectors]
+    else:
+        pool = draw(st.lists(st.permutations(range(k)).map(tuple), min_size=1, max_size=3))
+        orders = [(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))) for _ in vectors]
+    return vectors, orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table(), st.data())
+def test_dot_table_equals_a_dot_per_vector(table, data):
+    vectors, orders = table
+    _check_table(vectors, orders, data.draw(_weights(len(vectors[0]))))
+
+
+def test_dot_table_keeps_a_crossing_widened_outward():
+    # The two fills give sums an ulp apart in the wrong order.
+    v = (0.1, 0.10000000000000002, 0.1)
+    b = IntervalVector.from_bounds((0.3, 0.1, 0.1), (1.0, 0.2, 0.2))
+    orders = _orders(v, v)
+    spare = _spare(b, 3)
+    assert _extreme(v, b.lo, b.hi, spare, orders[0]) > _extreme(v, b.lo, b.hi, spare, orders[1])
+    _check_table([v, v[::-1], v], [orders, _orders(v[::-1], v[::-1]), orders], b)
+    lows, highs = _dot_table([v], [orders], b, spare)
+    assert lows[0] < highs[0]
+
+
+@pytest.mark.parametrize("b", [
+    IntervalVector.point((0.0, 1.0)),
+    IntervalVector.from_bounds((0.0, 0.5), (0.25, 1.0)),
+])
+def test_dot_table_sums_an_infinite_weight_again_without_zero_mass(b):
+    # inf * 0.0 is NaN; the entry the fill leaves at zero drops out.
+    v = (math.inf, 0.5)
+    orders = _orders(v, v)
+    assert math.isnan(sum(map(mul, v, _fill(b.lo, b.hi, _spare(b, 2), orders[0]))))
+    _check_table([v, (0.25, 0.75), v], [orders, _orders((0.25, 0.75), (0.25, 0.75)), orders], b)
+    lows, highs = _dot_table([v], [orders], b, _spare(b, 2))
+    assert not math.isnan(lows[0]) and not math.isnan(highs[0])
 
 
 # -- the flat vector at its boundary -------------------------------------------

@@ -68,7 +68,7 @@ def load_suite(text: str) -> dict:
 
 def _suite_network(entry: Mapping) -> BeliefNetwork:
     if "file" in entry:
-        with open(entry["file"], encoding="utf-8") as fh:
+        with open(entry["file"], encoding="utf-8-sig") as fh:
             return parse_network(fh.read())
     spec = netgen.GenSpec(
         node_count=int(entry["nodes"]),

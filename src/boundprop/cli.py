@@ -18,7 +18,7 @@ from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
 
 
 def _load_network(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_network(fh.read())
 
 

@@ -8,6 +8,11 @@ asked about (``BeliefNetwork._observe``).  Conditional probability
 tables are stored as one row per joint parent configuration, with the
 last-listed parent varying fastest; that order is also the on-disk row
 order, so files round-trip bit for bit.
+
+A ``Node`` is a slotted record, and every node with the same state
+names holds one shared ``states`` tuple.  ``parse_network`` reads its
+text in chunks of about ``_CHUNK`` characters, so no list of every line
+of a large file is ever built.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .intervals import _normalized, _orders
 
 ROW_SUM_TOL = 1e-9
 
+# The characters ``parse_network`` splits into lines at a time: enough
+# that the per-piece cost vanishes, few enough that one piece's lines
+# hold little memory next to the network.
+_CHUNK = 1 << 20
+
 Evidence = dict[str, int]
 
 
@@ -32,7 +42,7 @@ class NetworkFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     states: tuple[str, ...]
@@ -433,6 +443,17 @@ def _fmt_real(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _chunks(text: str) -> Iterator[str]:
+    """``text`` in pieces of at least ``_CHUNK`` characters, each but the
+    last ending just after a ``"\\n"``.  No line boundary, ``"\\r\\n"``
+    included, spans two pieces, so the pieces' lines are the text's."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def parse_network(text: str) -> BeliefNetwork:
     """Parse the line-oriented network format.
 
@@ -452,9 +473,11 @@ def parse_network(text: str) -> BeliefNetwork:
     cpts: dict[str, list[tuple[float, ...]]] = {}
     evidence: dict[str, str] = {}
     node_order: list[str] = []
+    state_lists: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # Each line with tokens, read lazily; a ``cpt`` line takes its rows from this stream.
-    lines = ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+    raws = itertools.chain.from_iterable(map(str.splitlines, _chunks(text)))
+    lines = ((lineno, tokens) for lineno, raw in enumerate(raws, start=1)
              if (tokens := raw.split("#", 1)[0].split()))
     for lineno, tokens in lines:
         keyword = tokens[0]
@@ -472,7 +495,8 @@ def parse_network(text: str) -> BeliefNetwork:
             node_id = tokens[1]
             if node_id in states:
                 raise NetworkFormatError(f"duplicate node {node_id!r}", lineno)
-            states[node_id] = tuple(tokens[3:])
+            names = tuple(tokens[3:])
+            states[node_id] = state_lists.setdefault(names, names)
             node_order.append(node_id)
         elif keyword == "parents":
             if len(tokens) < 2:

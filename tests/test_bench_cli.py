@@ -218,6 +218,25 @@ def test_cli_evidence_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+# A network file as some editors save it: a UTF-8 byte-order mark first
+# and CRLF line ends.
+BOM_NET = b"\xef\xbb\xbfnetwork x\r\nnode A states t f\r\ncpt A\r\n0.5 0.5\r\n"
+
+
+def test_cli_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.net"
+    path.write_bytes(BOM_NET)
+    assert main(["query", str(path), "--node", "A"]) == 0
+    assert "status satisfied" in capsys.readouterr().out
+
+
+def test_bench_suite_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.net"
+    path.write_bytes(BOM_NET)
+    suite = {**SUITE, "queries_per_network": 1, "strategies": ["bfs"], "networks": [{"file": str(path)}]}
+    records = list(run_bench(load_suite(json.dumps(suite))))
+    assert [(r["network"], r["query"], r["status"]) for r in records] == [("x", "A", "satisfied")]
+
 @pytest.mark.parametrize("command", ["query", "exact"])
 @pytest.mark.parametrize("states", [("s0", "s1"), ("s0", "s0")])
 def test_cli_rejects_a_node_observed_twice(tmp_path, capsys, command, states):

@@ -8,6 +8,7 @@ from boundprop import (
     NetworkFormatError,
     find_loop_clusters,
     is_polytree,
+    network,
     parse_network,
     relevant_set,
     serialize_network,
@@ -114,22 +115,39 @@ MALFORMED = [
 ]
 
 
+# The parse tests below run again with the text split into lines this
+# many characters at a time (``network._CHUNK``); None keeps the default.
+CHUNKS = [None, 1, 2, 7, 64]
+
+
+@pytest.fixture
+def chunked(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(network, "_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("chunked", CHUNKS, indirect=True)
 @pytest.mark.parametrize("text, message, line", MALFORMED)
-def test_parse_names_each_malformed_line(text, message, line):
-    with pytest.raises(NetworkFormatError) as exc:
-        parse_network(text)
-    assert exc.value.line == line
-    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+def test_parse_names_each_malformed_line(text, message, line, chunked):
+    for copy in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(NetworkFormatError) as exc:
+            parse_network(copy)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
-def test_parse_skips_blank_and_comment_lines_between_cpt_rows():
+@pytest.mark.parametrize("chunked", CHUNKS, indirect=True)
+def test_parse_skips_blank_and_comment_lines_between_cpt_rows(chunked):
     plain = (
         "network x\nnode A states t f\nnode B states t f\nparents B A\n"
         "cpt A\n0.3 0.7\ncpt B\n0.9 0.1\n0.2 0.8\n"
     )
     spaced = plain.replace("\n0.9 0.1\n", "\n\n# first row\n0.9 0.1\n   \n  # second row\n\n")
     assert spaced != plain
-    assert serialize_network(parse_network(spaced)) == serialize_network(parse_network(plain))
+    want = serialize_network(parse_network(plain))
+    for text in (plain, spaced):
+        assert serialize_network(parse_network(text)) == want
+        assert serialize_network(parse_network(text.replace("\n", "\r\n"))) == want
 
 
 def test_parse_names_the_line_of_a_bad_row_after_a_comment():
@@ -169,7 +187,8 @@ def test_parse_evidence_line():
     assert parse_network(serialize_network(net)).evidence == {"A": 1}
 
 
-def test_roundtrip_bit_equal():
+@pytest.mark.parametrize("chunked", CHUNKS, indirect=True)
+def test_roundtrip_bit_equal(chunked):
     rng = random.Random(4)
     for seed in range(10):
         net = gen_polytree(GenSpec(node_count=rng.randint(3, 20), seed=seed))
@@ -181,6 +200,15 @@ def test_roundtrip_bit_equal():
             assert a.cpt == b.cpt
             assert a.states == b.states
         assert serialize_network(back) == text
+
+
+def test_parsed_nodes_share_state_tuples_and_hold_no_dict():
+    net = parse_network(serialize_network(gen_polytree(GenSpec(node_count=40, seed=3))))
+    by_names: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for n in net.nodes:
+        assert by_names.setdefault(n.states, n.states) is n.states
+    assert len(by_names) < len(net.nodes)
+    assert not hasattr(net.nodes[0], "__dict__")
 
 
 def test_is_polytree():

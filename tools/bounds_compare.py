@@ -21,6 +21,7 @@ line per seed and workload, so that a mismatch names the workload, and
 last the total line, the number of queries and one sha256 over all of
 them.  A change that alters one workload's bounds by design alters that
 workload's lines and the total line; the other lines must still match.
+``tools/bounds_digest.txt`` holds these lines for the current bounds.
 
 Naming a parent, the tool compares iteration k of a query with
 iteration k of the same query on the other side.  Growth does not read

@@ -97,7 +97,6 @@ from typing import Iterable, Mapping, Sequence
 from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
-    _dot_bounds,
     _dot_table,
     _indicator,
     _normalized,
@@ -172,8 +171,9 @@ class ActiveSet:
 # (``BeliefNetwork._kernel_tables``); a lambda message groups its inner
 # bounds by that record's rows for each state of the receiving parent.
 # A call checks the coherence of each weight vector once, dots its whole
-# table of columns or rows against it on bare floats
-# (``intervals._dot_table``), and builds one ``IntervalVector``.  A
+# table of columns or rows against it on bare floats with the one
+# constrained dot (``intervals._dot_table``; a lambda message's outer
+# pass is one more call), and builds one ``IntervalVector``.  A
 # greedy fill depends on the weights, the spare mass and the visiting
 # order alone, so the table computes each distinct order's fill once
 # (equal orders are one object in the record) and each bound as one
@@ -199,8 +199,8 @@ class ActiveSet:
 # - lambda value: the product starts from the first child message, not
 #   from ones (1.0 * y is y); with no child message it is the shared
 #   ``_uniform`` pair of its state count.
-# - ``intervals._dot_bounds`` of a point against point weights: both
-#   greedy passes are the one sum over the weights' lower bounds.
+# - ``intervals._dot_table`` of a point table against point weights:
+#   both bounds of a row are the one sum over the weights' lower bounds.
 # - ``loops.evaluate`` of a connected active set with an arc fewer than
 #   its nodes: that set is a tree, so it has no loop to search for.
 #
@@ -231,7 +231,7 @@ def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalV
         weights = parent_msgs[0]
     else:
         weights = _joint_weights(parent_msgs)
-    return _normalized(*_dot_table(columns, orders, weights, _spare(weights, len(columns[0]))))
+    return _normalized(*_dot_table(columns, columns, orders, weights, _spare(weights, len(columns[0]))))
 
 
 def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
@@ -272,23 +272,19 @@ def _lambda_message_kernel(
     their message weights."""
     rows = net._by_id[x].cpt
     _, _, orders, _, rows_by_parent = net._kernel_tables(x)
-    if coparent_msgs:
-        weights = _joint_weights(coparent_msgs)
-    lows, highs = _dot_table(rows, orders, lam, _spare(lam, len(rows[0])))
-    if not coparent_msgs:
-        # As the outer pass checks each row; min alone can miss one after a NaN.
-        if not min(lows) >= 0.0 and any(lo < 0.0 for lo in lows):
-            raise ValueError("simplex_dot requires nonnegative entries")
+    weights = _joint_weights(coparent_msgs) if coparent_msgs else None
+    lows, highs = _dot_table(rows, rows, orders, lam, _spare(lam, len(rows[0])))
+    if weights is not None:
+        groups = rows_by_parent[net._by_id[x].parents.index(u)]
+        spare = _spare(weights, len(groups[0]))
+    # The outer pass needs nonnegative bounds; min alone can miss one after a NaN.
+    if not min(lows) >= 0.0 and any(lo < 0.0 for lo in lows):
+        raise ValueError("simplex_dot requires nonnegative entries")
+    if weights is None:
         return _normalized(lows, highs)
-    groups = rows_by_parent[net._by_id[x].parents.index(u)]
-    spare = _spare(weights, len(groups[0]))
-    out = []
-    for rows_of_y in groups:
-        a_lo, a_hi = [lows[r] for r in rows_of_y], [highs[r] for r in rows_of_y]
-        if min(a_lo) < 0.0:
-            raise ValueError("simplex_dot requires nonnegative entries")
-        out.append(_dot_bounds(a_lo, a_hi, weights, spare, _orders(a_lo, a_hi)))
-    return _normalized(*zip(*out))
+    a_los = [[lows[r] for r in rows_of_y] for rows_of_y in groups]
+    a_his = [[highs[r] for r in rows_of_y] for rows_of_y in groups]
+    return _normalized(*_dot_table(a_los, a_his, list(map(_orders, a_los, a_his)), weights, spare))
 
 
 # -- propagation core ---------------------------------------------------------
@@ -299,19 +295,21 @@ _ALIASED = ("pi_msg", "lam_val")
 
 
 class _Run:
-    """One evaluation over an active set under cutset clamps (none for a
-    plain evaluation).
+    """One evaluation over an active set with the states in ``pinned``
+    fixed: ``ctx.evidence`` for a plain evaluation, and for one cutset
+    instance the evidence on the active set with the instance's clamps
+    laid over it.
 
     ``cache`` maps a message key to ``(signature, value)`` as described
     in the module docstring.  Runs with and without clamps share it: a
-    clamp is the pinned state of the clamped node's messages, so it is
-    in the signature of every message it reaches.
+    pinned state is in the signature of every message the node sends, so
+    a clamp is in the signature of every message it reaches.
     """
 
-    def __init__(self, ctx: _Context, active: ActiveSet, clamps: Mapping[str, int], cache: dict):
+    def __init__(self, ctx: _Context, active: ActiveSet, pinned: Mapping[str, int], cache: dict):
         self.ctx = ctx
         self.arcs = active.arcs
-        self.clamps = clamps
+        self.pinned = pinned
         self.cache = cache
         self._memo: dict = {}
         self.visits = 0
@@ -338,9 +336,7 @@ class _Run:
                 if p != skip:
                     ins.append(("pi_msg", p, x) if (p, x) in arcs else len(nodes[p].states))
             return None, ins
-        pinned = self.clamps.get(x)
-        if pinned is None:
-            pinned = self.ctx.evidence.get(x)
+        pinned = self.pinned.get(x)
         if pinned is not None:
             return pinned, ()
         ins = [] if skip is None else [("pi_val", x)]
@@ -418,11 +414,9 @@ class _Run:
         return vec, (scale[0] * z[0], scale[1] * z[1])
 
     def belief(self, x: str) -> IntervalVector:
-        """Belief bounds at x."""
-        if x in self.clamps:
-            raise ValueError("belief of a clamped node is fixed by construction")
-        if x in self.ctx.evidence:
-            k = self.ctx.evidence[x]
+        """Belief bounds at x; at a pinned node, the indicator of its state."""
+        k = self.pinned.get(x)
+        if k is not None:
             pvec, _ = self.value(("pi_val", x))
             if pvec.hi[k] <= 0.0:
                 raise ConflictingEvidenceError(
@@ -435,12 +429,10 @@ class _Run:
 
     def mass(self, x: str) -> tuple[float, float]:
         """Evidence mass of the piece of the working graph holding x, as a
-        float pair; every unclamped member of a singly connected piece
+        float pair; every unpinned member of a singly connected piece
         gives the same total."""
-        if x in self.clamps:
-            raise ValueError("mass must be read at an unclamped node")
-        if x in self.ctx.evidence:
-            k = self.ctx.evidence[x]
+        k = self.pinned.get(x)
+        if k is not None:
             pvec, ps = self.value(("pi_val", x))
             return ps[0] * pvec.lo[k], ps[1] * pvec.hi[k]
         lam, ls = self.value(("lam_val", x))

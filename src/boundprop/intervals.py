@@ -7,6 +7,10 @@ are built only at the boundary.  Probability-typed results are clamped
 into [0, 1].  When rounding makes a computed lower bound cross above
 the upper bound, the pair is widened outward (never inward), so
 containment survives float error at the cost of at most one ulp of width.
+
+Every dot product against a vector that must be a distribution, in the
+kernels, the cutset mixture and the public ``simplex_dot``, is one call
+of ``_dot_table`` over the rows of a table.
 """
 
 from __future__ import annotations
@@ -196,7 +200,8 @@ def simplex_dot(a: IntervalVector, b: IntervalVector) -> Interval:
     """
     if min(a.lo) < 0.0:
         raise ValueError("simplex_dot requires nonnegative entries")
-    return Interval(*_dot_bounds(a.lo, a.hi, b, _spare(b, len(a.lo)), _orders(a.lo, a.hi)))
+    lows, highs = _dot_table((a.lo,), (a.hi,), (_orders(a.lo, a.hi),), b, _spare(b, len(a.lo)))
+    return Interval(lows[0], highs[0])
 
 
 def _spare(b: IntervalVector, n: int) -> float:
@@ -216,21 +221,6 @@ def _orders(a_lo: Sequence[float], a_hi: Sequence[float]) -> tuple[tuple[int, ..
     tied entries in ascending index order."""
     n = range(len(a_lo))
     return tuple(sorted(n, key=a_lo.__getitem__)), tuple(sorted(n, key=a_hi.__getitem__, reverse=True))
-
-
-def _dot_bounds(a_lo, a_hi, b: IntervalVector, spare: float, orders) -> tuple[float, float]:
-    """``simplex_dot`` as a float pair, for b already checked by ``_spare``."""
-    lower = _extreme(a_lo, b.lo, b.hi, spare, orders[0])
-    if a_lo is a_hi and spare <= 0.0:
-        return lower, lower  # both passes are the one sum over b.lo
-    upper = _extreme(a_hi, b.lo, b.hi, spare, orders[1])
-    if lower > upper:
-        lower, upper = _outward(lower, upper)
-    return lower, upper
-
-
-def _extreme(weights, b_lo: tuple, b_hi: tuple, spare: float, order) -> float:
-    return _weighted_sum(weights, _fill(b_lo, b_hi, spare, order))
 
 
 def _fill(b_lo: tuple, b_hi: tuple, spare: float, order) -> Sequence[float]:
@@ -262,32 +252,33 @@ def _weighted_sum(weights, bstar) -> float:
     return total
 
 
-def _dot_table(vectors, orders, b: IntervalVector, spare: float) -> tuple[list[float], list[float]]:
-    """``_dot_bounds(v, v, b, spare, o)`` of each point vector v of a table
-    with its orders o, as the list of lower and the list of upper bounds.
+def _dot_table(los, his, orders, b: IntervalVector, spare: float) -> tuple[list[float], list[float]]:
+    """The constrained dot (``simplex_dot``) of each row of a table against
+    b, already checked by ``_spare``, as the list of lower and the list of
+    upper bounds.
 
-    A greedy fill depends on b, the spare mass and the order alone, so each
-    distinct order is filled once per call.  Against point weights (no
-    spare) both bounds are the one sum over b.lo, and the two lists are
-    one list.
+    Row k has the lower bounds ``los[k]``, the upper bounds ``his[k]`` and
+    the greedy orders ``orders[k]``; a point table passes ``his is los``.
+    A greedy fill depends on b, the spare mass and the order alone, so
+    each distinct order is filled once per call.  Against point weights
+    (no spare) both bounds of a point row are the one sum over b.lo, and
+    a point table's two lists are one list.
     """
     b_lo, b_hi = b.lo, b.hi
-    lows = []
-    if spare <= 0.0:
-        for v in vectors:
-            lows.append(_weighted_sum(v, b_lo))
+    if spare <= 0.0 and his is los:
+        lows = [_weighted_sum(v, b_lo) for v in los]
         return lows, lows
-    highs = []
+    lows, highs = [], []
     fills: dict = {}
-    for v, (lo_order, hi_order) in zip(vectors, orders):
+    for lo_v, hi_v, (lo_order, hi_order) in zip(los, his, orders):
         fill = fills.get(lo_order)
         if fill is None:
             fill = fills[lo_order] = _fill(b_lo, b_hi, spare, lo_order)
-        lower = _weighted_sum(v, fill)
+        lower = _weighted_sum(lo_v, fill)
         fill = fills.get(hi_order)
         if fill is None:
             fill = fills[hi_order] = _fill(b_lo, b_hi, spare, hi_order)
-        upper = _weighted_sum(v, fill)
+        upper = _weighted_sum(hi_v, fill)
         if lower > upper:
             lower, upper = _outward(lower, upper)
         lows.append(lower)

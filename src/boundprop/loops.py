@@ -35,7 +35,7 @@ from .engine import ActiveSet, _BudgetSpent, _Context, _Run, _joint_weights
 from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
-    _dot_bounds,
+    _dot_table,
     _indicator,
     _normalized,
     _orders,
@@ -135,9 +135,9 @@ def _pinned_column_factor(
         else:
             msgs.append(_vacuous(net.state_count(p)))
     columns, orders, _, _, _ = net._kernel_tables(node)
-    column, order = columns[pinned[node]], orders[pinned[node]]
     weights = _joint_weights(msgs)
-    return _dot_bounds(column, column, weights, _spare(weights, len(column)), order)
+    lows, highs = _dot_table(columns, columns, orders, weights, _spare(weights, len(columns[0])))
+    return lows[pinned[node]], highs[pinned[node]]
 
 
 def _mass_plan(ctx: _Context, active: ActiveSet, cut: list[str], observed: Mapping[str, int]):
@@ -207,9 +207,8 @@ def _conditioned_bel(
     for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
         if ctx.deadline is not None and time.perf_counter() >= ctx.deadline:
             raise _BudgetSpent
-        clamps = dict(zip(cut, inst))
-        pinned = {**observed, **clamps}
-        run = _Run(ctx, active, clamps, cache)
+        pinned = {**observed, **dict(zip(cut, inst))}
+        run = _Run(ctx, active, pinned, cache)
         try:
             vec, (lo, hi) = run.belief(query), run.mass(query)
             factors = [run.mass(r) for r in representatives]
@@ -224,12 +223,11 @@ def _conditioned_bel(
         masses.append((lo, hi))
         visits += run.visits
     weights, _ = _normalized(*zip(*masses))
-    spare = _spare(weights, len(bels))
-    columns = zip(zip(*[b.lo for b in bels]), zip(*[b.hi for b in bels]))
-    out = [_dot_bounds(lo, hi, weights, spare, _orders(lo, hi)) for lo, hi in columns]
+    los, his = list(zip(*[b.lo for b in bels])), list(zip(*[b.hi for b in bels]))
+    lows, highs = _dot_table(los, his, list(map(_orders, los, his)), weights, _spare(weights, len(bels)))
     # Not normalized again: by total probability the mixture is a bound, and
     # on netgen loopy sweeps a second normalization widened it by up to 0.92.
-    lo, hi = zip(*[(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)) for a, b in out])
+    lo, hi = zip(*[(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)) for a, b in zip(lows, highs)])
     return IntervalVector._of(lo, hi), visits
 
 
@@ -253,7 +251,7 @@ def evaluate(
         cut = [c for cl in clusters for c in select_loop_cutset(net, cl, exclude, presplit)]
         if cut:
             return _conditioned_bel(ctx, active, sorted(cut, key=net.order), observed, cache)
-    run = _Run(ctx, active, {}, cache)
+    run = _Run(ctx, active, ctx.evidence, cache)
     return run.belief(query), run.visits
 
 

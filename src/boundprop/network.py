@@ -17,6 +17,7 @@ of a large file is ever built.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -321,20 +322,20 @@ def is_polytree(net: BeliefNetwork) -> bool:
 
 
 def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Container[str],
-            within: Container[str] | None = None) -> set[str]:
+            within: Container[str]) -> set[str]:
     """Nodes joined to ``source`` by a trail active given ``observed``.
 
     ``below`` is the ancestral closure of ``observed``.  A trail is
     active when every intermediate collider is in ``below`` and every
-    other intermediate node is unobserved.  The source never blocks.
-    With ``within``, a trail stops where it leaves that set.
+    other intermediate node is unobserved.  The source never blocks,
+    and a trail stops where it leaves ``within``.
     """
     by_id, children = net._by_id, net._children
     seen: set[tuple[str, bool]] = set()
     stack = [(source, False)]  # (node, arrived along an arc into it)
     while stack:
         v, down = stack.pop()
-        if (v, down) in seen or (within is not None and v not in within):
+        if (v, down) in seen or v not in within:
             continue
         seen.add((v, down))
         if v in observed and v != source:
@@ -576,15 +577,29 @@ def parse_network(text: str) -> BeliefNetwork:
 
 
 def serialize_network(net: BeliefNetwork) -> str:
-    lines = [f"network {net.name}"]
+    """The network in the format ``parse_network`` reads, written into one
+    buffer.  The network name, node ids and state names must be tokens
+    without whitespace or ``#``; another raises ``ValueError`` naming its field."""
+    states = dict.fromkeys(s for n in net.nodes for s in n.states)
+    for field, values in ("network name", (net.name,)), ("node id", net._by_id), ("state name", states):
+        for v in values:
+            if v.split() != [v] or "#" in v:
+                raise ValueError(f"{field} {v!r} cannot be written: a token is nonempty, "
+                                 "without whitespace or '#'")
+    out = io.StringIO()
+    write = out.write
+    write(f"network {net.name}\n")
     for n in net.nodes:
-        lines.append(f"node {n.id} states " + " ".join(n.states))
+        write(f"node {n.id} states " + " ".join(n.states) + "\n")
     for n in net.nodes:
-        lines.append(f"parents {n.id}" + ("" if not n.parents else " " + " ".join(n.parents)))
+        write(" ".join(("parents", n.id, *n.parents)) + "\n")
+    # The buffer holds each written string until it joins them: four lines a
+    # write keep them few and, for a few states, small enough for the object
+    # pools (a string per table left the next parse's peak 3 MB higher).
     for n in net.nodes:
-        lines.append(f"cpt {n.id}")
-        for row in n.cpt:
-            lines.append(" ".join(_fmt_real(v) for v in row))
+        lines = [f"cpt {n.id}"] + [" ".join(map(_fmt_real, row)) for row in n.cpt]
+        for i in range(0, len(lines), 4):
+            write("\n".join(lines[i : i + 4]) + "\n")
     for node_id, state in net.evidence.items():
-        lines.append(f"evidence {node_id} {net.states(node_id)[state]}")
-    return "\n".join(lines) + "\n"
+        write(f"evidence {node_id} {net.states(node_id)[state]}\n")
+    return out.getvalue()

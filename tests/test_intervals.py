@@ -1,10 +1,10 @@
 import itertools
 import math
 import random
-from operator import mul
+from operator import le, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boundprop.engine import _joint_weights
@@ -13,13 +13,12 @@ from boundprop.intervals import (
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
-    _dot_bounds,
     _dot_table,
-    _extreme,
     _fill,
     _orders,
     _outward,
     _spare,
+    _weighted_sum,
     iv_mul,
     normalize_scaled,
     simplex_dot,
@@ -395,30 +394,39 @@ def test_flat_kernels_bit_identical_to_per_entry_bodies():
 
 # -- a table dotted against one weight vector ---------------------------------
 #
-# ``_dot_table`` fills each distinct greedy order once per call; each of
-# its bounds must be the floats, or the error, of the per-vector
-# ``_dot_bounds`` call it replaces.
+# ``_dot_table`` fills each distinct greedy order once per call, and sums
+# a point row once against point weights; each of its bounds must be the
+# floats, or the error, of both greedy passes run on that row alone.
 
 
-def _per_vector(vectors, orders, b, spare):
-    bounds = [_dot_bounds(v, v, b, spare, o) for v, o in zip(vectors, orders)]
-    return [lo for lo, _ in bounds], [hi for _, hi in bounds]
+def _pass(weights, b, spare, order):
+    return _weighted_sum(weights, _fill(b.lo, b.hi, spare, order))
 
 
-def _table_outcome(dot, vectors, orders, b, spare):
+def _per_row(los, his, orders, b, spare):
+    lows, highs = [], []
+    for a_lo, a_hi, (lo_order, hi_order) in zip(los, his, orders):
+        lower, upper = _pass(a_lo, b, spare, lo_order), _pass(a_hi, b, spare, hi_order)
+        lower, upper = _outward(lower, upper) if lower > upper else (lower, upper)
+        lows.append(lower)
+        highs.append(upper)
+    return lows, highs
+
+
+def _table_outcome(dot, los, his, orders, b, spare):
     try:
-        lows, highs = dot(vectors, orders, b, spare)
+        lows, highs = dot(los, his, orders, b, spare)
     except ValueError as exc:
         return type(exc), str(exc)
     return [v.hex() for v in lows], [v.hex() for v in highs]
 
 
-def _check_table(vectors, orders, b):
-    spare = _spare(b, len(vectors[0]))
-    got = _table_outcome(_dot_table, vectors, orders, b, spare)
-    assert got == _table_outcome(_per_vector, vectors, orders, b, spare)
-    if spare <= 0.0:
-        lows, highs = _dot_table(vectors, orders, b, spare)
+def _check_table(los, his, orders, b):
+    spare = _spare(b, len(los[0]))
+    got = _table_outcome(_dot_table, los, his, orders, b, spare)
+    assert got == _table_outcome(_per_row, los, his, orders, b, spare)
+    if his is los and spare <= 0.0:
+        lows, highs = _dot_table(los, his, orders, b, spare)
         assert lows is highs
 
 
@@ -459,19 +467,52 @@ def _table(draw):
 @given(_table(), st.data())
 def test_dot_table_equals_a_dot_per_vector(table, data):
     vectors, orders = table
-    _check_table(vectors, orders, data.draw(_weights(len(vectors[0]))))
+    _check_table(vectors, vectors, orders, data.draw(_weights(len(vectors[0]))))
+
+
+# The two fills give sums of this row an ulp apart in the wrong order.
+_CROSSED = (0.1, 0.10000000000000002, 0.1)
+_CROSSING_WEIGHTS = IntervalVector.from_bounds((0.3, 0.1, 0.1), (1.0, 0.2, 0.2))
+# Against weights (0, 1) this row's plain sum is NaN (inf * 0.0).
+_INFINITE = (math.inf, 0.5)
 
 
 def test_dot_table_keeps_a_crossing_widened_outward():
-    # The two fills give sums an ulp apart in the wrong order.
-    v = (0.1, 0.10000000000000002, 0.1)
-    b = IntervalVector.from_bounds((0.3, 0.1, 0.1), (1.0, 0.2, 0.2))
+    v, b = _CROSSED, _CROSSING_WEIGHTS
     orders = _orders(v, v)
     spare = _spare(b, 3)
-    assert _extreme(v, b.lo, b.hi, spare, orders[0]) > _extreme(v, b.lo, b.hi, spare, orders[1])
-    _check_table([v, v[::-1], v], [orders, _orders(v[::-1], v[::-1]), orders], b)
-    lows, highs = _dot_table([v], [orders], b, spare)
-    assert lows[0] < highs[0]
+    assert _pass(v, b, spare, orders[0]) > _pass(v, b, spare, orders[1])
+    table = [v, v[::-1], v]
+    _check_table(table, table, [orders, _orders(v[::-1], v[::-1]), orders], b)
+    rows = [v]
+    for his in (rows, [v]):  # a point table, then the same row as bounds
+        lows, highs = _dot_table(rows, his, [orders], b, spare)
+        assert lows[0] < highs[0]
+
+
+@st.composite
+def _bound_rows(draw):
+    """A table of lower and upper rows (``his is not los``), each upper
+    row its lower row widened by drawn amounts, often zero, with the
+    rows' greedy orders and the weights."""
+    k = draw(st.integers(2, 4))
+    los = draw(st.lists(st.tuples(*[_ENTRY] * k), min_size=1, max_size=6))
+    width = st.sampled_from((0.0, 0.25)) | st.floats(0.0, 1.0)
+    his = [tuple(lo + draw(width) for lo in row) for row in los]
+    return los, his, list(map(_orders, los, his)), draw(_weights(k))
+
+
+@example(([_CROSSED], [_CROSSED], [_orders(_CROSSED, _CROSSED)], _CROSSING_WEIGHTS))
+@example(([_INFINITE], [_INFINITE], [_orders(*[_INFINITE] * 2)], IntervalVector.point((0.0, 1.0))))
+@settings(max_examples=300, deadline=None)
+@given(_bound_rows())
+def test_dot_table_of_bound_rows_equals_a_dot_per_row(case):
+    # The examples: a crossed pair widened outward, and an infinite
+    # weight whose zero mass the NaN fallback drops.
+    los, his, orders, b = case
+    _check_table(los, his, orders, b)
+    lows, highs = _dot_table(los, his, orders, b, _spare(b, len(los[0])))
+    assert lows is not highs and all(map(le, lows, highs))
 
 
 @pytest.mark.parametrize("b", [
@@ -483,8 +524,9 @@ def test_dot_table_sums_an_infinite_weight_again_without_zero_mass(b):
     v = (math.inf, 0.5)
     orders = _orders(v, v)
     assert math.isnan(sum(map(mul, v, _fill(b.lo, b.hi, _spare(b, 2), orders[0]))))
-    _check_table([v, (0.25, 0.75), v], [orders, _orders((0.25, 0.75), (0.25, 0.75)), orders], b)
-    lows, highs = _dot_table([v], [orders], b, _spare(b, 2))
+    table = [v, (0.25, 0.75), v]
+    _check_table(table, table, [orders, _orders((0.25, 0.75), (0.25, 0.75)), orders], b)
+    lows, highs = _dot_table([v], [v], [orders], b, _spare(b, 2))
     assert not math.isnan(lows[0]) and not math.isnan(highs[0])
 
 

@@ -1,8 +1,9 @@
 """The kernel loops that run in builtins against the bodies they replaced.
 
-The bodies below are the earlier per-element forms: ``_extreme`` summing
-a filtered comprehension, normalization of a vector built and checked
-first, and the vacuous and indicator vectors built afresh on each call.
+The bodies below are the earlier per-element forms: each greedy pass
+summing a filtered comprehension, normalization of a vector built and
+checked first, and the vacuous and indicator vectors built afresh on
+each call.
 On any input the current code must give the same floats, compared by
 ``float.hex``, or raise the same error.
 """
@@ -17,8 +18,7 @@ from boundprop.intervals import (
     ConflictingEvidenceError,
     Interval,
     IntervalVector,
-    _dot_bounds,
-    _extreme,
+    _dot_table,
     _normalized,
     _orders,
     _outward,
@@ -136,17 +136,20 @@ def _dot_case(draw, infinite=False):
 # -- the dot ------------------------------------------------------------------
 
 
+def _one_row_table(a_lo, a_hi, b, spare, orders):
+    # A point row (``a_hi is a_lo``) is a point table.
+    los = [a_lo]
+    lows, highs = _dot_table(los, los if a_hi is a_lo else [a_hi], [orders], b, spare)
+    return lows[0], highs[0]
+
+
 @given(_dot_case())
 @settings(max_examples=400, deadline=None)
-def test_extreme_and_dot_bounds_equal_the_filtered_sums(case):
+def test_dot_table_equals_the_filtered_sums(case):
     a_lo, a_hi, b = case
     spare = _spare(b, len(a_lo))
     orders = _orders(a_lo, a_hi)
-    for weights, order in ((a_lo, orders[0]), (a_hi, orders[1])):
-        assert _outcome(_extreme, weights, b.lo, b.hi, spare, order) == _outcome(
-            _filtered_extreme, weights, b.lo, b.hi, spare, order
-        )
-    assert _outcome(_dot_bounds, a_lo, a_hi, b, spare, orders) == _outcome(
+    assert _outcome(_one_row_table, a_lo, a_hi, b, spare, orders) == _outcome(
         _filtered_dot_bounds, a_lo, a_hi, b, spare, orders
     )
 

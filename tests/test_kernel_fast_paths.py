@@ -24,12 +24,13 @@ from boundprop.engine import (
 )
 from boundprop.intervals import (
     IntervalVector,
-    _dot_bounds,
-    _extreme,
+    _dot_table,
+    _fill,
     _normalized,
     _orders,
     _outward,
     _spare,
+    _weighted_sum,
     vacuous,
 )
 from boundprop.netgen import GenSpec, gen_loopy
@@ -39,8 +40,8 @@ from boundprop.network import Node, find_loop_clusters
 
 
 def _general_dot(a_lo, a_hi, b, spare, orders):
-    lower = _extreme(a_lo, b.lo, b.hi, spare, orders[0])
-    upper = _extreme(a_hi, b.lo, b.hi, spare, orders[1])
+    lower = _weighted_sum(a_lo, _fill(b.lo, b.hi, spare, orders[0]))
+    upper = _weighted_sum(a_hi, _fill(b.lo, b.hi, spare, orders[1]))
     return _outward(lower, upper) if lower > upper else (lower, upper)
 
 
@@ -177,9 +178,9 @@ def test_point_dot_fast_path_equals_the_general_body(net, data):
     columns, orders, _, _, _ = net._kernel_tables("x")
     weights = data.draw(_message(len(columns[0]), bad=False))
     spare = _spare(weights, len(columns[0]))
-    for c, o in zip(columns, orders):
-        got = _dot_bounds(c, c, weights, spare, o)
-        assert [v.hex() for v in got] == [v.hex() for v in _general_dot(c, c, weights, spare, o)]
+    got = zip(*_dot_table(columns, columns, orders, weights, spare))
+    want = [_general_dot(c, c, weights, spare, o) for c, o in zip(columns, orders)]
+    assert [[v.hex() for v in pair] for pair in got] == [[v.hex() for v in pair] for pair in want]
 
 
 # -- the checks a fast path skips still raise ---------------------------------

@@ -228,7 +228,8 @@ def test_evidence_that_cuts_the_only_loop_needs_no_conditioning(diamond, monkeyp
         ev = {"B": state}
         for q in "ACD":
             bel = propagate(diamond, active, ev, q)
-            plain = _Run(_Context(diamond, ev, q), active, {}, {}).belief(q)
+            ctx = _Context(diamond, ev, q)
+            plain = _Run(ctx, active, ctx.evidence, {}).belief(q)
             assert (bel.lo, bel.hi) == (plain.lo, plain.hi)
             assert bel.contains_point(enumerate_marginal(diamond, ev, q), 1e-9)
 
@@ -361,13 +362,13 @@ def test_a_cutset_instance_that_contradicts_the_evidence_weighs_nothing(monkeypa
             try:
                 return super().belief(x)
             except ConflictingEvidenceError:
-                conflicts.append(dict(self.clamps))
+                conflicts.append(dict(self.pinned))
                 raise
 
     monkeypatch.setattr(loops, "_Run", Spy)
     want = enumerate_marginal(net, {"D": 0}, "A")
     res = answer_query(net, "A", {"D": 0}, strategy="bfs", stop=StopCriterion.width(0.0))
-    assert {"B": 1} in conflicts
+    assert {"B": 1, "D": 0} in conflicts
     for bel in res.bels:
         assert bel.contains_point(want, 1e-9)
     assert res.bel.max_width <= 1e-9
@@ -452,9 +453,8 @@ def _ref_conditioned(ctx, active, cut, seen):
     )
     bels, masses = [], []
     for inst in itertools.product(*[range(net.state_count(c)) for c in cut]):
-        clamps = dict(zip(cut, inst))
-        pinned = {**observed, **clamps}
-        run = _Run(ctx, active, clamps, NoCache())
+        pinned = {**observed, **dict(zip(cut, inst))}
+        run = _Run(ctx, active, pinned, NoCache())
         try:
             vec = run.belief(query)
             if query in ctx.evidence:

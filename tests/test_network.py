@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -202,6 +204,30 @@ def test_roundtrip_bit_equal(chunked):
         assert serialize_network(back) == text
 
 
+def test_serialize_peaks_under_three_times_its_text():
+    # Written through one buffer, with no list of every line.
+    net = gen_polytree(GenSpec(node_count=5000, seed=1))
+    tracemalloc.start()
+    try:
+        text = serialize_network(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), peak / len(text)
+
+
+@pytest.mark.parametrize("name, nodes, field", [
+    ("my net", [Node("A", ("t", "f"), (), ((0.5, 0.5),))], "network name 'my net'"),
+    ("x", [Node("A#1", ("t", "f"), (), ((0.5, 0.5),))], "node id 'A#1'"),
+    ("x", [Node("A", ("t x", "f"), (), ((0.5, 0.5),))], "state name 't x'"),
+    ("x", [Node("A", ("", "f"), (), ((0.5, 0.5),))], "state name ''"),
+])
+def test_serialize_rejects_a_value_the_format_cannot_hold(name, nodes, field):
+    # Each would be written as text that parse_network rejects.
+    with pytest.raises(ValueError, match=re.escape(field) + " cannot be written"):
+        serialize_network(BeliefNetwork(name, nodes))
+
+
 def test_parsed_nodes_share_state_tuples_and_hold_no_dict():
     net = parse_network(serialize_network(gen_polytree(GenSpec(node_count=40, seed=3))))
     by_names: dict[tuple[str, ...], tuple[str, ...]] = {}
@@ -255,7 +281,7 @@ def _reachable(net, source, observed):
     """Nodes joined to ``source`` by a trail active given ``observed``;
     the endpoints never block."""
     z = set(observed)
-    return _trails(net, source, z, net.ancestral_closure(z))
+    return _trails(net, source, z, net.ancestral_closure(z), net)
 
 
 def d_separated(net, a, b, observed):

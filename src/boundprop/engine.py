@@ -620,15 +620,17 @@ class DelayedLoops:
     that joins two pieces enters at once; one that closes a loop enters
     once it has waited ``delay`` rounds, or never when ``delay`` is
     None, which keeps the active set a polytree.  ``delay=0`` is plain
-    breadth-first growth.
+    breadth-first growth: every found arc enters at once, unsorted.
 
     The active set is one piece: growth starts from a connected set (as
     ``ActiveSet.validate`` requires) and each new node joins through an
     arc.  So an arc between active nodes always closes a loop, and only
     the nodes the last round added (``fresh``) can have relevant
-    neighbors outside.  A round scans their arcs, their new neighbors'
-    arcs and the arcs still ``waiting``: it costs what it adds, not the
-    size of the active set.
+    neighbors outside.  A round reads the arcs of the nodes it adds (the
+    first round of a growth also its start set's) and the arcs still
+    ``waiting``: an arc between two older nodes was found when the later
+    of them joined, and entered, waited or was refused then.  So a round
+    costs what it adds, not the size of the active set.
 
     One ``step`` call runs as many rounds as the pacing between two
     evaluations needs, on mutable node and arc sets, and builds one
@@ -649,8 +651,9 @@ class DelayedLoops:
         at least ``size`` nodes, or to the fixed point of growth; None
         when ``active`` is already at the fixed point.  A ``size`` the set
         already holds gives the next different set."""
+        start = ()  # nodes whose arcs the first round reads beside its new ones
         if active is not self.last:
-            self.round, self.fresh, self.waiting = 0, active.nodes, {}
+            self.round, self.fresh, self.waiting, start = 0, active.nodes, {}, active.nodes
         by_id, children, order = net._by_id, net._children, net._order
         nodes, arcs, waiting = set(active.nodes), set(active.arcs), self.waiting
         changed = False
@@ -659,22 +662,23 @@ class DelayedLoops:
             new = {w for v in self.fresh for w in net.skeleton_neighbors(v)
                    if w in relevant and w not in nodes}
             nodes |= new
-            touched, self.fresh = self.fresh | new, new
+            touched, self.fresh, start = new.union(start), new, ()
             found = {(p, c) for c in touched for p in by_id[c].parents if p in nodes}
             found.update([(p, c) for p in touched for c in children[p] if c in nodes])
-            candidates = sorted(
-                {a for a in found if a not in arcs} | waiting.keys(),
-                key=lambda a: (order[a[0]], order[a[1]]),
-            )
-            sets = UnionFind()  # this round's new nodes; None is the set before it
             count = len(arcs)
-            for p, c in candidates:
-                if sets.union(p if p in new else None, c if c in new else None):
-                    arcs.add((p, c))
-                elif self.delay is not None:
-                    if self.round - waiting.setdefault((p, c), self.round) >= self.delay:
-                        del waiting[(p, c)]
+            if self.delay == 0:
+                arcs |= found
+            else:
+                candidates = sorted({a for a in found if a not in arcs} | waiting.keys(),
+                                    key=lambda a: (order[a[0]], order[a[1]]))
+                sets = UnionFind()  # this round's new nodes; None is the set before it
+                for p, c in candidates:
+                    if sets.union(p if p in new else None, c if c in new else None):
                         arcs.add((p, c))
+                    elif self.delay is not None:
+                        if self.round - waiting.setdefault((p, c), self.round) >= self.delay:
+                            del waiting[(p, c)]
+                            arcs.add((p, c))
             if new or len(arcs) > count:
                 changed = True
                 if len(nodes) >= size:

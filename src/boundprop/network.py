@@ -327,26 +327,31 @@ def _trails(net: BeliefNetwork, source: str, observed: Container[str], below: Co
 
     ``below`` is the ancestral closure of ``observed``.  A trail is
     active when every intermediate collider is in ``below`` and every
-    other intermediate node is unobserved.  The source never blocks,
-    and a trail stops where it leaves ``within``.
+    other intermediate node is unobserved, and stops where it leaves
+    ``within``.  As in Bayes-Ball (Shachter, UAI 1998), a node has two
+    marks, each with its own stack: ``down``, reached along an arc into
+    it, and ``up``, reached from a child or as the source.  The source
+    never blocks: its up mark passes on all that a down mark would.
     """
     by_id, children = net._by_id, net._children
-    seen: set[tuple[str, bool]] = set()
-    stack = [(source, False)]  # (node, arrived along an arc into it)
-    while stack:
-        v, down = stack.pop()
-        if (v, down) in seen or v not in within:
-            continue
-        seen.add((v, down))
-        if v in observed and v != source:
-            # Only a collider passes on: back up to the other parents.
-            if down:
-                stack += [(p, False) for p in by_id[v].parents]
-            continue
-        stack += [(c, True) for c in children[v]]
-        if not down or v in below:
-            stack += [(p, False) for p in by_id[v].parents]
-    return {v for v, _ in seen}
+    up, down, ups, downs = set(), set(), [source], []
+    while ups or downs:
+        while ups:
+            v = ups.pop()
+            if v not in up and v in within:
+                up.add(v)
+                if v not in observed or v == source:
+                    ups += by_id[v].parents
+                    downs += children[v]
+        while downs:
+            v = downs.pop()
+            if v not in down and v in within:
+                down.add(v)
+                if v not in observed:
+                    downs += children[v]
+                if v in below:  # An(Z) holds Z: an open collider passes on
+                    ups += by_id[v].parents
+    return up | down
 
 
 def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int]) -> set[str]:
@@ -357,8 +362,8 @@ def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int]) ->
     anything else either cannot pass information or sums out of the
     posterior exactly (childless unobserved branches).  Descendants of
     a node outside that closure are outside it too, so a trail that
-    leaves it never comes back, and one walk that stops there finds
-    them all.
+    leaves it never comes back, and one walk that stops there, with two
+    marks per node as in Bayes-Ball, finds them all.
 
     ``evidence`` is laid over the evidence stored on the network and
     checked, as ``answer_query`` does, through one ``_Context``.  The

@@ -916,6 +916,20 @@ def test_growth_equals_the_rebuild_rule():
             assert grow.round == ref.round
 
 
+def test_bfs_growth_holds_every_arc_between_its_nodes():
+    lacking = 0
+    for net, q, rel in _growth_cases():
+        # A set grown without closing loops lacks arcs, and a set step
+        # did not return takes the reset path.
+        other = _growth(DelayedLoops(None), net, ActiveSet.initial(q), rel)
+        for start in (ActiveSet.initial(q), other[len(other) // 2], other[-1]):
+            induced = {(p, c) for p, c in net.arcs if p in start.nodes and c in start.nodes}
+            lacking += start.arcs != induced
+            for s in _growth(DelayedLoops(0), net, start, rel)[1:]:
+                assert s.arcs == {(p, c) for p, c in net.arcs if p in s.nodes and c in s.nodes}
+    assert lacking
+
+
 def test_a_set_step_did_not_return_starts_a_new_growth():
     cases = list(_growth_cases())
     for (net_a, q_a, rel_a), (net, q, rel) in zip(cases, cases[1:]):

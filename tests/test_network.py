@@ -366,6 +366,50 @@ def test_d_separation_symmetric():
             assert d_separated(net, a, b, observed) == d_separated(net, b, a, observed)
 
 
+def _moral_separated(net, a, b, observed):
+    """Lauritzen et al. (1990): a and b are d-separated by Z exactly when
+    Z separates them in the moral graph of An({a, b} ∪ Z)."""
+    keep, stack = set(), [a, b, *observed]
+    while stack:
+        v = stack.pop()
+        if v not in keep:
+            keep.add(v)
+            stack += net.parents(v)
+    adj = {v: set() for v in keep}
+    for v in keep:
+        family = (v, *net.parents(v))
+        for x, y in itertools.combinations(family, 2):  # the arcs and the married parents
+            adj[x].add(y)
+            adj[y].add(x)
+    seen, stack = {a}, [a]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen and w not in observed:
+                seen.add(w)
+                stack.append(w)
+    return b not in seen
+
+
+def test_trails_match_moral_graph_separation():
+    rng = random.Random(30)
+    for seed in range(16):
+        if seed % 2:
+            net = gen_polytree(GenSpec(node_count=rng.randint(5, 25), seed=seed))
+        else:
+            net = gen_loopy(GenSpec(node_count=rng.randint(5, 25), topology="loopy", arc_ratio=1.3, seed=seed))
+        ids = net.node_ids()
+        for _ in range(4):
+            observed = rng.sample(ids, rng.randint(0, len(ids) // 3))
+            evidence = {v: rng.randrange(net.state_count(v)) for v in observed}
+            free = [v for v in ids if v not in evidence]
+            for a in free:
+                reach = _reachable(net, a, evidence)
+                for b in free:
+                    if b != a:
+                        want = _moral_separated(net, a, b, evidence)
+                        assert (b not in reach) == want, (net.name, a, b, evidence)
+
+
 def test_relevant_set_examples():
     chain = build_net("c", {"A": [], "B": ["A"], "C": ["B"]})
     assert relevant_set(chain, "A", {"B": 0}) == {"A", "B"}

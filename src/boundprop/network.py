@@ -9,10 +9,13 @@ tables are stored as one row per joint parent configuration, with the
 last-listed parent varying fastest; that order is also the on-disk row
 order, so files round-trip bit for bit.
 
-A ``Node`` is a slotted record, and every node with the same state
-names holds one shared ``states`` tuple.  ``parse_network`` reads its
-text in chunks of about ``_CHUNK`` characters, so no list of every line
-of a large file is ever built.
+A ``Node`` is a slotted record.  ``parse_network`` shares what equal
+text gives: every node with the same state names holds one ``states``
+tuple, every CPT row with the same text (comment removed) one float
+tuple, and every reference to a node id the string of its node line.
+It reads its text in chunks of about ``_CHUNK`` characters, so no list
+of every line of a large file is ever built, and builds each node when
+its ``cpt`` block closes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
 
 from .intervals import _normalized, _orders
@@ -449,6 +454,11 @@ def _fmt_real(x: float) -> str:
     return f"{x:.17g}"
 
 
+# A comment: ``#`` up to the next line boundary that ``str.splitlines``
+# knows, so that removing comments leaves the same lines.
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def _chunks(text: str) -> Iterator[str]:
     """``text`` in pieces of at least ``_CHUNK`` characters, each but the
     last ending just after a ``"\\n"``.  No line boundary, ``"\\r\\n"``
@@ -472,20 +482,29 @@ def parse_network(text: str) -> BeliefNetwork:
                              in CPT row order; blank and comment lines
                              may come between the rows)
         evidence <id> <state-name>
+
+    Rows with equal text, comment removed, share one float tuple (equal
+    text gives bit-identical floats), and every reference to a node is
+    the string of its node line.
     """
     name: str | None = None
-    states: dict[str, tuple[str, ...]] = {}
+    ids: dict[str, str] = {}  # each declared id to the node line's own string
+    states: dict[str, tuple[str, ...]] = {}  # in declaration order
     parents: dict[str, tuple[str, ...]] = {}
-    cpts: dict[str, list[tuple[float, ...]]] = {}
-    evidence: dict[str, str] = {}
-    node_order: list[str] = []
+    built: dict[str, Node] = {}  # each node, once its cpt block closes
+    evidence: dict[str, int] = {}
     state_lists: dict[tuple[str, ...], tuple[str, ...]] = {}
+    row_texts: dict[str, tuple[float, ...]] = {}
 
-    # Each line with tokens, read lazily; a ``cpt`` line takes its rows from this stream.
-    raws = itertools.chain.from_iterable(map(str.splitlines, _chunks(text)))
-    lines = ((lineno, tokens) for lineno, raw in enumerate(raws, start=1)
-             if (tokens := raw.split("#", 1)[0].split()))
-    for lineno, tokens in lines:
+    # Each line with tokens as (text, line number, tokens), read lazily; a
+    # ``cpt`` line takes its rows from this stream.  The line list comes
+    # first in ``zip``, so the shared count carries on across pieces.
+    numbers = itertools.count(1)
+    pieces = (_COMMENT.sub("", chunk).splitlines() for chunk in _chunks(text))
+    lines = filter(itemgetter(2), itertools.chain.from_iterable(
+        zip(ls, numbers, map(str.split, ls)) for ls in pieces
+    ))
+    for _, lineno, tokens in lines:
         keyword = tokens[0]
         if keyword == "network":
             if len(tokens) != 2:
@@ -499,43 +518,46 @@ def parse_network(text: str) -> BeliefNetwork:
                     "node line must read: node <id> states <s1> <s2> ...", lineno
                 )
             node_id = tokens[1]
-            if node_id in states:
+            if node_id in ids:
                 raise NetworkFormatError(f"duplicate node {node_id!r}", lineno)
             names = tuple(tokens[3:])
+            ids[node_id] = node_id
             states[node_id] = state_lists.setdefault(names, names)
-            node_order.append(node_id)
         elif keyword == "parents":
             if len(tokens) < 2:
                 raise NetworkFormatError("parents line needs a node id", lineno)
-            node_id = tokens[1]
-            if node_id not in states:
-                raise NetworkFormatError(f"parents for undeclared node {node_id!r}", lineno)
+            node_id = ids.get(tokens[1])
+            if node_id is None:
+                raise NetworkFormatError(f"parents for undeclared node {tokens[1]!r}", lineno)
             if node_id in parents:
                 raise NetworkFormatError(f"duplicate parents line for {node_id!r}", lineno)
-            if node_id in cpts:
+            if node_id in built:
                 raise NetworkFormatError(f"parents of {node_id!r} declared after its cpt", lineno)
-            for p in tokens[2:]:
-                if p not in states:
-                    raise NetworkFormatError(f"unknown node reference {p!r}", lineno)
-            parents[node_id] = tuple(tokens[2:])
+            try:
+                parents[node_id] = tuple(map(ids.__getitem__, tokens[2:]))
+            except KeyError as exc:
+                raise NetworkFormatError(f"unknown node reference {exc.args[0]!r}", lineno) from None
         elif keyword == "cpt":
             if len(tokens) != 2:
                 raise NetworkFormatError("cpt line needs exactly one node id", lineno)
-            node_id = tokens[1]
-            if node_id not in states:
-                raise NetworkFormatError(f"cpt for undeclared node {node_id!r}", lineno)
-            if node_id in cpts:
+            node_id = ids.get(tokens[1])
+            if node_id is None:
+                raise NetworkFormatError(f"cpt for undeclared node {tokens[1]!r}", lineno)
+            if node_id in built:
                 raise NetworkFormatError(f"duplicate cpt for {node_id!r}", lineno)
             width = len(states[node_id])
-            needed = math.prod(len(states[p]) for p in parents.get(node_id, ()))
-            rows = cpts[node_id] = []
-            for lineno, tokens in itertools.islice(lines, needed):
-                try:
-                    row = tuple(map(float, tokens))
-                except ValueError:
-                    raise NetworkFormatError(
-                        f"expected {needed - len(rows)} more cpt row(s) for {node_id!r}", lineno
-                    ) from None
+            node_parents = parents.get(node_id, ())
+            needed = math.prod(len(states[p]) for p in node_parents)
+            rows = []
+            for raw, lineno, tokens in itertools.islice(lines, needed):
+                row = row_texts.get(raw)
+                if row is None:
+                    try:
+                        row = row_texts[raw] = tuple(map(float, tokens))
+                    except ValueError:
+                        raise NetworkFormatError(
+                            f"expected {needed - len(rows)} more cpt row(s) for {node_id!r}", lineno
+                        ) from None
                 if len(row) != width:
                     raise NetworkFormatError(
                         f"cpt row for {node_id!r} has {len(row)} values, expected {width}", lineno
@@ -545,40 +567,32 @@ def parse_network(text: str) -> BeliefNetwork:
                 raise NetworkFormatError(
                     f"file ended with {needed - len(rows)} cpt row(s) missing for {node_id!r}"
                 )
+            built[node_id] = Node(node_id, states[node_id], node_parents, tuple(rows))
         elif keyword == "evidence":
             if len(tokens) != 3:
                 raise NetworkFormatError("evidence line must read: evidence <id> <state>", lineno)
-            node_id, state_name = tokens[1], tokens[2]
-            if node_id not in states:
-                raise NetworkFormatError(f"evidence for undeclared node {node_id!r}", lineno)
+            node_id, state_name = ids.get(tokens[1]), tokens[2]
+            if node_id is None:
+                raise NetworkFormatError(f"evidence for undeclared node {tokens[1]!r}", lineno)
             if state_name not in states[node_id]:
                 raise NetworkFormatError(
                     f"node {node_id!r} has no state {state_name!r}", lineno
                 )
             if node_id in evidence:
                 raise NetworkFormatError(f"duplicate evidence for {node_id!r}", lineno)
-            evidence[node_id] = state_name
+            evidence[node_id] = states[node_id].index(state_name)
         else:
             raise NetworkFormatError(f"unknown declaration {keyword!r}", lineno)
 
     if name is None:
         raise NetworkFormatError("missing network line")
-    missing = [v for v in node_order if v not in cpts]
-    if missing:
-        raise NetworkFormatError(f"missing cpt for {missing[0]!r}")
-
-    nodes = [
-        Node(
-            id=v,
-            states=states[v],
-            parents=parents.get(v, ()),
-            cpt=tuple(cpts[v]),
-        )
-        for v in node_order
-    ]
-    return BeliefNetwork(
-        name, nodes, evidence={v: states[v].index(s) for v, s in evidence.items()}
-    )
+    try:
+        nodes = [built[v] for v in states]
+    except KeyError as exc:
+        raise NetworkFormatError(f"missing cpt for {exc.args[0]!r}") from None
+    # The network keeps none of these; dropped, they leave room for its own tables.
+    del ids, states, parents, built, state_lists, row_texts
+    return BeliefNetwork(name, nodes, evidence=evidence)
 
 
 def serialize_network(net: BeliefNetwork) -> str:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -114,6 +115,9 @@ MALFORMED = [
     (_HEAD + "node B states t f\nparents B A A\ncpt A\n0.5 0.5\ncpt B\n" + "0.5 0.5\n" * 4,
      "node 'B' lists a parent twice", None),
     (_HEAD + "cpt A\n1.5 -0.5\n", "cpt entry 1.5 of 'A' outside [0, 1]", None),
+    # A row text read once under a 2-state node is checked again at its repeat.
+    (_HEAD + "node B states t f u\ncpt A\n0.5 0.5\ncpt B\n0.5 0.5\n",
+     "cpt row for 'B' has 2 values, expected 3", 7),
 ]
 
 
@@ -150,6 +154,58 @@ def test_parse_skips_blank_and_comment_lines_between_cpt_rows(chunked):
     for text in (plain, spaced):
         assert serialize_network(parse_network(text)) == want
         assert serialize_network(parse_network(text.replace("\n", "\r\n"))) == want
+
+
+_TWO_ROWS = _HEAD + "node B states t f\nparents B A\ncpt A\n0.5 0.5\ncpt B\n{}\n{}\n"
+
+
+@pytest.mark.parametrize("chunked", CHUNKS, indirect=True)
+@pytest.mark.parametrize("first, second", [("0 1", "-0 1"), ("-0 1", "0 1"), ("0.5 0.5", "0.50 0.5")])
+def test_parse_reads_each_row_by_its_own_text(first, second, chunked):
+    # Rows are shared by their text, so rows whose texts differ keep what
+    # float() makes of each: the sign of a zero, and equal values from
+    # different spellings.
+    for text in (_TWO_ROWS.format(first, second), _TWO_ROWS.format(first, second).replace("\n", "\r\n")):
+        cpt = parse_network(text).node("B").cpt
+        assert cpt == (tuple(map(float, first.split())), tuple(map(float, second.split())))
+        signs = [math.copysign(1.0, v) for row in cpt for v in row]
+        assert signs == [-1.0 if t.startswith("-") else 1.0 for t in f"{first} {second}".split()]
+
+
+@pytest.mark.parametrize("net", [
+    gen_polytree(GenSpec(node_count=300, seed=5)),
+    gen_loopy(GenSpec(node_count=300, topology="loopy", arc_ratio=1.3, seed=5)),
+], ids=["polytree", "loopy"])
+def test_parse_holds_each_row_text_and_each_id_once(net):
+    last = net.nodes[-1]
+    text = serialize_network(net) + f"evidence {last.id} {last.states[0]}\n"
+    back = parse_network(text)
+    for n in back.nodes:
+        for p in n.parents:
+            assert p is back.node(p).id
+    assert [v is back.node(v).id for v in back.evidence] == [True]
+    keywords = {"network", "node", "parents", "cpt", "evidence"}
+    row_texts = {line for line in text.splitlines() if line.split()[0] not in keywords}
+    rows = {id(row) for n in back.nodes for row in n.cpt}
+    assert len(rows) == len(row_texts) < sum(len(n.cpt) for n in back.nodes)
+
+
+# Every line boundary ``str.splitlines`` knows besides "\n" and "\r\n".
+_BOUNDARIES = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("chunked", CHUNKS, indirect=True)
+@pytest.mark.parametrize("boundary", _BOUNDARIES, ids=[hex(ord(b)) for b in _BOUNDARIES])
+def test_a_comment_ends_where_splitlines_ends_its_line(boundary, chunked):
+    # The declaration after the boundary is line 3, whether it parses or not.
+    head = "network x\nnode A states t f # a comment" + boundary
+    net = parse_network(head + "node B states t f\nparents B A\ncpt A\n0.5 0.5\ncpt B\n0.5 0.5\n0.5 0.5\n")
+    assert net.node_ids() == ("A", "B")
+    assert net.parents("B") == ("A",)
+    with pytest.raises(NetworkFormatError) as exc:
+        parse_network(head + "evidence A u\n")
+    assert exc.value.line == 3
+    assert str(exc.value) == "line 3: node 'A' has no state 'u'"
 
 
 def test_parse_names_the_line_of_a_bad_row_after_a_comment():

@@ -13,8 +13,8 @@ from . import netgen
 from .engine import StopCriterion, answer_query
 from .intervals import ConflictingEvidenceError
 from .loops import CutsetOverflowError
-from .network import BeliefNetwork, is_polytree, parse_network
-from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
+from .network import BeliefNetwork, parse_network
+from .oracle import StateSpaceError, enumerate_marginal
 
 DEFAULT_BUDGET_MS = 60_000.0
 
@@ -79,15 +79,11 @@ def _suite_network(entry: Mapping) -> BeliefNetwork:
     return netgen.generate(spec)
 
 
-def _baseline_ms(net: BeliefNetwork, polytree: bool, evidence, query) -> float | None:
-    """Time for an exact answer: point propagation on a ``polytree``,
-    joint enumeration otherwise.  None when neither is feasible."""
+def _baseline_ms(net: BeliefNetwork, evidence, query) -> float | None:
+    """Time for one exact answer; None past the factor cap or under impossible evidence."""
     try:
         t0 = time.perf_counter()
-        if polytree:
-            polytree_exact(net, evidence, query)
-        else:
-            enumerate_marginal(net, evidence, query)
+        enumerate_marginal(net, evidence, query)
         return (time.perf_counter() - t0) * 1000.0
     except (StateSpaceError, ConflictingEvidenceError):
         return None
@@ -99,7 +95,6 @@ def run_bench(suite: dict) -> Iterator[dict]:
     for entry in suite["networks"]:
         net = _suite_network(entry)
         n_arcs = len(net.arcs)
-        polytree = is_polytree(net)
         # A network read from a file may carry its own evidence; the
         # sampled states are laid over it, as the engine would.
         evidence = {**net.evidence, **netgen.sample_evidence(net, rng)}
@@ -107,7 +102,7 @@ def run_bench(suite: dict) -> Iterator[dict]:
         count = min(int(suite["queries_per_network"]), len(free))
         queries = rng.sample(free, count)
         for query in queries:
-            baseline = _baseline_ms(net, polytree, evidence, query)
+            baseline = _baseline_ms(net, evidence, query)
             for strategy in suite["strategies"]:
                 for target in suite["target_widths"]:
                     t0 = time.perf_counter()

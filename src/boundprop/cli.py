@@ -13,8 +13,8 @@ import sys
 from . import loops, netgen
 from .bench import load_suite, records_to_csv, records_to_jsonl, run_bench
 from .engine import BUDGET, LOOP_DELAYS, SATISFIED, SATURATED, StopCriterion, answer_query
-from .network import is_polytree, parse_network, serialize_network
-from .oracle import StateSpaceError, enumerate_marginal, polytree_exact
+from .network import parse_network, serialize_network
+from .oracle import enumerate_marginal
 
 
 def _load_network(path: str):
@@ -100,18 +100,8 @@ def _cmd_query(args) -> int:
 def _cmd_exact(args) -> int:
     net = _load_network(args.file)
     evidence = _parse_evidence(net, args.evidence)
-    states = net.states(args.node)
-    polytree = is_polytree(net)
-    try:
-        marginal = enumerate_marginal(net, evidence, args.node)
-        print("enumeration " + " ".join(f"{s}={p:.9f}" for s, p in zip(states, marginal)))
-    except StateSpaceError:
-        # Past the enumeration cap a polytree is still answered below.
-        if not polytree:
-            raise
-    if polytree:
-        pt = polytree_exact(net, evidence, args.node)
-        print("polytree    " + " ".join(f"{s}={p:.9f}" for s, p in zip(states, pt)))
+    marginal = zip(net.states(args.node), enumerate_marginal(net, evidence, args.node))
+    print("exact " + " ".join(f"{s}={p:.9f}" for s, p in marginal))
     return 0
 
 
@@ -157,9 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget-ms", type=float, default=None)
     q.set_defaults(func=_cmd_query)
 
-    e = sub.add_parser(
-        "exact", help="exact marginal by enumeration, and by message passing on a polytree"
-    )
+    e = sub.add_parser("exact", help="exact marginal by variable elimination")
     e.add_argument("file")
     e.add_argument("--node", required=True)
     e.add_argument("--evidence", action="append", metavar="ID=STATE")

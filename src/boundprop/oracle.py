@@ -1,96 +1,113 @@
-"""Ground-truth engines: joint enumeration and point message passing.
-
-Both are deliberately independent of the interval machinery so they can
-serve as oracles for it.  Enumeration works on any network up to a
-state-space cap; the point polytree solver is linear-time but limited
-to singly connected networks.  Both answer under the caller's evidence
-laid over the evidence stored on the network, and check the asked node
-and that evidence, as the engine does: an unknown node raises
-``KeyError`` and a state that is not an ``int`` in range raises
-``ValueError``.
-
-NumPy is imported by the functions that enumerate, not by the module,
-so importing the package does not pay for it.
+"""Ground-truth engines, independent of the interval machinery: variable
+elimination (Zhang & Poole 1994) in plain Python, for any network up to
+``STATE_SPACE_CAP`` entries per factor, and linear-time point message
+passing on a polytree.  Both answer under the caller's evidence laid
+over the evidence stored on the network, and check the asked node and
+that evidence as the engine does: an unknown node raises ``KeyError``
+and a state that is not an ``int`` in range raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Mapping, Sequence
 
 from .intervals import ConflictingEvidenceError
 from .network import BeliefNetwork, _check_evidence, is_polytree
 
-if TYPE_CHECKING:
-    import numpy as np
-
-STATE_SPACE_CAP = 2 ** 24
+# The most entries one factor may hold.  A product of three factors at the
+# cap takes 0.5-0.7 s (Python 3.11, 2-core x86) and 96 MiB (tracemalloc).
+STATE_SPACE_CAP = 2 ** 20
 
 
 class StateSpaceError(ValueError):
-    """Joint state space too large to enumerate."""
+    """An exact answer needs a factor larger than ``STATE_SPACE_CAP``."""
 
 
-def joint_table(net: BeliefNetwork) -> np.ndarray:
-    """Full joint distribution as an array with one axis per node."""
-    import numpy as np
+def _plan(net: BeliefNetwork, scopes: list, size: Mapping[str, int], query: str) -> list:
+    """Steps ``(x, ids, scope, new)`` that eliminate every variable of
+    ``scopes`` but ``query``: multiply factors ``ids`` over ``scope + [x]``
+    and sum ``x`` out into factor ``new``.  The smallest product goes
+    first, ties in network order; one past the cap raises here."""
+    holders: dict[str, set[int]] = {}
+    for i, scope in enumerate(scopes):
+        for v in scope:
+            holders.setdefault(v, set()).add(i)
 
-    shape = tuple(net.state_count(v) for v in net.node_ids())
-    total = math.prod(shape)
-    if total > STATE_SPACE_CAP:
-        raise StateSpaceError(
-            f"joint table of {len(shape)} nodes has 2^{math.log2(total):.1f} entries,"
-            f" which exceeds cap 2^{math.log2(STATE_SPACE_CAP):g}"
-        )
-    axis = {v: i for i, v in enumerate(net.node_ids())}
-    joint = np.ones(shape, dtype=np.float64)
-    for n in net.nodes:
-        involved = list(n.parents) + [n.id]
-        table = np.asarray(n.cpt, dtype=np.float64).reshape(
-            [net.state_count(p) for p in n.parents] + [len(n.states)]
-        )
-        # Move the factor's axes into global axis order, pad the rest with 1s.
-        perm = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
-        table = np.transpose(table, perm)
-        full_shape = [1] * len(shape)
-        for i in perm:
-            full_shape[axis[involved[i]]] = net.state_count(involved[i])
-        joint *= table.reshape(full_shape)
-    return joint
+    def joined(v: str) -> set[str]:
+        return set().union(*(scopes[i] for i in holders[v]))
+
+    current = {v: math.prod(map(size.__getitem__, joined(v))) for v in holders if v != query}
+    heap = [(w, net.order(v), v) for v, w in current.items()]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        w, _, x = heapq.heappop(heap)
+        if current.get(x) != w:
+            continue
+        if w > STATE_SPACE_CAP:
+            raise StateSpaceError(f"an exact answer over {len(size)} nodes needs 2^{math.log2(w):.1f} entries"
+                                  f" in one factor, which exceeds cap 2^{math.log2(STATE_SPACE_CAP):g}")
+        del current[x]
+        scope = sorted(joined(x) - {x}, key=net.order)
+        ids = holders.pop(x)
+        steps.append((x, sorted(ids), scope, len(scopes)))
+        scopes.append(scope)
+        for v in scope:
+            holders[v] -= ids
+            holders[v].add(len(scopes) - 1)
+            if v in current:
+                current[v] = math.prod(map(size.__getitem__, joined(v)))
+                heapq.heappush(heap, (current[v], net.order(v), v))
+    return steps
 
 
-def _sliced_joint(net: BeliefNetwork, evidence: Mapping[str, int], *asked: str) -> np.ndarray:
-    """The joint table at the observed states, one axis per unobserved
-    node, once the ``asked`` nodes and the evidence pass the checks."""
-    for v in asked:
-        net.node(v)
-    _check_evidence(net, evidence)
-    return joint_table(net)[tuple(evidence[v] if v in evidence else slice(None) for v in net.node_ids())]
+def _strides(scope: Sequence[str], size: Mapping[str, int]) -> dict[str, int]:
+    """Each variable's stride in a flat table over ``scope``, the last fastest (CPT order)."""
+    return dict(zip(reversed(scope), accumulate(map(size.__getitem__, reversed(scope)), mul, initial=1)))
 
 
-def enumerate_marginal(
-    net: BeliefNetwork, evidence: Mapping[str, int], node: str
-) -> tuple[float, ...]:
-    """Exact conditional marginal of ``node`` by summing the joint."""
-    import numpy as np
+def _product(factors, scope: Sequence[str], size: Mapping[str, int], fixed: Mapping[str, int]) -> list[float]:
+    """The product of ``factors``, each ``(strides, table)``, as a flat
+    table over ``scope``, with the variables of ``fixed`` at its states."""
+    out: list[float] | None = None
+    for strides, table in factors:
+        index = [sum(fixed[v] * s for v, s in strides.items() if v in fixed)]
+        for v in scope:
+            s, k = strides.get(v, 0), size[v]
+            steps = range(0, s * k, s) if s else (0,) * k
+            index = [i + j for i in index for j in steps]
+        pick = table.__getitem__
+        out = list(map(pick, index) if out is None else map(mul, out, map(pick, index)))
+    return out
 
+
+def enumerate_marginal(net: BeliefNetwork, evidence: Mapping[str, int], node: str) -> tuple[float, ...]:
+    """Exact conditional marginal of ``node`` by variable elimination
+    over the ancestral closure of ``node`` and the evidence; every other
+    node is barren and sums out to one."""
+    net.node(node)
     evidence = {**net.evidence, **evidence}
-    sub = _sliced_joint(net, evidence, node)
-    if node in evidence:
-        total = float(np.sum(sub))
-        if total <= 0.0:
-            raise ConflictingEvidenceError("evidence has zero probability")
-        out = [0.0] * net.state_count(node)
-        out[evidence[node]] = 1.0
-        return tuple(out)
-    remaining = [v for v in net.node_ids() if v not in evidence]
-    keep = remaining.index(node)
-    other_axes = tuple(i for i in range(sub.ndim) if i != keep)
-    vec = np.sum(sub, axis=other_axes)
-    total = float(np.sum(vec))
+    _check_evidence(net, evidence)
+    size = {v: net.state_count(v) for v in sorted(net.ancestral_closure({node, *evidence}), key=net.order)}
+    # One factor per kept CPT, by id; those multiplied into another leave.
+    factors = dict(enumerate((_strides(n.parents + (n.id,), size), [p for row in n.cpt for p in row])
+                             for n in map(net.node, size)))
+    scopes = [[v for v in f[0] if v not in evidence] for f in factors.values()]
+    for x, ids, scope, new in _plan(net, scopes, size, node):
+        # x varies fastest, so each run of its states sums to one entry.
+        table = _product([factors.pop(i) for i in ids], [*scope, x], size, evidence)
+        factors[new] = (_strides(scope, size), list(map(sum, zip(*[iter(table)] * size[x]))))
+    vec = _product(factors.values(), [] if node in evidence else [node], size, evidence)
+    total = sum(vec)
     if total <= 0.0:
         raise ConflictingEvidenceError("evidence has zero probability")
-    return tuple(float(x) for x in vec / total)
+    if node in evidence:
+        return tuple(float(i == evidence[node]) for i in range(size[node]))
+    return tuple(x / total for x in vec)
 
 
 def polytree_exact(

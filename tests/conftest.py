@@ -5,7 +5,7 @@ import pytest
 from boundprop import parse_network
 from boundprop.intervals import COHERENCE_TOL, ConflictingEvidenceError
 from boundprop.netgen import sample_skewed_row
-from boundprop.oracle import _sliced_joint
+from boundprop.oracle import enumerate_marginal
 
 
 def build_net(name, spec, seed=None, state_counts=None):
@@ -34,6 +34,14 @@ def build_net(name, spec, seed=None, state_counts=None):
             else:
                 lines.append(" ".join(f"{v:.17g}" for v in sample_skewed_row(k, rng)))
     return parse_network("\n".join(lines))
+
+
+def grid_spec(n):
+    """An n x n grid, each node a child of its upper and left neighbours."""
+    return {
+        f"g{r}_{c}": [f"g{r - 1}_{c}"] * (r > 0) + [f"g{r}_{c - 1}"] * (c > 0)
+        for r in range(n) for c in range(n)
+    }
 
 
 CHAIN_AB = """
@@ -96,34 +104,20 @@ def midpoints(v):
 def clamped_state_range(net, evidence, query, clamp):
     """Per-state min and max of the query conditional over clamp states.
 
-    For each state b of ``clamp``, the joint is evaluated with b held
-    fixed (not summed), the query conditional is formed, and the
-    pointwise envelope over b is returned.  This is the reference
+    For each state b of ``clamp``, the query conditional is formed with
+    b observed beside the evidence, and the pointwise envelope over the
+    b of nonzero probability is returned.  This is the reference
     envelope a propagation that severed the clamp node's outgoing
     influence must still contain.
     """
-    import numpy as np
-
     if query in evidence or clamp in evidence or clamp == query:
         raise ValueError("query and clamp must be distinct unobserved nodes")
-    sub = _sliced_joint(net, evidence, query, clamp)
-    remaining = [v for v in net.node_ids() if v not in evidence]
-    q_axis = remaining.index(query)
-    b_axis = remaining.index(clamp)
-    n_q = net.state_count(query)
-    lo = [float("inf")] * n_q
-    hi = [float("-inf")] * n_q
+    conditionals = []
     for b in range(net.state_count(clamp)):
-        plane = np.take(sub, b, axis=b_axis)
-        axes = tuple(i for i in range(plane.ndim) if i != (q_axis if q_axis < b_axis else q_axis - 1))
-        vec = np.sum(plane, axis=axes)
-        total = float(np.sum(vec))
-        if total <= 0.0:
+        try:
+            conditionals.append(enumerate_marginal(net, {**evidence, clamp: b}, query))
+        except ConflictingEvidenceError:
             continue
-        cond = vec / total
-        for i in range(n_q):
-            lo[i] = min(lo[i], float(cond[i]))
-            hi[i] = max(hi[i], float(cond[i]))
-    if lo[0] == float("inf"):
+    if not conditionals:
         raise ConflictingEvidenceError("evidence has zero probability")
-    return tuple(zip(lo, hi))
+    return tuple((min(c), max(c)) for c in zip(*conditionals))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -10,9 +11,9 @@ from boundprop.engine import LOOP_DELAYS
 from boundprop.loops import CutsetOverflowError
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
 from boundprop.network import BeliefNetwork, serialize_network
-from boundprop.oracle import StateSpaceError
+from boundprop.oracle import STATE_SPACE_CAP, StateSpaceError, polytree_exact
 
-from conftest import build_net
+from conftest import build_net, grid_spec
 
 SUITE = {
     "seed": 3,
@@ -137,22 +138,30 @@ def test_cli_gen_query_exact_roundtrip(tmp_path, capsys):
     assert "status satisfied" in out
     assert "iter 1" in out
     assert main(["exact", str(path), "--node", "n3"]) == 0
-    out = capsys.readouterr().out
-    assert "enumeration" in out and "polytree" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("exact s0=")
 
 
-def test_cli_exact_past_the_enumeration_cap(tmp_path, capsys):
-    # A 60-node network's joint table exceeds the enumeration cap: a
-    # polytree is still answered by message passing, a loopy one fails.
+def printed_marginal(line):
+    label, *cells = line.split()
+    assert label == "exact"
+    return [float(cell.split("=")[1]) for cell in cells]
+
+
+def test_cli_exact_prints_one_line_on_a_polytree_and_a_loopy_network(tmp_path, capsys):
+    # Both 60-node networks are far past a joint table's size; each is
+    # answered by elimination in one line.
     path = tmp_path / "tree.txt"
     assert main(["gen", "--nodes", "60", "--seed", "1", "--out", str(path)]) == 0
     assert main(["exact", str(path), "--node", "n5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("polytree ")
+    (line,) = capsys.readouterr().out.splitlines()
+    tree = gen_polytree(GenSpec(node_count=60, seed=1))
+    assert printed_marginal(line) == pytest.approx(polytree_exact(tree, {}, "n5"), abs=1e-9)
     loopy = tmp_path / "loopy.txt"
     assert main(["gen", "--nodes", "60", "--topology", "loopy", "--seed", "1", "--out", str(loopy)]) == 0
-    assert main(["exact", str(loopy), "--node", "n5"]) == 1
-    assert "exceeds cap" in capsys.readouterr().err
+    assert main(["exact", str(loopy), "--node", "n5", "--evidence", "n59=s0"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert sum(printed_marginal(line)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_cli_exact_on_a_long_chain(tmp_path, capsys):
@@ -161,8 +170,18 @@ def test_cli_exact_on_a_long_chain(tmp_path, capsys):
     path = tmp_path / "chain.txt"
     path.write_text(serialize_network(net))
     assert main(["exact", str(path), "--node", "n0", "--evidence", f"n{n - 1}=s1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("polytree ")
+    (line,) = capsys.readouterr().out.splitlines()
+    assert printed_marginal(line) == pytest.approx(polytree_exact(net, {f"n{n - 1}": 1}, "n0"), abs=1e-9)
+
+
+def test_cli_exact_past_the_factor_cap_exits_1(tmp_path, capsys):
+    path = tmp_path / "grid.txt"
+    path.write_text(serialize_network(build_net("grid", grid_spec(30), seed=3)))
+    assert main(["exact", str(path), "--node", "g29_29"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"exceeds cap 2^{math.log2(STATE_SPACE_CAP):g}" in captured.err
 
 
 def test_cli_saturated_exit_code(tmp_path, capsys):
@@ -351,7 +370,7 @@ def _fail_with(exc):
     return fail
 
 
-def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
+def test_baseline_is_one_oracle_call_per_query(monkeypatch):
     seen = []
 
     def enumerate_marginal(net, evidence, query):
@@ -359,32 +378,15 @@ def test_baseline_on_loopy_nets_is_enumeration(monkeypatch):
         return (0.5, 0.5)
 
     monkeypatch.setattr(bench, "enumerate_marginal", enumerate_marginal)
-    suite = {**SUITE, "queries_per_network": 1, "strategies": ["bfs"],
-             "networks": [{"nodes": 8, "topology": "loopy", "ratio": 1.3, "seed": 2}]}
-    (record,) = run_bench(load_suite(json.dumps(suite)))
-    assert record["baseline_ms"] is not None
-    assert seen == [record["query"]]
-
-
-def test_polytree_check_runs_once_per_network(monkeypatch):
-    # The exact baseline's timed window holds only the oracle call.
-    calls = []
-    inner = bench.is_polytree
-
-    def is_polytree(net):
-        calls.append(net.name)
-        return inner(net)
-
-    monkeypatch.setattr(bench, "is_polytree", is_polytree)
     records = list(run_bench(load_suite(json.dumps(SUITE))))
-    assert calls == list(dict.fromkeys(r["network"] for r in records))
-    assert len(calls) == len(SUITE["networks"])
+    # On the polytree and the loopy network alike: one call per query,
+    # not one per strategy.
+    assert all(r["baseline_ms"] is not None for r in records)
+    assert seen == [q for _, q in dict.fromkeys((r["network"], r["query"]) for r in records)]
 
 
 def test_baseline_state_space_error_is_recorded_as_none(monkeypatch):
-    fail = _fail_with(StateSpaceError("joint table exceeds cap"))
-    monkeypatch.setattr(bench, "polytree_exact", fail)
-    monkeypatch.setattr(bench, "enumerate_marginal", fail)
+    monkeypatch.setattr(bench, "enumerate_marginal", _fail_with(StateSpaceError("factor exceeds cap")))
     records = list(run_bench(load_suite(json.dumps(SUITE))))
     assert records and all(r["baseline_ms"] is None for r in records)
     assert all(not r["status"].startswith("error") for r in records)
@@ -407,7 +409,7 @@ def test_bench_answers_under_the_stored_evidence(tmp_path, monkeypatch):
             return call(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(bench, "polytree_exact", spy("oracle", bench.polytree_exact))
+    monkeypatch.setattr(bench, "enumerate_marginal", spy("oracle", bench.enumerate_marginal))
     monkeypatch.setattr(bench, "answer_query", spy("engine", bench.answer_query))
     suite = {**SUITE, "queries_per_network": 12, "strategies": ["bfs"], "networks": [{"file": str(path)}]}
     records = list(run_bench(load_suite(json.dumps(suite))))

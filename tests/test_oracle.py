@@ -1,14 +1,41 @@
+import itertools
+import math
 import random
-import tracemalloc
+import time
 
 import pytest
 
-from boundprop import enumerate_marginal, parse_network, polytree_exact
+from boundprop import BeliefNetwork, enumerate_marginal, parse_network, polytree_exact
 from boundprop.intervals import ConflictingEvidenceError
 from boundprop.netgen import GenSpec, gen_loopy, gen_polytree, sample_evidence
-from boundprop.oracle import StateSpaceError, joint_table
+from boundprop.oracle import STATE_SPACE_CAP, StateSpaceError
 
-from conftest import build_net, clamped_state_range
+from conftest import build_net, clamped_state_range, grid_spec
+
+
+def brute_force(net, evidence):
+    """The posterior of every node under ``evidence`` alone (the
+    network's stored evidence is not read), summed over every joint
+    state of the network."""
+    ids = net.node_ids()
+    assert len(ids) <= 10
+    sums = {v: [0.0] * net.state_count(v) for v in ids}
+    for states in itertools.product(*(range(net.state_count(v)) for v in ids)):
+        at = dict(zip(ids, states))
+        if any(at[v] != s for v, s in evidence.items()):
+            continue
+        p = 1.0
+        for n in net.nodes:
+            row = 0
+            for u in n.parents:
+                row = row * net.state_count(u) + at[u]
+            p *= n.cpt[row][at[n.id]]
+        for v, s in at.items():
+            sums[v][s] += p
+    total = sum(sums[ids[0]])
+    if total <= 0.0:
+        raise ConflictingEvidenceError("evidence has zero probability")
+    return {v: tuple(x / total for x in out) for v, out in sums.items()}
 
 
 def test_chain_hand_value(chain_ab):
@@ -55,39 +82,76 @@ def test_polytree_exact_rejects_loops():
         polytree_exact(net, {}, "n0")
 
 
-def test_joint_table_sums_to_one():
-    net = gen_loopy(GenSpec(node_count=7, topology="loopy", arc_ratio=1.3, seed=9))
-    assert float(joint_table(net).sum()) == pytest.approx(1.0, abs=1e-9)
+def test_elimination_matches_brute_force_on_loopy_networks():
+    for seed in range(40):
+        rng = random.Random(seed)
+        spec = GenSpec(node_count=rng.randint(5, 10), topology="loopy",
+                       arc_ratio=rng.choice([1.1, 1.2, 1.3]), seed=seed)
+        net = gen_loopy(spec)
+        ev = sample_evidence(net, rng)
+        want = brute_force(net, ev)
+        # Every node is asked, an observed one included when there is one.
+        for q in net.node_ids():
+            assert enumerate_marginal(net, ev, q) == pytest.approx(want[q], abs=1e-12, rel=0)
 
 
-def test_joint_table_builds_no_second_full_array():
-    net = build_net("c20", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(20)}, seed=4)
-    tracemalloc.start()
-    try:
-        table = joint_table(net)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert table.nbytes == 8 * 2 ** 20
-    assert peak < 1.5 * table.nbytes
+def test_elimination_lays_the_callers_evidence_over_the_stored_one():
+    for seed in range(10):
+        rng = random.Random(seed)
+        net = gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.4, seed=seed))
+        stored_nodes = rng.sample(net.node_ids(), 3)
+        stored = {v: rng.randrange(net.state_count(v)) for v in stored_nodes}
+        # The caller overrides one stored node and adds one of its own.
+        first = stored_nodes[0]
+        caller = {first: (stored[first] + 1) % net.state_count(first)}
+        extra = next(v for v in net.node_ids() if v not in stored)
+        caller[extra] = 0
+        with_stored = BeliefNetwork(net.name, net.nodes, evidence=stored)
+        merged = {**stored, **caller}
+        want = brute_force(net, merged)
+        for q in net.node_ids():
+            assert enumerate_marginal(with_stored, caller, q) == pytest.approx(want[q], abs=1e-12, rel=0)
 
 
-def test_state_space_cap():
-    # 40 nodes of at least 2 states each: a joint table past 2^24 entries.
+def test_zero_probability_evidence_on_a_loopy_network():
+    # A -> B, A -> C, {B, C} -> D, all copies of A: B and C cannot differ.
+    text = (
+        "network d\nnode A states t f\nnode B states t f\nnode C states t f\nnode D states t f\n"
+        "parents A\nparents B A\nparents C A\nparents D B C\n"
+        "cpt A\n0.4 0.6\ncpt B\n1 0\n0 1\ncpt C\n1 0\n0 1\ncpt D\n1 0\n0.5 0.5\n0.5 0.5\n0 1\n"
+    )
+    net = parse_network(text)
+    for ev in ({"B": 0, "C": 1}, {"A": 0, "D": 1}):
+        with pytest.raises(ConflictingEvidenceError):
+            brute_force(net, ev)
+        for q in "ABCD":
+            with pytest.raises(ConflictingEvidenceError):
+                enumerate_marginal(net, ev, q)
+    want = brute_force(net, {"D": 0})
+    for q in "ABCD":
+        assert enumerate_marginal(net, {"D": 0}, q) == pytest.approx(want[q], abs=1e-12, rel=0)
+
+
+def test_elimination_answers_a_40_node_polytree():
+    # 40 nodes of at least 2 states each: a joint table past 2^40 entries,
+    # but no factor along the elimination of a polytree is large.
     net = gen_polytree(GenSpec(node_count=40, seed=0))
-    with pytest.raises(StateSpaceError):
-        enumerate_marginal(net, {}, "n0")
+    ev = sample_evidence(net, random.Random(3))
+    for q in ("n0", "n17", "n39"):
+        assert enumerate_marginal(net, ev, q) == pytest.approx(polytree_exact(net, ev, q), abs=1e-12)
 
 
-def test_state_space_error_names_the_size_in_a_short_line():
-    # The message states the node count, the entry count and the cap, not
-    # the shape, which on a large network runs to thousands of characters.
-    net = gen_loopy(GenSpec(node_count=5000, topology="loopy", arc_ratio=1.1, seed=1))
+def test_state_space_error_comes_fast_in_a_short_line_that_names_the_cap():
+    # A 30 x 30 grid asked at its far corner: every node is an ancestor,
+    # and eliminating a grid needs factors over about a row of nodes.
+    net = build_net("grid", grid_spec(30), seed=3)
+    t0 = time.perf_counter()
     with pytest.raises(StateSpaceError) as err:
-        joint_table(net)
+        enumerate_marginal(net, {}, "g29_29")
+    assert time.perf_counter() - t0 < 1.0
     message = str(err.value)
     assert len(message) < 200
-    assert "5000 nodes" in message and "exceeds cap" in message
+    assert f"exceeds cap 2^{math.log2(STATE_SPACE_CAP):g}" in message
 
 
 def test_conflicting_evidence_detected():

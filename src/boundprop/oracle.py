@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import accumulate
-from operator import mul
 from typing import Mapping, Sequence
 
 from .intervals import ConflictingEvidenceError
@@ -67,7 +65,11 @@ def _plan(net: BeliefNetwork, scopes: list, size: Mapping[str, int], query: str)
 
 def _strides(scope: Sequence[str], size: Mapping[str, int]) -> dict[str, int]:
     """Each variable's stride in a flat table over ``scope``, the last fastest (CPT order)."""
-    return dict(zip(reversed(scope), accumulate(map(size.__getitem__, reversed(scope)), mul, initial=1)))
+    strides, stride = {}, 1
+    for v in reversed(scope):
+        strides[v] = stride
+        stride *= size[v]
+    return strides
 
 
 def _product(factors, scope: Sequence[str], size: Mapping[str, int], fixed: Mapping[str, int]) -> list[float]:
@@ -75,39 +77,59 @@ def _product(factors, scope: Sequence[str], size: Mapping[str, int], fixed: Mapp
     table over ``scope``, with the variables of ``fixed`` at its states."""
     out: list[float] | None = None
     for strides, table in factors:
+        # Where each entry of the product sits in this factor's table.
         index = [sum(fixed[v] * s for v, s in strides.items() if v in fixed)]
         for v in scope:
-            s, k = strides.get(v, 0), size[v]
-            steps = range(0, s * k, s) if s else (0,) * k
+            steps = [strides.get(v, 0) * k for k in range(size[v])]
             index = [i + j for i in index for j in steps]
-        pick = table.__getitem__
-        out = list(map(pick, index) if out is None else map(mul, out, map(pick, index)))
+        if out is None:
+            out = [table[i] for i in index]
+        else:
+            out = [a * table[i] for a, i in zip(out, index)]
     return out
+
+
+def _normalized(vec: Sequence[float]) -> list[float]:
+    """``vec`` scaled to sum to one; a zero sum means impossible evidence."""
+    total = sum(vec)
+    if total <= 0.0:
+        raise ConflictingEvidenceError("evidence has zero probability")
+    return [x / total for x in vec]
 
 
 def enumerate_marginal(net: BeliefNetwork, evidence: Mapping[str, int], node: str) -> tuple[float, ...]:
     """Exact conditional marginal of ``node`` by variable elimination
     over the ancestral closure of ``node`` and the evidence; every other
-    node is barren and sums out to one."""
+    node is barren and sums out to one.  Each factor a sum leaves is
+    scaled to sum to one, so that the probability of many observations,
+    which the answer divides out, cannot underflow."""
     net.node(node)
     evidence = {**net.evidence, **evidence}
     _check_evidence(net, evidence)
     size = {v: net.state_count(v) for v in sorted(net.ancestral_closure({node, *evidence}), key=net.order)}
-    # One factor per kept CPT, by id; those multiplied into another leave.
-    factors = dict(enumerate((_strides(n.parents + (n.id,), size), [p for row in n.cpt for p in row])
-                             for n in map(net.node, size)))
-    scopes = [[v for v in f[0] if v not in evidence] for f in factors.values()]
+    # One factor (strides, table) per CPT with a variable left free, by
+    # id; the factors multiplied into another leave.  A CPT with none
+    # free is a constant, which matters only if it is zero.
+    factors: dict[int, tuple] = {}
+    scopes = []
+    for v in size:
+        strides = _strides(net.parents(v) + (v,), size)
+        table = [p for row in net.node(v).cpt for p in row]
+        scope = [u for u in strides if u not in evidence]
+        if scope:
+            factors[len(scopes)] = (strides, table)
+            scopes.append(scope)
+        else:
+            _normalized(_product([(strides, table)], [], size, evidence))
     for x, ids, scope, new in _plan(net, scopes, size, node):
-        # x varies fastest, so each run of its states sums to one entry.
         table = _product([factors.pop(i) for i in ids], [*scope, x], size, evidence)
-        factors[new] = (_strides(scope, size), list(map(sum, zip(*[iter(table)] * size[x]))))
-    vec = _product(factors.values(), [] if node in evidence else [node], size, evidence)
-    total = sum(vec)
-    if total <= 0.0:
-        raise ConflictingEvidenceError("evidence has zero probability")
+        # x varies fastest, so each run of its states sums to one entry.
+        k = size[x]
+        sums = [sum(table[i : i + k]) for i in range(0, len(table), k)]
+        factors[new] = (_strides(scope, size), _normalized(sums))
     if node in evidence:
         return tuple(float(i == evidence[node]) for i in range(size[node]))
-    return tuple(x / total for x in vec)
+    return tuple(_normalized(_product(factors.values(), [node], size, evidence)))
 
 
 def polytree_exact(

@@ -174,6 +174,19 @@ def test_cli_exact_on_a_long_chain(tmp_path, capsys):
     assert printed_marginal(line) == pytest.approx(polytree_exact(net, {f"n{n - 1}": 1}, "n0"), abs=1e-9)
 
 
+def test_cli_exact_under_hundreds_of_observations(tmp_path, capsys):
+    net = gen_polytree(GenSpec(node_count=4000, seed=2))
+    rng = random.Random(2)
+    ev = {v: rng.randrange(net.state_count(v)) for v in rng.sample(net.node_ids(), 800)}
+    query = next(v for v in reversed(net.node_ids()) if v not in ev)
+    path = tmp_path / "tree.txt"
+    path.write_text(serialize_network(net))
+    pairs = [f"--evidence={v}={net.states(v)[s]}" for v, s in ev.items()]
+    assert main(["exact", str(path), "--node", query, *pairs]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert printed_marginal(line) == pytest.approx(polytree_exact(net, ev, query), abs=1e-9)
+
+
 def test_cli_exact_past_the_factor_cap_exits_1(tmp_path, capsys):
     path = tmp_path / "grid.txt"
     path.write_text(serialize_network(build_net("grid", grid_spec(30), seed=3)))

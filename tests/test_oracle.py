@@ -141,6 +141,21 @@ def test_elimination_answers_a_40_node_polytree():
         assert enumerate_marginal(net, ev, q) == pytest.approx(polytree_exact(net, ev, q), abs=1e-12)
 
 
+def many_observations(n=4000, observed=800, seed=1):
+    """A seeded n-node polytree with ``observed`` nodes at random states:
+    the evidence then has a probability far below the smallest double."""
+    net = gen_polytree(GenSpec(node_count=n, seed=seed))
+    rng = random.Random(seed)
+    return net, {v: rng.randrange(net.state_count(v)) for v in rng.sample(net.node_ids(), observed)}
+
+
+def test_elimination_answers_a_large_polytree_under_hundreds_of_observations():
+    net, ev = many_observations()
+    free = [v for v in net.node_ids() if v not in ev]
+    for q in (free[0], free[len(free) // 2], free[-1], next(iter(ev))):
+        assert enumerate_marginal(net, ev, q) == pytest.approx(polytree_exact(net, ev, q), abs=1e-9)
+
+
 def test_state_space_error_comes_fast_in_a_short_line_that_names_the_cap():
     # A 30 x 30 grid asked at its far corner: every node is an ancestor,
     # and eliminating a grid needs factors over about a row of nodes.
@@ -151,6 +166,7 @@ def test_state_space_error_comes_fast_in_a_short_line_that_names_the_cap():
     assert time.perf_counter() - t0 < 1.0
     message = str(err.value)
     assert len(message) < 200
+    assert "over 900 nodes needs 2^" in message
     assert f"exceeds cap 2^{math.log2(STATE_SPACE_CAP):g}" in message
 
 

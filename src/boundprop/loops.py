@@ -9,11 +9,13 @@ empty cut) is one plain run.  Cycles only partially inside the active
 set need no special handling, because the absent arcs already
 contribute vacuous messages.
 
-A conditioned evaluation costs one run per instance, the product of the
-cut nodes' state counts, so the cut of each loop cluster is chosen for
-that product (``select_loop_cutset``): a greedy over the 2-core of the
-arcs not yet cut picks the tail with the fewest states per core arc it
-cuts, and picks that later ones made redundant are dropped.
+The loopy part of a connected active set is one loop cluster, its
+skeleton's 2-core (``find_loop_clusters``).  A conditioned evaluation
+costs one run per instance, the product of the cut nodes' state counts,
+so the cut is chosen for that product (``select_loop_cutset``): a greedy
+over the 2-core of the arcs not yet cut picks the tail with the fewest
+states per core arc it cuts, and picks that later ones made redundant
+are dropped.
 
 Instance weights come from the evidence masses the runs track (the
 product of every normalization they discard), multiplied as float
@@ -42,7 +44,7 @@ from .intervals import (
     _spare,
     _vacuous,
 )
-from .network import BeliefNetwork, LoopCluster, UnionFind, find_loop_clusters, skeleton_acyclic
+from .network import BeliefNetwork, LoopCluster, UnionFind, _two_core, find_loop_clusters, skeleton_acyclic
 
 # Most joint cutset instances one conditioned evaluation may run.
 INSTANCE_CAP = 65536
@@ -97,30 +99,6 @@ def select_loop_cutset(
         if skeleton_acyclic(cluster.arcs, split - {v}):
             split.remove(v)
     return tuple(v for v in chosen if v in split)
-
-
-def _two_core(arcs: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """The arcs of the skeleton's 2-core: what is left once nodes with at
-    most one arc are pruned until none is left.  Empty when the skeleton
-    has no cycle."""
-    neighbours: dict[str, list[str]] = {}
-    for p, c in arcs:
-        neighbours.setdefault(p, []).append(c)
-        neighbours.setdefault(c, []).append(p)
-    degree = {v: len(ws) for v, ws in neighbours.items()}
-    leaves = [v for v, d in degree.items() if d <= 1]
-    pruned: set[str] = set()
-    while leaves:
-        v = leaves.pop()
-        if v in pruned:
-            continue
-        pruned.add(v)
-        for w in neighbours[v]:
-            if w not in pruned:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    leaves.append(w)
-    return [(p, c) for p, c in arcs if p not in pruned and c not in pruned]
 
 
 def _pinned_column_factor(
@@ -239,15 +217,15 @@ def evaluate(
 
     The active set must be connected, as ``propagate`` validates and
     growth keeps it; then one with an arc fewer than its nodes is a tree
-    and is evaluated without a search for loop clusters.  The clusters
-    hold every cycle, so cutting each cuts the set.  ``cache`` carries
-    messages between evaluations (see ``engine``).
+    and is evaluated without a search for loop clusters.  Otherwise its
+    one cluster, the 2-core, holds every cycle, so cutting it cuts the
+    set.  ``cache`` carries messages between evaluations (see ``engine``).
     """
     query = ctx.query
     if len(active.arcs) >= len(active.nodes):
         observed = {v: ctx.evidence[v] for v in active.nodes if v in ctx.evidence}
         exclude, presplit = frozenset({query}), frozenset(observed)
-        clusters = find_loop_clusters(active.nodes, active.arcs)
+        clusters = find_loop_clusters(active.arcs)
         cut = [c for cl in clusters for c in select_loop_cutset(net, cl, exclude, presplit)]
         if cut:
             return _conditioned_bel(ctx, active, sorted(cut, key=net.order), observed, cache)

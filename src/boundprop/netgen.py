@@ -131,15 +131,20 @@ def gen_polytree(spec: GenSpec) -> BeliefNetwork:
 
 
 def gen_loopy(spec: GenSpec) -> BeliefNetwork:
-    """Polytree plus random extra arcs up to ceil(ratio * n) arcs total.
+    """Polytree plus random extra arcs up to ceil(ratio * n) arcs total,
+    which must not exceed the n(n-1)/2 that a DAG on n nodes can hold.
 
     Arcs are added one at a time and every table is sampled once, after
     the last arc is placed, so for a fixed seed the arc set at a higher
     ratio is a superset of the arc set at a lower ratio (the tables
     differ).
     """
-    rng = random.Random(spec.seed)
     n = spec.node_count
+    target = math.ceil(spec.arc_ratio * n)
+    most = n * (n - 1) // 2
+    if target > most:
+        raise GenerationError(f"arc count {target} exceeds the DAG limit n(n-1)/2 = {most} for n = {n}")
+    rng = random.Random(spec.seed)
     states, parents = _oriented_tree(spec, rng)
     children: dict[int, list[int]] = {i: [] for i in range(n)}
     for c, ps in parents.items():
@@ -157,7 +162,6 @@ def gen_loopy(spec: GenSpec) -> BeliefNetwork:
             stack.extend(children[u])
         return out
 
-    target = math.ceil(spec.arc_ratio * n)
     arc_count = n - 1
     attempts = 0
     max_attempts = 200 * n

@@ -16,6 +16,9 @@ tuple, and every reference to a node id the string of its node line.
 It reads its text in chunks of about ``_CHUNK`` characters, so no list
 of every line of a large file is ever built, and builds each node when
 its ``cpt`` block closes.
+
+Loop clusters are the connected pieces of the skeleton's 2-core
+(``_two_core``), which the cutset greedy in ``loops`` prunes with too.
 """
 
 from __future__ import annotations
@@ -384,67 +387,56 @@ def relevant_set(net: BeliefNetwork, query: str, evidence: Mapping[str, int]) ->
 
 @dataclass(frozen=True)
 class LoopCluster:
-    """A maximal multiply connected piece: the union of overlapping cycles."""
+    """One connected piece of the skeleton's 2-core: cycles and the paths
+    that join them."""
 
     nodes: frozenset[str]
     arcs: frozenset[tuple[str, str]]
 
 
-def _skeleton_bridges(nodes: Collection[str], edges: Collection[tuple[str, str]]) -> set[frozenset[str]]:
-    """Bridges of the undirected multigraph in O(V + E): a depth-first
-    preorder from an explicit stack whose entries carry the tree edge
-    they arrived by, then lowpoints over that preorder reversed, so each
-    node's descendants are done before it."""
-    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in nodes}
-    for i, (a, b) in enumerate(edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    disc: dict[str, int] = {}
-    preorder: list[tuple[str, str | None, int]] = []  # (node, tree parent, tree edge)
-    for root in nodes:
-        stack: list[tuple[str, str | None, int]] = [(root, None, -1)]
-        while stack:
-            entry = stack.pop()
-            v = entry[0]
-            if v not in disc:
-                disc[v] = len(preorder)
-                preorder.append(entry)
-                stack += [(w, v, i) for w, i in adj[v] if w not in disc]
-    low = dict(disc)
-    bridges: set[frozenset[str]] = set()
-    for v, u, edge in reversed(preorder):
-        low[v] = min([low[v]] + [disc[w] for w, i in adj[v] if i != edge])
-        if u is not None:
-            low[u] = min(low[u], low[v])
-            if low[v] > disc[u]:
-                bridges.add(frozenset((u, v)))
-    return bridges
+def _two_core(arcs: Collection[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The arcs of the skeleton's 2-core, in the order of ``arcs``: what is
+    left once nodes with at most one arc are pruned until none is left.
+    Empty when the skeleton has no cycle."""
+    neighbours: dict[str, list[str]] = {}
+    for p, c in arcs:
+        neighbours.setdefault(p, []).append(c)
+        neighbours.setdefault(c, []).append(p)
+    degree = {v: len(ws) for v, ws in neighbours.items()}
+    leaves = [v for v, d in degree.items() if d <= 1]
+    pruned: set[str] = set()
+    while leaves:
+        v = leaves.pop()
+        if v in pruned:
+            continue
+        pruned.add(v)
+        for w in neighbours[v]:
+            if w not in pruned:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    return [(p, c) for p, c in arcs if p not in pruned and c not in pruned]
 
 
-def find_loop_clusters(
-    nodes: Collection[str], arcs: Collection[tuple[str, str]]
-) -> tuple[LoopCluster, ...]:
-    """Group every arc of the graph (``nodes``, ``arcs``) that lies on an
-    undirected cycle into clusters.
+def find_loop_clusters(arcs: Collection[tuple[str, str]]) -> tuple[LoopCluster, ...]:
+    """The connected pieces of the 2-core of the skeleton of ``arcs``:
+    every arc on an undirected cycle, plus every path that joins two
+    cycles.
 
-    Two cycles sharing any node fall into the same cluster, so clusters
-    are node-disjoint and removing them all leaves a forest.  Which
-    clusters come out does not depend on the order of ``nodes`` or
-    ``arcs``; only their order in the result does, following ``arcs``.
-    For a whole network pass ``(net.node_ids(), net.arcs)``.
+    Two cycles joined by any path share a cluster, so clusters are
+    node-disjoint, a connected graph has at most one, and removing the
+    arcs of them all leaves a forest.  Which clusters come out does not
+    depend on the order of ``arcs``; only their order in the result
+    does, following ``arcs``.  For a whole network pass ``net.arcs``.
     """
-    bridges = _skeleton_bridges(nodes, arcs)
-    cyclic = [(p, c) for (p, c) in arcs if frozenset((p, c)) not in bridges]
+    core = _two_core(arcs)
     sets = UnionFind()
-    for p, c in cyclic:
+    for p, c in core:
         sets.union(p, c)
-    groups: dict[str, tuple[set[str], set[tuple[str, str]]]] = {}
-    for p, c in cyclic:
-        root = sets.find(p)
-        ns, es = groups.setdefault(root, (set(), set()))
-        ns.update((p, c))
-        es.add((p, c))
-    return tuple(LoopCluster(frozenset(ns), frozenset(es)) for ns, es in groups.values())
+    groups: dict[str, list[tuple[str, str]]] = {}
+    for p, c in core:
+        groups.setdefault(sets.find(p), []).append((p, c))
+    return tuple(LoopCluster(frozenset(itertools.chain(*es)), frozenset(es)) for es in groups.values())
 
 
 # -- file format ------------------------------------------------------------

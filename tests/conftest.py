@@ -74,6 +74,19 @@ def diamond():
 
 
 @pytest.fixture
+def double_diamond():
+    # Two diamonds A-B-D-C and E-F-H-G joined by the arc D -> E.
+    return build_net(
+        "double",
+        {
+            "A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"],
+            "E": ["D"], "F": ["E"], "G": ["E"], "H": ["F", "G"],
+        },
+        seed=7,
+    )
+
+
+@pytest.fixture
 def figure_net():
     # Y -> A -> {B, C}, {B, C} -> D -> X: one loop A-B-D-C plus stems.
     return build_net(

@@ -275,7 +275,7 @@ def test_only_a_set_with_a_cycle_searches_and_conditions(monkeypatch):
             conditioned.clear()
             propagate(net, active, {}, query)
             tree = len(active.arcs) == len(active.nodes) - 1
-            assert bool(find_loop_clusters(active.nodes, active.arcs)) != tree
+            assert bool(find_loop_clusters(active.arcs)) != tree
             assert len(searched) == (0 if tree else 1)
             assert len(conditioned) == (0 if tree else 1)
             trees += tree

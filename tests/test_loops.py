@@ -39,7 +39,7 @@ def full_active(net):
 
 
 def test_select_cutset_diamond(diamond):
-    (cluster,) = find_loop_clusters(diamond.node_ids(), diamond.arcs)
+    (cluster,) = find_loop_clusters(diamond.arcs)
     assert select_loop_cutset(diamond, cluster) == ("A",)
 
 
@@ -57,7 +57,7 @@ def fused_diamonds():
 
 def test_select_cutset_fused_diamonds():
     fused = fused_diamonds()
-    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
+    (cluster,) = find_loop_clusters(fused.arcs)
     cutset = select_loop_cutset(fused, cluster)
     assert len(cutset) == 2
 
@@ -70,7 +70,7 @@ def test_select_cutset_single_cycle():
             ring[f"a{i}"] = [f"a{i-1}"]
         ring[f"a{k-1}"] = [f"a{k-2}", "a0"]
         net = build_net("ring", ring, seed=k)
-        (cluster,) = find_loop_clusters(net.node_ids(), net.arcs)
+        (cluster,) = find_loop_clusters(net.arcs)
         assert len(cluster.nodes) == k
         cutset = select_loop_cutset(net, cluster)
         assert len(cutset) == 1
@@ -80,7 +80,7 @@ def test_select_cutset_cuts_a_cycle_at_its_fewest_states():
     # A cycle with a 4-state fork A and a 2-state pass-through tail B:
     # each cuts two core arcs, and clamping B runs 2 instances, not 4.
     net = build_net("cycle", {"A": [], "B": ["A"], "C": ["B", "A"]}, seed=1, state_counts={"A": 4})
-    (cluster,) = find_loop_clusters(net.node_ids(), net.arcs)
+    (cluster,) = find_loop_clusters(net.arcs)
     assert select_loop_cutset(net, cluster) == ("B",)
 
 
@@ -90,20 +90,20 @@ def test_select_cutset_drops_a_pick_that_later_picks_made_redundant():
     # cycle: 3 instances in place of 6.
     spec = {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C", "A"]}
     net = build_net("redundant", spec, seed=3, state_counts={"A": 3, "B": 3})
-    (cluster,) = find_loop_clusters(net.node_ids(), net.arcs)
+    (cluster,) = find_loop_clusters(net.arcs)
     assert select_loop_cutset(net, cluster) == ("A",)
 
 
 def test_select_cutset_leaves_what_evidence_already_cut():
     fused = fused_diamonds()
-    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
+    (cluster,) = find_loop_clusters(fused.arcs)
     assert select_loop_cutset(fused, cluster, presplit=frozenset({"A", "D"})) == ()
     assert select_loop_cutset(fused, cluster, presplit=frozenset({"A"})) == ("D",)
 
 
 def test_select_cutset_never_picks_the_excluded_node():
     fused = fused_diamonds()
-    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
+    (cluster,) = find_loop_clusters(fused.arcs)
     for q in fused.node_ids():
         cutset = select_loop_cutset(fused, cluster, exclude=frozenset({q}))
         assert q not in cutset
@@ -118,7 +118,7 @@ def test_cutset_cuts_every_cluster_and_no_pick_is_redundant():
         net = gen_loopy(spec)
         ev = sample_evidence(net, rng)
         q = rng.choice([v for v in net.node_ids() if v not in ev])
-        for cluster in find_loop_clusters(net.node_ids(), net.arcs):
+        for cluster in find_loop_clusters(net.arcs):
             cutset = select_loop_cutset(net, cluster, frozenset({q}), frozenset(ev))
             split = set(cutset) | set(ev)
             assert q not in cutset and not set(cutset) & set(ev)
@@ -150,7 +150,7 @@ def test_the_cut_of_a_loopy_query_stays_within_a_thousand_instances(monkeypatch)
 def test_cutset_renders_skeleton_acyclic():
     for seed in range(10):
         net = gen_loopy(GenSpec(node_count=9, topology="loopy", arc_ratio=1.3, seed=seed))
-        for cluster in find_loop_clusters(net.node_ids(), net.arcs):
+        for cluster in find_loop_clusters(net.arcs):
             cutset = select_loop_cutset(net, cluster)
             removed = set()
             for c in cutset:
@@ -173,7 +173,7 @@ def test_cutset_renders_skeleton_acyclic():
 
 
 def test_condition_cluster_exact_on_diamond(diamond):
-    (cluster,) = find_loop_clusters(diamond.node_ids(), diamond.arcs)
+    (cluster,) = find_loop_clusters(diamond.arcs)
     for ev in ({}, {"D": 1}, {"B": 0}):
         for q in "ABCD":
             if q in ev:
@@ -196,9 +196,27 @@ def test_condition_cluster_exact_on_diamond(diamond):
                 assert len(cutset) == 1
 
 
+def test_condition_two_loops_joined_by_a_path_exact(double_diamond):
+    # One cluster holds both diamonds and the arc D -> E between them, so
+    # one joint cut conditions them together.
+    (cluster,) = find_loop_clusters(double_diamond.arcs)
+    assert ("D", "E") in cluster.arcs
+    active = full_active(double_diamond)
+    for ev in ({}, {"H": 1}, {"A": 0, "H": 1}, {"E": 0}, {"B": 1, "G": 0}):
+        for q in "ABCDEFGH":
+            if q in ev:
+                continue
+            want = enumerate_marginal(double_diamond, ev, q)
+            bel = propagate(double_diamond, active, ev, q)
+            assert bel.contains_point(want, 1e-9)
+            assert bel.max_width <= 1e-6
+            cutset = select_loop_cutset(double_diamond, cluster, frozenset({q}), frozenset(ev))
+            assert skeleton_acyclic(cluster.arcs, set(cutset) | set(ev))
+
+
 def test_condition_cluster_vacuous_boundary_contains(figure_net):
     # cluster lacks its stems: Y and X stay outside the active set
-    (cluster,) = find_loop_clusters(figure_net.node_ids(), figure_net.arcs)
+    (cluster,) = find_loop_clusters(figure_net.arcs)
     active = ActiveSet(frozenset("ABCD"), frozenset(cluster.arcs))
     ev = {"X": 0, "Y": 1}
     for q in "ABCD":
@@ -209,7 +227,7 @@ def test_condition_cluster_vacuous_boundary_contains(figure_net):
 
 
 def test_condition_cluster_observed_inside(figure_net):
-    (cluster,) = find_loop_clusters(figure_net.node_ids(), figure_net.arcs)
+    (cluster,) = find_loop_clusters(figure_net.arcs)
     ev = {"B": 1}
     for q in "YACDX":
         want = enumerate_marginal(figure_net, ev, q)

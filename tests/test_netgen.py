@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from boundprop import is_polytree, serialize_network
+from boundprop import is_polytree, netgen, serialize_network
+from boundprop.cli import main
 from boundprop.netgen import (
     GenerationError,
     GenSpec,
@@ -87,6 +88,30 @@ def test_gen_loopy_ratio_superset():
     assert len(hi.arcs) == math.ceil(1.3 * 30)
 
 
+def test_gen_loopy_rejects_more_arcs_than_a_dag_holds_before_drawing(monkeypatch):
+    # Four nodes hold at most 6 arcs: a ratio of 1.5 asks for exactly 6,
+    # 1.6 for 7, which no table cap is to blame for.
+    assert len(gen_loopy(GenSpec(node_count=4, topology="loopy", arc_ratio=1.5, seed=0)).arcs) == 6
+
+    def draw(*args):
+        raise AssertionError("drew a tree for an infeasible spec")
+
+    monkeypatch.setattr(netgen, "_oriented_tree", draw)
+    for n, ratio, want in ((4, 1.6, "arc count 7 exceeds the DAG limit n(n-1)/2 = 6 for n = 4"),
+                           (2, 1.0, "arc count 2 exceeds the DAG limit n(n-1)/2 = 1 for n = 2"),
+                           (1, 1.0, "arc count 1 exceeds the DAG limit n(n-1)/2 = 0 for n = 1")):
+        with pytest.raises(GenerationError) as exc:
+            gen_loopy(GenSpec(node_count=n, topology="loopy", arc_ratio=ratio, seed=0))
+        assert str(exc.value) == want
+
+
+def test_cli_gen_names_the_dag_limit(capsys):
+    assert main(["gen", "--nodes", "4", "--topology", "loopy", "--ratio", "1.6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arc count 7 exceeds the DAG limit n(n-1)/2 = 6 for n = 4\n"
+
+
 def test_gen_loopy_is_dag():
     # construction already validates acyclicity; reparse to double-check
     net = gen_loopy(GenSpec(node_count=25, topology="loopy", arc_ratio=1.3, seed=3))
@@ -136,4 +161,4 @@ def test_generated_networks_and_evidence_are_pinned():
                 continue
             digest.update(serialize_network(net).encode())
             digest.update(repr(sample_evidence(net, random.Random(spec.seed))).encode())
-    assert digest.hexdigest() == "3961b7b6ff18a9652cf72f670a12788dd77a8c0dccf623213710c95c91233b37"
+    assert digest.hexdigest() == "cd2c40be5ed5599096bd902c0ac0643d4b4cfd0957148c38da42ed1bfb37991d"

@@ -511,55 +511,93 @@ def test_relevant_set_rejects_an_unknown_query():
         relevant_set(chain, "X", {"C": 0})
 
 
-def _brute_cycle_arcs(net):
-    """Arcs on some undirected simple cycle, by exhaustive path search."""
-    arcs = list(net.arcs)
-    adj = {}
-    for i, (p, c) in enumerate(arcs):
-        adj.setdefault(p, []).append((c, i))
-        adj.setdefault(c, []).append((p, i))
-    for v in net.node_ids():
-        adj.setdefault(v, [])
-    on_cycle = set()
-
-    def dfs(start, node, used_edges, used_nodes):
-        for w, e in adj[node]:
-            if e in used_edges:
-                continue
-            if w == start and len(used_edges) >= 2:
-                on_cycle.update(used_edges | {e})
-            elif w not in used_nodes:
-                dfs(start, w, used_edges | {e}, used_nodes | {w})
-
-    for v in net.node_ids():
-        dfs(v, v, frozenset(), frozenset({v}))
-    return {arcs[i] for i in on_cycle}
+def _reach(start, arcs):
+    """Nodes and arcs of the skeleton piece of ``arcs`` that holds ``start``."""
+    nodes, frontier = {start}, [start]
+    while frontier:
+        v = frontier.pop()
+        for p, c in arcs:
+            for a, b in ((p, c), (c, p)):
+                if a == v and b not in nodes:
+                    nodes.add(b)
+                    frontier.append(b)
+    return nodes, [(p, c) for p, c in arcs if p in nodes]
 
 
-def test_loop_clusters_against_cycle_enumeration():
-    for seed in range(8):
-        net = gen_loopy(GenSpec(node_count=8, topology="loopy", arc_ratio=1.3, seed=100 + seed))
-        clusters = find_loop_clusters(net.node_ids(), net.arcs)
-        clustered = set().union(*(c.arcs for c in clusters)) if clusters else set()
-        assert clustered == _brute_cycle_arcs(net)
+def _brute_two_core(arcs):
+    """Clusters of the skeleton's 2-core by connectivity alone: an arc
+    belongs if its ends stay joined without it (it lies on a cycle), or
+    if it is a bridge with a cycle on both sides (a piece with at least
+    as many arcs as nodes)."""
+    core = set()
+    for arc in arcs:
+        rest = [a for a in arcs if a != arc]
+        sides = [_reach(end, rest) for end in arc]
+        if arc[1] in sides[0][0] or all(len(es) >= len(ns) for ns, es in sides):
+            core.add(arc)
+    clusters = set()
+    for p, c in core:
+        nodes, piece = _reach(p, sorted(core))
+        clusters.add((frozenset(nodes), frozenset(piece)))
+    return clusters
+
+
+def test_loop_clusters_against_a_brute_force_two_core():
+    # At 12 nodes and ratio 1.2, seeds 104, 124 and 136 join two cycles
+    # by a path, which the 2-core holds and the cycles alone do not.
+    joined = 0
+    for seed in range(100, 140):
+        net = gen_loopy(GenSpec(node_count=12, topology="loopy", arc_ratio=1.2, seed=seed))
+        clusters = find_loop_clusters(net.arcs)
+        assert {(c.nodes, c.arcs) for c in clusters} == _brute_two_core(list(net.arcs))
         seen = set()
         for c in clusters:
             assert not (c.nodes & seen)
             seen |= c.nodes
+        # A cluster with a bridge holds two cycles joined by a path.
+        joined += any(
+            arc[1] not in _reach(arc[0], [a for a in c.arcs if a != arc])[0]
+            for c in clusters for arc in c.arcs
+        )
+    assert joined >= 3
+
+
+def test_a_connected_graph_has_at_most_one_loop_cluster():
+    rng = random.Random(5)
+    loopy = 0
+    for seed in range(40):
+        net = gen_loopy(GenSpec(node_count=rng.randint(8, 20), topology="loopy", arc_ratio=1.3, seed=seed))
+        for _ in range(5):
+            # Grow a connected node set from a random start, keep the arcs
+            # it grew by, and add each other arc inside it with even odds.
+            start = rng.choice(net.node_ids())
+            nodes, frontier, arcs = {start}, [start], set()
+            while frontier and len(nodes) < 12:
+                v = frontier.pop(rng.randrange(len(frontier)))
+                for w in net.skeleton_neighbors(v):
+                    if w not in nodes and rng.random() < 0.7:
+                        nodes.add(w)
+                        frontier.append(w)
+                        arcs.add((v, w) if v in net.parents(w) else (w, v))
+            arcs |= {a for a in net.arcs if a[0] in nodes and a[1] in nodes and rng.random() < 0.5}
+            clusters = find_loop_clusters(arcs)
+            assert len(clusters) <= 1
+            assert {(c.nodes, c.arcs) for c in clusters} == _brute_two_core(sorted(arcs))
+            loopy += len(clusters)
+    assert loopy > 50
 
 
 def test_loop_clusters_do_not_depend_on_input_order():
     for seed in range(8):
         net = gen_loopy(GenSpec(node_count=12, topology="loopy", arc_ratio=1.3, seed=400 + seed))
-        want = set(find_loop_clusters(net.node_ids(), net.arcs))
+        want = set(find_loop_clusters(net.arcs))
         assert want
         rng = random.Random(seed)
         for _ in range(5):
-            nodes, arcs = list(net.node_ids()), list(net.arcs)
-            rng.shuffle(nodes)
+            arcs = list(net.arcs)
             rng.shuffle(arcs)
-            assert set(find_loop_clusters(nodes, arcs)) == want
-        assert set(find_loop_clusters(frozenset(nodes), frozenset(arcs))) == want
+            assert set(find_loop_clusters(arcs)) == want
+        assert set(find_loop_clusters(frozenset(arcs))) == want
 
 
 def test_stored_evidence_states_are_ints_in_range(chain_ab):
@@ -569,24 +607,17 @@ def test_stored_evidence_states_are_ints_in_range(chain_ab):
             BeliefNetwork("bad", chain_ab.nodes, evidence)
 
 
-def test_loop_clusters_shapes():
+def test_loop_clusters_shapes(double_diamond):
     chain = build_net("c", {"A": [], "B": ["A"], "C": ["B"]})
-    assert find_loop_clusters(chain.node_ids(), chain.arcs) == ()
+    assert find_loop_clusters(chain.arcs) == ()
     dia = build_net("d", {"A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"]})
-    (cluster,) = find_loop_clusters(dia.node_ids(), dia.arcs)
+    (cluster,) = find_loop_clusters(dia.arcs)
     assert cluster.nodes == frozenset("ABCD")
     assert cluster.arcs == frozenset({("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")})
-    # two loops joined by a chain stay separate clusters
-    double = build_net(
-        "dd",
-        {
-            "A": [], "B": ["A"], "C": ["A"], "D": ["B", "C"],
-            "E": ["D"], "F": ["E"], "G": ["E"], "H": ["F", "G"],
-        },
-    )
-    clusters = find_loop_clusters(double.node_ids(), double.arcs)
-    assert len(clusters) == 2
-    assert {frozenset("ABCD"), frozenset("EFGH")} == {c.nodes for c in clusters}
+    # two loops joined by the arc D -> E are one cluster that holds it
+    (cluster,) = find_loop_clusters(double_diamond.arcs)
+    assert cluster.nodes == frozenset("ABCDEFGH")
+    assert cluster.arcs == frozenset(double_diamond.arcs) and ("D", "E") in cluster.arcs
 
 
 def test_loop_clusters_merge_on_shared_node():
@@ -598,5 +629,5 @@ def test_loop_clusters_merge_on_shared_node():
             "E": ["D"], "F": ["D"], "G": ["E", "F"],
         },
     )
-    (cluster,) = find_loop_clusters(fused.node_ids(), fused.arcs)
+    (cluster,) = find_loop_clusters(fused.arcs)
     assert cluster.nodes == frozenset("ABCDEFG")

@@ -34,10 +34,13 @@ public ``simplex_dot`` that a mass calls.
 A message whose one input is another message is that input.  A pi
 message from a node with no other child message would only normalize
 the node's pi value again, and a lambda value with exactly one child
-message would only normalize that message again.  So ``_Run.value``
-gives such a message its input's ``(vector, scale)`` pair: it neither
-computes nor caches it, and it is not a node visit.  That is sound, and
-up to rounding it is never wider than normalizing again:
+message would only normalize that message again.  So when ``_Run``
+lists a message's inputs, it names such an alias by its source, the
+message it is: an alias never enters the schedule, so it is never
+expanded, computed, memoized or cached, and it is not a node visit.
+Asked for an alias itself, ``_Run.value`` gives its source's ``(vector,
+scale)`` pair.  That is sound, and up to rounding it is never wider than
+normalizing again:
 
 - every kernel returns a normalized vector, so the message its input
   bounds is a distribution, and normalizing it discards a mass of
@@ -201,12 +204,15 @@ class ActiveSet:
 #   ``_uniform`` pair of its state count.
 # - ``intervals._dot_table`` of a point table against point weights:
 #   both bounds of a row are the one sum over the weights' lower bounds.
+# - ``intervals._dot_table`` sums each bound in line and calls
+#   ``_weighted_sum`` only when that sum is NaN; otherwise the sum is the
+#   one ``_weighted_sum`` would return.
 # - ``loops.evaluate`` of a connected active set with an arc fewer than
 #   its nodes: that set is a tree, so it has no loop to search for.
 #
 # The schedule, not a kernel, skips the messages that are their one
-# input (``_ALIASED``, see the module docstring).  That alone changes
-# floats: bounds and scales only get tighter, up to rounding.
+# input (see the module docstring).  That alone changes floats: bounds
+# and scales only get tighter, up to rounding.
 
 
 def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
@@ -289,10 +295,6 @@ def _lambda_message_kernel(
 
 # -- propagation core ---------------------------------------------------------
 
-# The kinds of message that are their input when an unpinned one has
-# exactly one input and that input is a message (see the module docstring).
-_ALIASED = ("pi_msg", "lam_val")
-
 
 class _Run:
     """One evaluation over an active set with the states in ``pinned``
@@ -312,50 +314,80 @@ class _Run:
         self.pinned = pinned
         self.cache = cache
         self._memo: dict = {}
+        # A pi message or lambda value key -> the key it is named by, and
+        # for one named by itself, its listing (see ``_name``).
+        self._names: dict = {}
+        self._listed: dict = {}
         self.visits = 0
 
     def _inputs(self, key):
         """The pinned state and the inputs of one message, in kernel order.
 
         Keys are ``("pi_val", x)``, ``("lam_val", x)``, ``("pi_msg", u, x)``
-        and ``("lam_msg", x, u)``.  An input is the key of another message
-        or, for an absent arc, the state count of the vacuous vector that
-        stands in for it.  An absent child arc counts only where it leads
-        to evidence or the query; otherwise the branch under the child
-        sums out exactly and drops from the inputs.  A pinned node is
-        split: it emits indicator messages downward and a bare indicator
-        likelihood upward, with no inputs, which is what cuts loops.
+        and ``("lam_msg", x, u)``.  An input is the key of another message,
+        named as ``_name`` names it, or, for an absent arc, the state count
+        of the vacuous vector that stands in for it.  An absent child arc
+        counts only where it leads to evidence or the query; otherwise the
+        branch under the child sums out exactly and drops from the inputs.
+        A pinned node is split: it emits indicator messages downward and a
+        bare indicator likelihood upward, with no inputs, which is what
+        cuts loops.
         """
         kind, x = key[0], key[1]
+        if kind == "pi_msg" or kind == "lam_val":
+            return self._listed[key]
         nodes = self.ctx.net._by_id
         arcs = self.arcs
-        skip = key[2] if len(key) == 3 else None
-        if kind == "pi_val" or kind == "lam_msg":
-            ins: list = [] if skip is None else [("lam_val", x)]
-            for p in nodes[x].parents:
-                if p != skip:
-                    ins.append(("pi_msg", p, x) if (p, x) in arcs else len(nodes[p].states))
-            return None, ins
-        pinned = self.pinned.get(x)
-        if pinned is not None:
-            return pinned, ()
-        ins = [] if skip is None else [("pi_val", x)]
-        for w in self.ctx.net._children[x]:
-            if w == skip:
-                continue
-            if (x, w) in arcs:
-                ins.append(("lam_msg", w, x))
-            elif w in self.ctx:
-                ins.append(len(nodes[x].states))
+        skip = key[2] if kind == "lam_msg" else None
+        ins: list = [] if skip is None else [self._name(("lam_val", x))]
+        for p in nodes[x].parents:
+            if p != skip:
+                ins.append(self._name(("pi_msg", p, x)) if (p, x) in arcs else len(nodes[p].states))
         return None, ins
 
+    def _name(self, key):
+        """The key a pi message or lambda value is evaluated by: its one
+        input when it is unpinned and that input is a message (an alias,
+        see the module docstring), else the key itself, whose listing is
+        then kept for ``_inputs``.  No input of either kind is a pi
+        message or a lambda value."""
+        name = self._names.get(key)
+        if name is not None:
+            return name
+        x = key[1]
+        pinned = self.pinned.get(x)
+        if pinned is not None:
+            listing = pinned, ()
+        else:
+            nodes = self.ctx.net._by_id
+            arcs = self.arcs
+            skip = key[2] if len(key) == 3 else None
+            ins: list = [] if skip is None else [("pi_val", x)]
+            for w in self.ctx.net._children[x]:
+                if w == skip:
+                    continue
+                if (x, w) in arcs:
+                    ins.append(("lam_msg", w, x))
+                elif w in self.ctx:
+                    ins.append(len(nodes[x].states))
+            if len(ins) == 1 and type(ins[0]) is tuple:
+                self._names[key] = ins[0]
+                return ins[0]
+            listing = None, ins
+        self._names[key] = key
+        self._listed[key] = listing
+        return key
+
     def value(self, key):
-        """(vector, scale) of one message, evaluating its inputs first.
+        """(vector, scale) of one message, evaluating its inputs first; an
+        alias has its input's.
 
         A key expanded again before it is computed was reached from its
         own inputs: the message dependencies have a cycle, which only an
         active set whose loops were not cut can make.
         """
+        if key[0] == "pi_msg" or key[0] == "lam_val":
+            key = self._name(key)
         memo = self._memo
         cache = self.cache
         expanded = set()
@@ -372,9 +404,6 @@ class _Run:
                     stack += [(i, None) for i in ins[1] if type(i) is tuple and i not in memo]
                 continue
             pinned, inputs = ins
-            if pinned is None and len(inputs) == 1 and k[0] in _ALIASED and type(inputs[0]) is tuple:
-                memo[k] = memo[inputs[0]]
-                continue
             args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
             entry = cache.get(k)
             if entry is not None and entry[0] == (pinned, args):
@@ -578,8 +607,9 @@ class QueryResult:
     active-set size and time of each.
 
     ``node_visits`` counts the kernel calls of every evaluation: a
-    message reused from the cache, or given its one input's value (see
-    the module docstring), is not a visit.
+    message reused from the cache is not a visit, and neither is an
+    alias, which the schedule names by its source and never evaluates
+    (see the module docstring).
     """
 
     query: str

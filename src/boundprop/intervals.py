@@ -266,7 +266,10 @@ def _dot_table(los, his, orders, b: IntervalVector, spare: float) -> tuple[list[
     """
     b_lo, b_hi = b.lo, b.hi
     if spare <= 0.0 and his is los:
-        lows = [_weighted_sum(v, b_lo) for v in los]
+        lows = [sum(map(mul, v, b_lo)) for v in los]
+        total = sum(lows)
+        if total != total:
+            lows = [_weighted_sum(v, b_lo) for v in los]
         return lows, lows
     lows, highs = [], []
     fills: dict = {}
@@ -274,11 +277,15 @@ def _dot_table(los, his, orders, b: IntervalVector, spare: float) -> tuple[list[
         fill = fills.get(lo_order)
         if fill is None:
             fill = fills[lo_order] = _fill(b_lo, b_hi, spare, lo_order)
-        lower = _weighted_sum(lo_v, fill)
+        lower = sum(map(mul, lo_v, fill))
+        if lower != lower:
+            lower = _weighted_sum(lo_v, fill)
         fill = fills.get(hi_order)
         if fill is None:
             fill = fills[hi_order] = _fill(b_lo, b_hi, spare, hi_order)
-        upper = _weighted_sum(hi_v, fill)
+        upper = sum(map(mul, hi_v, fill))
+        if upper != upper:
+            upper = _weighted_sum(hi_v, fill)
         if lower > upper:
             lower, upper = _outward(lower, upper)
         lows.append(lower)

@@ -31,6 +31,7 @@ from boundprop.engine import (
     PACING_FACTOR,
     DelayedLoops,
     _Context,
+    _Run,
     _joint_weights,
     _lambda_message_kernel,
     _pi_value_kernel,
@@ -530,6 +531,30 @@ def test_aliased_messages_are_neither_computed_nor_cached():
     ]
     assert bel.contains_point(enumerate_marginal(net, {"n4": 0}, "n2"), 1e-12)
     assert bel.max_width <= 1e-12
+
+
+def test_an_alias_is_named_by_its_source_and_never_expanded(monkeypatch):
+    # The query above: the schedule lists the inputs of the 6 computed
+    # messages only, each alias named by its source, and asking for an
+    # alias gives its source's value.
+    net = build_net("chain5", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(5)}, seed=3)
+    expanded = []
+    inputs = _Run._inputs
+
+    def counted(self, key):
+        expanded.append(key)
+        return inputs(self, key)
+
+    monkeypatch.setattr(_Run, "_inputs", counted)
+    ctx = _Context(net, {"n4": 0}, "n2")
+    loops.evaluate(net, full_active(net), ctx, {})
+    assert sorted(expanded) == [
+        ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("lam_val", "n4"),
+        ("pi_val", "n0"), ("pi_val", "n1"), ("pi_val", "n2"),
+    ]
+    run = _Run(ctx, full_active(net), ctx.evidence, {})
+    assert run.value(("lam_val", "n3")) is run.value(("lam_msg", "n4", "n3"))
+    assert run.value(("pi_msg", "n1", "n2")) is run.value(("pi_val", "n1"))
 
 
 def test_every_iteration_contains_the_posterior_on_a_netgen_sweep():

@@ -4,7 +4,8 @@ The general bodies below are the kernels without their fast paths: joint
 weights for every parent set, the outer pass for every lambda message,
 a product from ones for every lambda value and both greedy passes for
 every dot.  On any input a kernel must give the same floats, compared by
-``float.hex``, or raise the same error.
+``float.hex``, or raise the same error.  ``_general_dot`` sums through
+``_weighted_sum``, which ``_dot_table`` calls only for a NaN sum.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundprop import ActiveSet, BeliefNetwork, lambda_hat, lambda_msg, loops, pi_hat, propagate
+from boundprop import ActiveSet, BeliefNetwork, intervals, lambda_hat, lambda_msg, loops, pi_hat, propagate
 from boundprop.engine import (
     _joint_weights,
     _lambda_message_kernel,
@@ -181,6 +182,60 @@ def test_point_dot_fast_path_equals_the_general_body(net, data):
     got = zip(*_dot_table(columns, columns, orders, weights, spare))
     want = [_general_dot(c, c, weights, spare, o) for c, o in zip(columns, orders)]
     assert [[v.hex() for v in pair] for pair in got] == [[v.hex() for v in pair] for pair in want]
+
+
+def _dot_outcome(dot, los, his, weights):
+    """Each row's bounds from ``dot`` as hex, or the error it raises."""
+    try:
+        spare = _spare(weights, len(los[0]))
+        return [[v.hex() for v in pair] for pair in dot(los, his, weights, spare)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _table_dot(los, his, weights, spare):
+    return zip(*_dot_table(los, his, list(map(_orders, los, his)), weights, spare))
+
+
+def _general_table_dot(los, his, weights, spare):
+    return [_general_dot(lo, hi, weights, spare, _orders(lo, hi)) for lo, hi in zip(los, his)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_dots_with_an_infinity_equal_the_general_body(k, data):
+    # An infinite row entry against a zero weight makes a NaN product, so
+    # the point table (``his is los`` against point weights) and the
+    # general loop both fall back to the sum without the zero weights.
+    entries = st.sampled_from((0.0, 0.25, 0.5, 2.0, math.inf))
+    los = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=4))
+    his = los
+    if data.draw(st.booleans()):
+        his = [[v + data.draw(st.sampled_from((0.0, 0.5, math.inf))) for v in row] for row in los]
+    weights = data.draw(_message(k, bad=False))
+    if data.draw(st.booleans()):
+        hi = list(weights.hi)
+        hi[data.draw(st.integers(0, k - 1))] = math.inf
+        weights = IntervalVector.from_bounds(weights.lo, hi)
+    want = _dot_outcome(_general_table_dot, los, his, weights)
+    assert _dot_outcome(_table_dot, los, his, weights) == want
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [IntervalVector.point((0.0, 1.0)), IntervalVector.from_bounds((0.0, 0.5), (0.5, math.inf))],
+    ids=["point table", "general loop"],
+)
+def test_both_dot_branches_reach_the_nan_fallback(monkeypatch, weights):
+    # Row (inf, 0.5): the point weights, and the lower bound's fill of the
+    # box, put 0 on the infinite entry.
+    sums = []
+    monkeypatch.setattr(intervals, "_weighted_sum", lambda w, m: sums.append(w) or _weighted_sum(w, m))
+    los = [(math.inf, 0.5)]
+    got = _dot_outcome(_table_dot, los, los, weights)
+    assert sums == [los[0]]
+    assert got == _dot_outcome(_general_table_dot, los, los, weights)
+    assert got[0][0] == (0.5).hex()
 
 
 # -- the checks a fast path skips still raise ---------------------------------

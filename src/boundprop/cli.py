@@ -106,7 +106,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.suite, encoding="utf-8") as fh:
+    with open(args.suite, encoding="utf-8-sig") as fh:
         suite = load_suite(fh.read())
     records = list(run_bench(suite))
     return _write(records_to_csv(records) if args.csv else records_to_jsonl(records), args.out)

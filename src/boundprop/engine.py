@@ -56,22 +56,38 @@ normalizing again:
 The public ``pi_msg`` and ``lambda_hat`` still normalize, since a
 caller's vectors need not be normalized.
 
-Two kernel results depend on the network alone and are built once.  A
-node's pi value under vacuous parent messages, which for a root is its
-prior, is in the node's record on the network, which the kernels only
-read.  The lambda value of a node with no child message is one shared
-uniform vector per state count.
+A message that reads no message is a constant.  Every absent arc
+carries a vacuous message, and a pinned node sends its indicator
+whatever it is sent, so such a message depends on its node alone.
+``_Run`` puts its value straight into the memo when it lists it: it is
+never expanded, computed or cached, and it is not a node visit.  There
+are three kinds, each the value its kernel would compute, built once:
+
+- a pi value whose parent arcs are all absent, a root's included: the
+  node's pi value under vacuous parent messages, kept in the node's
+  record on the network (which for a root is its prior);
+- an unpinned lambda value whose child arcs are all absent: one shared
+  uniform vector per state count when no absent child counts, and one
+  shared vacuous lambda value per state count when one does (any product
+  of vacuous vectors is vacuous);
+- every message of a pinned node, its pi messages and its lambda value:
+  one shared indicator per state count and state, with scale (1, 1).
+  A pinned node reads none of its neighbours' messages, which is what
+  cuts loops.
+
+A lambda message read from these constants also depends on its
+co-parents' arcs, so it is computed, and cached, like any other.
 
 A cache is a plain ``dict`` that carries values from one evaluation to
 the next.  Each entry maps a message key to ``(signature, value)``,
-where the signature is the message's pinned state and the arguments its
-kernel was called with: each input message's value, or a vacuous
-marker for an absent arc.  A stored value is reused only when the
-current signature is ``==`` to the recorded one, which is memoization
-of a pure function and so sound whatever evidence, query, active set or
-cutset instance the cache saw before.  Runs under cutset clamps share
-the one cache with the runs without them, so a message the clamps do
-not reach is computed once for every instance.  Every evaluation has a
+where the signature is the arguments its kernel was called with: each
+input message's value, or a vacuous marker for an absent arc.  A stored
+value is reused only when the current signature is ``==`` to the
+recorded one, which is memoization of a pure function and so sound
+whatever evidence, query, active set or cutset instance the cache saw
+before.  Runs under cutset clamps share the one cache with the runs
+without them, so a message the clamps do not reach is computed once for
+every instance.  Every evaluation has a
 cache, and there is no uncached mode: ``answer_query`` keeps one dict
 for the iterations of one query, and each ``propagate`` call starts a
 fresh one.
@@ -202,6 +218,9 @@ class ActiveSet:
 # - lambda value: the product starts from the first child message, not
 #   from ones (1.0 * y is y); with no child message it is the shared
 #   ``_uniform`` pair of its state count.
+# - the constant messages (see the module docstring) are these kernels'
+#   values, built once: the pi value fast path above, ``_uniform``,
+#   ``_vacuous_lambda`` and ``_pinned``.
 # - ``intervals._dot_table`` of a point table against point weights:
 #   both bounds of a row are the one sum over the weights' lower bounds.
 # - ``intervals._dot_table`` sums each bound in line and calls
@@ -211,8 +230,9 @@ class ActiveSet:
 #   its nodes: that set is a tree, so it has no loop to search for.
 #
 # The schedule, not a kernel, skips the messages that are their one
-# input (see the module docstring).  That alone changes floats: bounds
-# and scales only get tighter, up to rounding.
+# input and the constants (see the module docstring).  Skipping an alias
+# alone changes floats: bounds and scales only get tighter, up to
+# rounding.
 
 
 def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
@@ -250,10 +270,23 @@ def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
     return _normalized(lo, hi)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _uniform(n: int):
     """The lambda value of a node with no child message, one per state count."""
     return _normalized_product(IntervalVector.ones(n), ())
+
+
+@functools.cache
+def _vacuous_lambda(n: int):
+    """The lambda value of a node whose child messages are all vacuous,
+    one per state count: any product of vacuous vectors is vacuous."""
+    return _normalized_product(_vacuous(n), ())
+
+
+@functools.cache
+def _pinned(n: int, k: int):
+    """Every message a node pinned to state k of n sends, one per (n, k)."""
+    return _indicator(n, k), (1.0, 1.0)
 
 
 def _lambda_value_kernel(n: int, child_msgs: Sequence[IntervalVector]):
@@ -303,9 +336,10 @@ class _Run:
     laid over it.
 
     ``cache`` maps a message key to ``(signature, value)`` as described
-    in the module docstring.  Runs with and without clamps share it: a
-    pinned state is in the signature of every message the node sends, so
-    a clamp is in the signature of every message it reaches.
+    in the module docstring.  Runs with and without clamps share it.  A
+    pinned node's messages are constants, never cached, and the
+    signature of a message it reaches holds its indicator, so a clamp is
+    in the signature of every message it reaches.
     """
 
     def __init__(self, ctx: _Context, active: ActiveSet, pinned: Mapping[str, int], cache: dict):
@@ -314,14 +348,15 @@ class _Run:
         self.pinned = pinned
         self.cache = cache
         self._memo: dict = {}
-        # A pi message or lambda value key -> the key it is named by, and
-        # for one named by itself, its listing (see ``_name``).
+        # A pi value, pi message or lambda value key -> the key it is
+        # named by, and for a pi message or lambda value named by itself
+        # that is not a constant, its listing (see ``_name``).
         self._names: dict = {}
         self._listed: dict = {}
         self.visits = 0
 
     def _inputs(self, key):
-        """The pinned state and the inputs of one message, in kernel order.
+        """The inputs of one message, in kernel order.
 
         Keys are ``("pi_val", x)``, ``("lam_val", x)``, ``("pi_msg", u, x)``
         and ``("lam_msg", x, u)``.  An input is the key of another message,
@@ -329,9 +364,6 @@ class _Run:
         of the vacuous vector that stands in for it.  An absent child arc
         counts only where it leads to evidence or the query; otherwise the
         branch under the child sums out exactly and drops from the inputs.
-        A pinned node is split: it emits indicator messages downward and a
-        bare indicator likelihood upward, with no inputs, which is what
-        cuts loops.
         """
         kind, x = key[0], key[1]
         if kind == "pi_msg" or kind == "lam_val":
@@ -343,50 +375,64 @@ class _Run:
         for p in nodes[x].parents:
             if p != skip:
                 ins.append(self._name(("pi_msg", p, x)) if (p, x) in arcs else len(nodes[p].states))
-        return None, ins
+        return ins
 
     def _name(self, key):
-        """The key a pi message or lambda value is evaluated by: its one
-        input when it is unpinned and that input is a message (an alias,
-        see the module docstring), else the key itself, whose listing is
-        then kept for ``_inputs``.  No input of either kind is a pi
-        message or a lambda value."""
+        """The key a pi value, pi message or lambda value is evaluated by.
+
+        A message that reads no other message is a constant (see the
+        module docstring), which goes straight into the memo under its
+        own key.  An unpinned pi message or lambda value whose one input
+        is a message is named by that input (an alias).  Any other key is
+        named by itself, and a pi message's or lambda value's listing is
+        kept for ``_inputs``.  No input of either kind is a pi message or
+        a lambda value.
+        """
         name = self._names.get(key)
         if name is not None:
             return name
-        x = key[1]
+        net = self.ctx.net
+        kind, x = key[0], key[1]
+        arcs = self.arcs
+        self._names[key] = key
+        if kind == "pi_val":
+            for p in net._by_id[x].parents:
+                if (p, x) in arcs:
+                    return key
+            self._memo[key] = net._kernel_tables(x)[3]
+            return key
+        n = len(net._by_id[x].states)
         pinned = self.pinned.get(x)
         if pinned is not None:
-            listing = pinned, ()
+            self._memo[key] = _pinned(n, pinned)
+            return key
+        skip = key[2] if kind == "pi_msg" else None
+        ins: list = [] if skip is None else [self._name(("pi_val", x))]
+        for w in net._children[x]:
+            if w == skip:
+                continue
+            if (x, w) in arcs:
+                ins.append(("lam_msg", w, x))
+            elif w in self.ctx:
+                ins.append(n)
+        if len(ins) == 1 and type(ins[0]) is tuple:
+            self._names[key] = ins[0]
+            return ins[0]
+        if ins.count(n) == len(ins):  # no message input, so a lambda value
+            self._memo[key] = _vacuous_lambda(n) if ins else _uniform(n)
         else:
-            nodes = self.ctx.net._by_id
-            arcs = self.arcs
-            skip = key[2] if len(key) == 3 else None
-            ins: list = [] if skip is None else [("pi_val", x)]
-            for w in self.ctx.net._children[x]:
-                if w == skip:
-                    continue
-                if (x, w) in arcs:
-                    ins.append(("lam_msg", w, x))
-                elif w in self.ctx:
-                    ins.append(len(nodes[x].states))
-            if len(ins) == 1 and type(ins[0]) is tuple:
-                self._names[key] = ins[0]
-                return ins[0]
-            listing = None, ins
-        self._names[key] = key
-        self._listed[key] = listing
+            self._listed[key] = ins
         return key
 
     def value(self, key):
         """(vector, scale) of one message, evaluating its inputs first; an
-        alias has its input's.
+        alias has its input's, and a constant is never evaluated.
 
         A key expanded again before it is computed was reached from its
         own inputs: the message dependencies have a cycle, which only an
         active set whose loops were not cut can make.
         """
-        if key[0] == "pi_msg" or key[0] == "lam_val":
+        if key[0] != "lam_msg":
             key = self._name(key)
         memo = self._memo
         cache = self.cache
@@ -401,26 +447,25 @@ class _Run:
                     expanded.add(k)
                     ins = self._inputs(k)
                     stack.append((k, ins))
-                    stack += [(i, None) for i in ins[1] if type(i) is tuple and i not in memo]
+                    stack += [(i, None) for i in ins if type(i) is tuple and i not in memo]
                 continue
-            pinned, inputs = ins
-            args = tuple([memo[i] if type(i) is tuple else i for i in inputs])
+            args = tuple([memo[i] if type(i) is tuple else i for i in ins])
             entry = cache.get(k)
-            if entry is not None and entry[0] == (pinned, args):
+            if entry is not None and entry[0] == args:
                 memo[k] = entry[1]
                 continue
-            memo[k] = value = self._compute(k, pinned, args)
+            memo[k] = value = self._compute(k, args)
             self.visits += 1
-            cache[k] = ((pinned, args), value)
+            cache[k] = (args, value)
         return memo[key]
 
-    def _compute(self, key, pinned: int | None, args: tuple):
+    def _compute(self, key, args: tuple):
         """Call the message's kernel; its scale (a float pair) is the product
-        of the input scales and the mass the kernel's normalization discarded."""
+        of the input scales and the mass the kernel's normalization
+        discarded.  A computed message reads at least one message: one
+        that reads none is a constant."""
         net = self.ctx.net
         kind, x = key[0], key[1]
-        if pinned is not None:
-            return _indicator(len(net._by_id[x].states), pinned), (1.0, 1.0)
         msgs: list[IntervalVector] = []
         scale = None
         for a in args:
@@ -437,8 +482,6 @@ class _Run:
             out = _normalized_product(msgs[0], msgs[1:])
         else:
             out = _lambda_message_kernel(net, x, key[2], msgs[0], msgs[1:])
-        if scale is None:
-            return out
         vec, z = out
         return vec, (scale[0] * z[0], scale[1] * z[1])
 
@@ -608,8 +651,9 @@ class QueryResult:
 
     ``node_visits`` counts the kernel calls of every evaluation: a
     message reused from the cache is not a visit, and neither is an
-    alias, which the schedule names by its source and never evaluates
-    (see the module docstring).
+    alias, which the schedule names by its source, or a constant, which
+    it lists by its value; neither is ever evaluated (see the module
+    docstring).
     """
 
     query: str

@@ -175,12 +175,12 @@ def _check_order(lo: Sequence[float], hi: Sequence[float]) -> None:
 # The constant vectors the kernels use, built once per shape for the
 # process; the public constructors check their arguments first, so a
 # memo key never stands for an argument the check would refuse.
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _vacuous(n: int) -> IntervalVector:
     return IntervalVector.from_bounds((0.0,) * n, (1.0,) * n)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _indicator(n: int, k: int) -> IntervalVector:
     return IntervalVector.point(1.0 if i == k else 0.0 for i in range(n))
 

@@ -269,6 +269,23 @@ def test_bench_suite_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
     records = list(run_bench(load_suite(json.dumps(suite))))
     assert [(r["network"], r["query"], r["status"]) for r in records] == [("x", "A", "satisfied")]
 
+
+def test_cli_bench_reads_a_suite_that_starts_with_a_byte_order_mark(tmp_path):
+    # The suite is read as its network files are: a byte-order mark first
+    # is no error, and the records equal those of the plain suite.
+    net = tmp_path / "bom.net"
+    net.write_bytes(BOM_NET)
+    suite = json.dumps({**SUITE, "queries_per_network": 1, "strategies": ["bfs"], "networks": [{"file": str(net)}]})
+    answers = []
+    for name, data in [("plain", suite.encode()), ("bom", b"\xef\xbb\xbf" + suite.encode())]:
+        (tmp_path / f"{name}.json").write_bytes(data)
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["bench", "--suite", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        answers.append([(r["network"], r["query"], r["status"], r["achieved_width"]) for r in records])
+    assert answers[0] == answers[1] == [("x", "A", "satisfied", 0.0)]
+
+
 @pytest.mark.parametrize("command", ["query", "exact"])
 @pytest.mark.parametrize("states", [("s0", "s1"), ("s0", "s0")])
 def test_cli_rejects_a_node_observed_twice(tmp_path, capsys, command, states):

@@ -34,7 +34,11 @@ from boundprop.engine import (
     _Run,
     _joint_weights,
     _lambda_message_kernel,
+    _lambda_value_kernel,
     _pi_value_kernel,
+    _pinned,
+    _uniform,
+    _vacuous_lambda,
 )
 from boundprop.intervals import (
     ConflictingEvidenceError,
@@ -449,7 +453,7 @@ def test_cached_and_uncached_runs_identical(monkeypatch):
 
 def test_cache_saves_visits(monkeypatch):
     net = gen_polytree(GenSpec(node_count=40, seed=3))
-    q = net.node_ids()[5]
+    q = net.node_ids()[10]
     cached = answer_query(net, q, {})
     uncached = _uncached_answer(monkeypatch, net, q, {})
     assert cached.bels == uncached.bels
@@ -516,45 +520,126 @@ def test_a_message_with_one_input_is_that_input():
     assert bel.contains_point(enumerate_marginal(net, {}, "C"))
 
 
+CHAIN5 = {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(5)}
+
+
 def test_aliased_messages_are_neither_computed_nor_cached():
     # n0 -> ... -> n4 with n4 observed, asking n2.  The kernels run for
-    # pi values n0-n2, lambda messages n4->n3 and n3->n2 and n4's
-    # indicator; the pi messages n0->n1 and n1->n2 and the lambda values
-    # of n2 and n3 are their one input.
-    net = build_net("chain5", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(5)}, seed=3)
+    # pi values n1 and n2 and lambda messages n4->n3 and n3->n2; the pi
+    # messages n0->n1 and n1->n2 and the lambda values of n2 and n3 are
+    # their one input, and n0's pi value and n4's lambda value are
+    # constants.
+    net = build_net("chain5", CHAIN5, seed=3)
     cache = {}
     bel, visits = loops.evaluate(net, full_active(net), _Context(net, {"n4": 0}, "n2"), cache)
-    assert visits == 6
+    assert visits == 4
     assert sorted(cache) == [
-        ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("lam_val", "n4"),
-        ("pi_val", "n0"), ("pi_val", "n1"), ("pi_val", "n2"),
+        ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("pi_val", "n1"), ("pi_val", "n2"),
     ]
     assert bel.contains_point(enumerate_marginal(net, {"n4": 0}, "n2"), 1e-12)
     assert bel.max_width <= 1e-12
 
 
-def test_an_alias_is_named_by_its_source_and_never_expanded(monkeypatch):
-    # The query above: the schedule lists the inputs of the 6 computed
-    # messages only, each alias named by its source, and asking for an
-    # alias gives its source's value.
-    net = build_net("chain5", {f"n{i}": [f"n{i - 1}"] if i else [] for i in range(5)}, seed=3)
-    expanded = []
-    inputs = _Run._inputs
+def _schedule_spy(monkeypatch):
+    """The keys ``_Run`` expands and the keys it computes, in lists that
+    fill as evaluations run."""
+    expanded, computed = [], []
+    inputs, compute = _Run._inputs, _Run._compute
 
-    def counted(self, key):
+    def listed(self, key):
         expanded.append(key)
         return inputs(self, key)
 
-    monkeypatch.setattr(_Run, "_inputs", counted)
+    def computing(self, key, *args):
+        computed.append(key)
+        return compute(self, key, *args)
+
+    monkeypatch.setattr(_Run, "_inputs", listed)
+    monkeypatch.setattr(_Run, "_compute", computing)
+    return expanded, computed
+
+
+def test_an_alias_is_named_by_its_source_and_never_expanded(monkeypatch):
+    # The query above: the schedule lists the inputs of the 4 computed
+    # messages only, each alias named by its source, and asking for an
+    # alias gives its source's value.
+    net = build_net("chain5", CHAIN5, seed=3)
+    expanded, computed = _schedule_spy(monkeypatch)
     ctx = _Context(net, {"n4": 0}, "n2")
     loops.evaluate(net, full_active(net), ctx, {})
-    assert sorted(expanded) == [
-        ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("lam_val", "n4"),
-        ("pi_val", "n0"), ("pi_val", "n1"), ("pi_val", "n2"),
+    assert sorted(expanded) == sorted(computed) == [
+        ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("pi_val", "n1"), ("pi_val", "n2"),
     ]
     run = _Run(ctx, full_active(net), ctx.evidence, {})
     assert run.value(("lam_val", "n3")) is run.value(("lam_msg", "n4", "n3"))
     assert run.value(("pi_msg", "n1", "n2")) is run.value(("pi_val", "n1"))
+
+
+def test_a_message_that_reads_no_message_is_never_expanded_computed_or_cached(monkeypatch, figure_net):
+    # A root's pi value and an observed node's messages read no other
+    # message: each is its shared constant, and the schedule never
+    # expands, computes or caches it.
+    net = build_net("chain5", CHAIN5, seed=3)
+    expanded, computed = _schedule_spy(monkeypatch)
+    ctx = _Context(net, {"n4": 0}, "n2")
+    cache = {}
+    loops.evaluate(net, full_active(net), ctx, cache)
+    for key in [("pi_val", "n0"), ("lam_val", "n4")]:
+        assert key not in expanded and key not in computed and key not in cache, key
+    run = _Run(ctx, full_active(net), ctx.evidence, {})
+    assert run.value(("pi_val", "n0")) is net._kernel_tables("n0")[3]
+    assert run.value(("lam_val", "n4")) is _pinned(net.state_count("n4"), 0)
+    assert not run.visits
+    # The clamped node of a conditioned evaluation sends constants too:
+    # its pi messages and its lambda value are listed by their value.
+    cuts = []
+    conditioned = loops._conditioned_bel
+
+    def spy(ctx, active, cut, observed, cache):
+        cuts.append(list(cut))
+        return conditioned(ctx, active, cut, observed, cache)
+
+    monkeypatch.setattr(loops, "_conditioned_bel", spy)
+    del expanded[:], computed[:]
+    cache = {}
+    bel, visits = loops.evaluate(figure_net, full_active(figure_net), _Context(figure_net, {"X": 0}, "D"), cache)
+    assert cuts and visits == len(computed) > 0
+    assert bel.contains_point(enumerate_marginal(figure_net, {"X": 0}, "D"), 1e-9)
+    for c in cuts[0]:
+        sent = [("lam_val", c)] + [("pi_msg", c, w) for w in figure_net.children(c)]
+        for key in sent:
+            assert key not in expanded and key not in computed and key not in cache, key
+
+
+def test_each_constant_message_is_its_kernels_value():
+    # The constants are the floats the kernels would compute: the lambda
+    # value of a node whose child messages are all vacuous, and every
+    # message of a pinned node.
+    def hexed(pair):
+        vec, scale = pair
+        return [x.hex() for x in (*vec.lo, *vec.hi, *scale)]
+
+    for n in range(1, 6):
+        for c in range(1, 4):
+            assert hexed(_vacuous_lambda(n)) == hexed(_lambda_value_kernel(n, [vacuous(n)] * c)), (n, c)
+        assert hexed(_uniform(n)) == hexed(_lambda_value_kernel(n, []))
+        for k in range(n):
+            assert hexed(_pinned(n, k)) == hexed((IntervalVector.indicator(n, k), (1.0, 1.0)))
+            assert _pinned(n, k)[0] is IntervalVector.indicator(n, k)
+
+
+def test_constant_messages_are_one_instance_per_shape():
+    # However many shapes are asked for in between, a shape's constant is
+    # the one object.
+    first = _uniform(3), _vacuous_lambda(3), _pinned(30, 0)
+    for n in range(1, 400):
+        _uniform(n)
+        _vacuous_lambda(n)
+    for n in range(2, 40):
+        for k in range(n):
+            _pinned(n, k)
+    again = _uniform(3), _vacuous_lambda(3), _pinned(30, 0)
+    assert all(a is b for a, b in zip(again, first))
 
 
 def test_every_iteration_contains_the_posterior_on_a_netgen_sweep():
@@ -578,10 +663,9 @@ def test_a_vacuous_parent_prior_is_built_once_per_network():
     net = build_net("abc", {"A": [], "B": ["A"], "C": ["B"]}, seed=5)
     values = []
     for query in "BC":
-        cache = {}
         active = ActiveSet(frozenset({"B", "C"}), frozenset({("B", "C")}))
-        loops.evaluate(net, active, _Context(net, {}, query), cache)
-        values.append(cache[("pi_val", "B")][1])
+        ctx = _Context(net, {}, query)
+        values.append(_Run(ctx, active, ctx.evidence, {}).value(("pi_val", "B")))
     assert values[0] is values[1]
     assert pi_hat(net, "A", {}) is pi_hat(net, "A", {})
     assert pi_hat(net, "B", {}) is values[0][0]
@@ -1272,4 +1356,4 @@ def test_a_walled_query_reads_the_same_at_every_network_size():
             bels = [[x.hex() for x in (*b.lo, *b.hi)] for b in r.bels]
             got = (r.status, r.iterations, r.node_visits, r.active_nodes, bels)
             assert seen.setdefault(strategy, got) == got, (size, strategy)
-    assert seen["bfs"][:4] == (SATISFIED, 3, 12, [1, 4, 6])
+    assert seen["bfs"][:4] == (SATISFIED, 3, 5, [1, 4, 6])

@@ -595,6 +595,19 @@ def test_constructors_equal_their_per_entry_definitions():
             build(0)
 
 
+def test_indicator_and_vacuous_are_one_instance_per_shape_however_many_are_asked():
+    # Asking for more shapes than any fixed memo size keeps in between
+    # never builds a shape's vector again.
+    indicator, vac = IntervalVector.indicator(30, 0), vacuous(3)
+    for n in range(2, 40):
+        for k in range(n):
+            IntervalVector.indicator(n, k)
+    for n in range(1, 400):
+        vacuous(n)
+    assert IntervalVector.indicator(30, 0) is indicator
+    assert vacuous(3) is vac
+
+
 def test_indicator_and_vacuous_reject_a_bad_state_even_when_memoized():
     # The shared vectors are memoized on their arguments, where True is 1
     # and 2.0 is 2; each argument is checked before the memo is asked.

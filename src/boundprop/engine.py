@@ -17,9 +17,17 @@ a query's work is linear, not quadratic, in its final active set.
 Every evaluation is still a sound bound over a set the strategy
 reached; only the anytime curve is coarser.
 
-Each message the query needs is evaluated once per evaluation, after
-its inputs, from an explicit stack: the schedule is a post-order walk
-of the message dependencies toward the query, so its depth is not
+Each message the query needs is evaluated once per evaluation, by one
+sweep toward the query (and one toward each piece's representative
+whose mass a conditioned evaluation weighs).  The working forest is
+the set of active arcs minus the arcs that leave a pinned node; once
+loops are cut it is singly connected, so, as in Pearl's polytree
+propagation, each node sends exactly one message toward the root.  A
+breadth-first search from the root records, for every node it reaches,
+the neighbour one step nearer; then, in reverse breadth-first order,
+each node sends that neighbour a pi message when it is the node's child
+and a lambda message when it is its parent, and the root's pi value and
+lambda value come last.  Both passes are plain loops, so no depth is
 bounded by the interpreter's call stack.  Every computed vector is
 paired with a scale, a float pair bracketing the mass its normalization
 discarded; ``_Run.mass`` turns them into the float-pair evidence mass
@@ -34,13 +42,12 @@ public ``simplex_dot`` that a mass calls.
 A message whose one input is another message is that input.  A pi
 message from a node with no other child message would only normalize
 the node's pi value again, and a lambda value with exactly one child
-message would only normalize that message again.  So when ``_Run``
-lists a message's inputs, it names such an alias by its source, the
-message it is: an alias never enters the schedule, so it is never
-expanded, computed, memoized or cached, and it is not a node visit.
-Asked for an alias itself, ``_Run.value`` gives its source's ``(vector,
-scale)`` pair.  That is sound, and up to rounding it is never wider than
-normalizing again:
+message would only normalize that message again.  So a sweep takes
+such an alias as its source's ``(vector, scale)`` pair, the message it
+is: an alias is never computed or cached, and it is not a node visit.
+Asked for an alias itself, ``_Run.value`` gives its source's pair.
+That is sound, and up to rounding it is never wider than normalizing
+again:
 
 - every kernel returns a normalized vector, so the message its input
   bounds is a distribution, and normalizing it discards a mass of
@@ -59,9 +66,9 @@ caller's vectors need not be normalized.
 A message that reads no message is a constant.  Every absent arc
 carries a vacuous message, and a pinned node sends its indicator
 whatever it is sent, so such a message depends on its node alone.
-``_Run`` puts its value straight into the memo when it lists it: it is
-never expanded, computed or cached, and it is not a node visit.  There
-are three kinds, each the value its kernel would compute, built once:
+A sweep reads its value where the message is read: it is never computed
+or cached, and it is not a node visit.  There are three kinds, each the
+value its kernel would compute, built once:
 
 - a pi value whose parent arcs are all absent, a root's included: the
   node's pi value under vacuous parent messages, kept in the node's
@@ -200,7 +207,7 @@ class ActiveSet:
 # the sum without the zero entries).  A kernel hands its raw bound lists
 # to ``intervals._normalized``, which checks them once, and the vacuous
 # and indicator vectors are shared instances, one per shape.
-# The schedule reads the network's node and child tables directly, and
+# A sweep reads the network's node and child tables directly, and
 # growth reads a node's skeleton neighbours, its parents then children.
 #
 # A kernel skips the work its inputs make trivial, with the same floats
@@ -229,8 +236,8 @@ class ActiveSet:
 # - ``loops.evaluate`` of a connected active set with an arc fewer than
 #   its nodes: that set is a tree, so it has no loop to search for.
 #
-# The schedule, not a kernel, skips the messages that are their one
-# input and the constants (see the module docstring).  Skipping an alias
+# A sweep, not a kernel, skips the messages that are their one input
+# and the constants (see the module docstring).  Skipping an alias
 # alone changes floats: bounds and scales only get tighter, up to
 # rounding.
 
@@ -335,6 +342,16 @@ class _Run:
     instance the evidence on the active set with the instance's clamps
     laid over it.
 
+    Messages are evaluated by sweeps over the working forest: the active
+    arcs minus the arcs that leave a pinned node, whose message is the
+    node's indicator whatever the node is sent.  A sweep toward a root
+    reaches every node of the root's piece breadth first, and then, in
+    reverse breadth-first order, each node sends its one message toward
+    the neighbour it was reached from: a pi message to a child or a
+    lambda message to a parent.  The root's pi value and lambda value
+    come last.  Each message is sent once per sweep and each root is
+    swept once per run.
+
     ``cache`` maps a message key to ``(signature, value)`` as described
     in the module docstring.  Runs with and without clamps share it.  A
     pinned node's messages are constants, never cached, and the
@@ -347,117 +364,160 @@ class _Run:
         self.arcs = active.arcs
         self.pinned = pinned
         self.cache = cache
+        # A key ``value`` or ``_root`` was asked for -> its value.
         self._memo: dict = {}
-        # A pi value, pi message or lambda value key -> the key it is
-        # named by, and for a pi message or lambda value named by itself
-        # that is not a constant, its listing (see ``_name``).
-        self._names: dict = {}
-        self._listed: dict = {}
         self.visits = 0
 
-    def _inputs(self, key):
-        """The inputs of one message, in kernel order.
+    def value(self, key):
+        """(vector, scale) of one message; an alias has its source's, and
+        a constant is never evaluated.
 
         Keys are ``("pi_val", x)``, ``("lam_val", x)``, ``("pi_msg", u, x)``
-        and ``("lam_msg", x, u)``.  An input is the key of another message,
-        named as ``_name`` names it, or, for an absent arc, the state count
-        of the vacuous vector that stands in for it.  An absent child arc
-        counts only where it leads to evidence or the query; otherwise the
-        branch under the child sums out exactly and drops from the inputs.
+        and ``("lam_msg", x, u)``.  One sweep evaluates the message and the
+        messages it reads, and no other.
         """
-        kind, x = key[0], key[1]
-        if kind == "pi_msg" or kind == "lam_val":
-            return self._listed[key]
-        nodes = self.ctx.net._by_id
-        arcs = self.arcs
-        skip = key[2] if kind == "lam_msg" else None
-        ins: list = [] if skip is None else [self._name(("lam_val", x))]
-        for p in nodes[x].parents:
-            if p != skip:
-                ins.append(self._name(("pi_msg", p, x)) if (p, x) in arcs else len(nodes[p].states))
-        return ins
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._sweep(key[1], key[2] if len(key) == 3 else None, key[0])
+        return got
 
-    def _name(self, key):
-        """The key a pi value, pi message or lambda value is evaluated by.
-
-        A message that reads no other message is a constant (see the
-        module docstring), which goes straight into the memo under its
-        own key.  An unpinned pi message or lambda value whose one input
-        is a message is named by that input (an alias).  Any other key is
-        named by itself, and a pi message's or lambda value's listing is
-        kept for ``_inputs``.  No input of either kind is a pi message or
-        a lambda value.
-        """
-        name = self._names.get(key)
-        if name is not None:
-            return name
-        net = self.ctx.net
-        kind, x = key[0], key[1]
-        arcs = self.arcs
-        self._names[key] = key
-        if kind == "pi_val":
-            for p in net._by_id[x].parents:
-                if (p, x) in arcs:
-                    return key
-            self._memo[key] = net._kernel_tables(x)[3]
-            return key
-        n = len(net._by_id[x].states)
-        pinned = self.pinned.get(x)
-        if pinned is not None:
-            self._memo[key] = _pinned(n, pinned)
-            return key
-        skip = key[2] if kind == "pi_msg" else None
-        ins: list = [] if skip is None else [self._name(("pi_val", x))]
-        for w in net._children[x]:
-            if w == skip:
-                continue
-            if (x, w) in arcs:
-                ins.append(("lam_msg", w, x))
-            elif w in self.ctx:
-                ins.append(n)
-        if len(ins) == 1 and type(ins[0]) is tuple:
-            self._names[key] = ins[0]
-            return ins[0]
-        if ins.count(n) == len(ins):  # no message input, so a lambda value
-            self._memo[key] = _vacuous_lambda(n) if ins else _uniform(n)
-        else:
-            self._listed[key] = ins
-        return key
-
-    def value(self, key):
-        """(vector, scale) of one message, evaluating its inputs first; an
-        alias has its input's, and a constant is never evaluated.
-
-        A key expanded again before it is computed was reached from its
-        own inputs: the message dependencies have a cycle, which only an
-        active set whose loops were not cut can make.
-        """
-        if key[0] != "lam_msg":
-            key = self._name(key)
+    def _root(self, x: str):
+        """The lambda value and pi value of x, from one sweep toward x."""
         memo = self._memo
-        cache = self.cache
-        expanded = set()
-        stack: list = [(key, None)]
-        while stack:
-            k, ins = stack.pop()
-            if ins is None:
-                if k not in memo:
-                    if k in expanded:
-                        raise RuntimeError(f"message {k} depends on itself: an uncut loop")
-                    expanded.add(k)
-                    ins = self._inputs(k)
-                    stack.append((k, ins))
-                    stack += [(i, None) for i in ins if type(i) is tuple and i not in memo]
+        lam, pi = memo.get(("lam_val", x)), memo.get(("pi_val", x))
+        if lam is None or pi is None:
+            lam, pi = memo[("lam_val", x)], memo[("pi_val", x)] = self._sweep(x, None, None)
+        return lam, pi
+
+    def _sweep(self, x: str, t: str | None, kind: str | None):
+        """x's message of ``kind`` toward t, or with t None x's pi value,
+        lambda value or, for kind None, both as a ``(lambda, pi)`` pair.
+
+        First a breadth-first search from x over the working forest
+        lists every node it reaches with the neighbour one step nearer x;
+        for a pi value alone x reaches only its parents, and for a lambda
+        value alone only its children.  Then each node, farthest first,
+        sends its message toward that neighbour, reading its other
+        neighbours' messages from ``sent``.  Each kernel reads its inputs
+        in kernel order: parents in CPT order, children in network
+        order, a message's own node's value first.  An absent arc's input
+        is the state count of the vacuous vector that stands in for it;
+        an absent child arc counts only where it leads to evidence or
+        the query, since otherwise the branch under the child sums out
+        exactly.  A node reached twice closes a loop of the working
+        forest, which only an active set whose loops were not cut has:
+        its messages would depend on themselves.
+        """
+        ctx = self.ctx
+        net = ctx.net
+        by_id, children = net._by_id, net._children
+        arcs, pinned = self.arcs, self.pinned
+        if kind == "pi_msg" and x in pinned:
+            return _pinned(len(by_id[x].states), pinned[x])
+        # (node, neighbour one step nearer x, the message it sends there)
+        order: list = [(x, t, kind)]
+        reached = {x}
+        for v, nxt, _ in order:
+            if nxt is not None or kind != "lam_val":
+                for p in by_id[v].parents:
+                    if p != nxt and (p, v) in arcs and p not in pinned:
+                        if p in reached:
+                            raise RuntimeError(f"message {('pi_msg', p, v)} depends on itself: an uncut loop")
+                        reached.add(p)
+                        order.append((p, v, "pi_msg"))
+            if (nxt is not None or kind != "pi_val") and v not in pinned:
+                for w in children[v]:
+                    if w != nxt and (v, w) in arcs:
+                        if w in reached:
+                            raise RuntimeError(f"message {('lam_msg', w, v)} depends on itself: an uncut loop")
+                        reached.add(w)
+                        order.append((w, v, "lam_msg"))
+        sent: dict = {}
+        for v, nxt, sends in reversed(order):
+            if sends == "pi_msg":
+                n = len(by_id[v].states)
+                ins = [self._pi_value(v, sent)]
+                for w in children[v]:
+                    if w != nxt:
+                        if (v, w) in arcs:
+                            ins.append(sent[w])
+                        elif w in ctx:
+                            ins.append(n)
+                sent[v] = ins[0] if len(ins) == 1 else self._call(("pi_msg", v, nxt), tuple(ins))
+            elif sends == "lam_msg":
+                ins = [self._lambda_value(v, sent)]
+                for p in by_id[v].parents:
+                    if p != nxt:
+                        if (p, v) not in arcs:
+                            ins.append(len(by_id[p].states))
+                        elif p in pinned:
+                            ins.append(_pinned(len(by_id[p].states), pinned[p]))
+                        else:
+                            ins.append(sent[p])
+                sent[v] = self._call(("lam_msg", v, nxt), tuple(ins))
+        if t is not None:
+            return sent[x]
+        if kind == "pi_val":
+            return self._pi_value(x, sent)
+        if kind == "lam_val":
+            return self._lambda_value(x, sent)
+        return self._lambda_value(x, sent), self._pi_value(x, sent)
+
+    def _pi_value(self, x: str, sent: dict):
+        """x's pi value from its parents' messages in ``sent``; with every
+        parent arc absent, the constant in x's record."""
+        net = self.ctx.net
+        by_id, arcs, pinned = net._by_id, self.arcs, self.pinned
+        ins: list = []
+        read = False
+        for p in by_id[x].parents:
+            if (p, x) not in arcs:
+                ins.append(len(by_id[p].states))
                 continue
-            args = tuple([memo[i] if type(i) is tuple else i for i in ins])
-            entry = cache.get(k)
-            if entry is not None and entry[0] == args:
-                memo[k] = entry[1]
-                continue
-            memo[k] = value = self._compute(k, args)
-            self.visits += 1
-            cache[k] = (args, value)
-        return memo[key]
+            read = True
+            if p in pinned:
+                ins.append(_pinned(len(by_id[p].states), pinned[p]))
+            else:
+                ins.append(sent[p])
+        if not read:
+            return net._kernel_tables(x)[3]
+        return self._call(("pi_val", x), tuple(ins))
+
+    def _lambda_value(self, x: str, sent: dict):
+        """x's lambda value from its children's messages in ``sent``: a
+        pinned node's indicator, the one child message when there is one
+        input, and a shared constant when no child arc is present."""
+        ctx = self.ctx
+        n = len(ctx.net._by_id[x].states)
+        k = self.pinned.get(x)
+        if k is not None:
+            return _pinned(n, k)
+        arcs = self.arcs
+        ins: list = []
+        read = False
+        for w in ctx.net._children[x]:
+            if (x, w) in arcs:
+                ins.append(sent[w])
+                read = True
+            elif w in ctx:
+                ins.append(n)
+        if not read:
+            return _vacuous_lambda(n) if ins else _uniform(n)
+        if len(ins) == 1:
+            return ins[0]
+        return self._call(("lam_val", x), tuple(ins))
+
+    def _call(self, key, args: tuple):
+        """The value of a computed message for ``args``, its signature:
+        the cached one when the signature is the recorded one, else its
+        kernel's, counted as a visit and cached."""
+        entry = self.cache.get(key)
+        if entry is not None and entry[0] == args:
+            return entry[1]
+        value = self._compute(key, args)
+        self.visits += 1
+        self.cache[key] = (args, value)
+        return value
 
     def _compute(self, key, args: tuple):
         """Call the message's kernel; its scale (a float pair) is the product
@@ -487,28 +547,24 @@ class _Run:
 
     def belief(self, x: str) -> IntervalVector:
         """Belief bounds at x; at a pinned node, the indicator of its state."""
+        (lam, _), (pvec, _) = self._root(x)
         k = self.pinned.get(x)
         if k is not None:
-            pvec, _ = self.value(("pi_val", x))
             if pvec.hi[k] <= 0.0:
                 raise ConflictingEvidenceError(
                     f"observed state {k} of {x!r} has zero probability"
                 )
             return IntervalVector.indicator(len(pvec), k)
-        lam, _ = self.value(("lam_val", x))
-        pvec, _ = self.value(("pi_val", x))
         return _normalized_product(lam, [pvec])[0]
 
     def mass(self, x: str) -> tuple[float, float]:
         """Evidence mass of the piece of the working graph holding x, as a
         float pair; every unpinned member of a singly connected piece
         gives the same total."""
+        (lam, ls), (pvec, ps) = self._root(x)
         k = self.pinned.get(x)
         if k is not None:
-            pvec, ps = self.value(("pi_val", x))
             return ps[0] * pvec.lo[k], ps[1] * pvec.hi[k]
-        lam, ls = self.value(("lam_val", x))
-        pvec, ps = self.value(("pi_val", x))
         dot = simplex_dot(lam, pvec)
         return ls[0] * ps[0] * dot.lo, ls[1] * ps[1] * dot.hi
 
@@ -651,9 +707,9 @@ class QueryResult:
 
     ``node_visits`` counts the kernel calls of every evaluation: a
     message reused from the cache is not a visit, and neither is an
-    alias, which the schedule names by its source, or a constant, which
-    it lists by its value; neither is ever evaluated (see the module
-    docstring).
+    alias, which a sweep takes as its source's value, or a constant,
+    which it reads as its value; neither is ever computed (see the
+    module docstring).
     """
 
     query: str

@@ -36,8 +36,10 @@ class GenSpec:
             raise ValueError("need at least one node")
         if self.topology not in ("polytree", "loopy"):
             raise ValueError("topology must be 'polytree' or 'loopy'")
-        if self.topology == "loopy" and self.arc_ratio < 1.0:
-            raise ValueError("arc ratio must be at least 1.0")
+        # NaN compares false against 1.0, and an infinite ratio would reach
+        # math.ceil in gen_loopy as an OverflowError.
+        if self.topology == "loopy" and not (math.isfinite(self.arc_ratio) and self.arc_ratio >= 1.0):
+            raise ValueError(f"arc ratio must be finite and at least 1.0, not {self.arc_ratio}")
 
 
 def sample_skewed_row(k: int, rng: random.Random) -> tuple[float, ...]:

@@ -130,6 +130,18 @@ def test_bench_saturated_records_carry_width():
         assert 0.0 < r["achieved_width"] <= 1.0
 
 
+@pytest.mark.parametrize("flag, number", [("inf", "1e400"), ("nan", "NaN")])
+def test_cli_gen_and_bench_reject_a_ratio_that_is_not_finite(tmp_path, capsys, flag, number):
+    # JSON reads 1e400 as inf.  Either ratio would reach math.ceil in the
+    # generator, where inf is an OverflowError the command does not catch.
+    assert main(["gen", "--nodes", "30", "--topology", "loopy", "--ratio", flag]) == 1
+    assert capsys.readouterr().err.startswith("error: arc ratio must be finite")
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(SUITE).replace('"ratio": 1.2', f'"ratio": {number}'))
+    assert main(["bench", "--suite", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: arc ratio must be finite")
+
+
 def test_cli_gen_query_exact_roundtrip(tmp_path, capsys):
     path = tmp_path / "net.txt"
     assert main(["gen", "--nodes", "10", "--seed", "4", "--out", str(path)]) == 0

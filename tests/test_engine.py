@@ -541,33 +541,26 @@ def test_aliased_messages_are_neither_computed_nor_cached():
 
 
 def _schedule_spy(monkeypatch):
-    """The keys ``_Run`` expands and the keys it computes, in lists that
-    fill as evaluations run."""
-    expanded, computed = [], []
-    inputs, compute = _Run._inputs, _Run._compute
-
-    def listed(self, key):
-        expanded.append(key)
-        return inputs(self, key)
+    """The keys ``_Run`` computes, in a list that fills as evaluations run."""
+    computed = []
+    compute = _Run._compute
 
     def computing(self, key, *args):
         computed.append(key)
         return compute(self, key, *args)
 
-    monkeypatch.setattr(_Run, "_inputs", listed)
     monkeypatch.setattr(_Run, "_compute", computing)
-    return expanded, computed
+    return computed
 
 
 def test_an_alias_is_named_by_its_source_and_never_expanded(monkeypatch):
-    # The query above: the schedule lists the inputs of the 4 computed
-    # messages only, each alias named by its source, and asking for an
-    # alias gives its source's value.
+    # The query above: only the 4 messages that read more than one input
+    # are computed, and asking for an alias gives its source's value.
     net = build_net("chain5", CHAIN5, seed=3)
-    expanded, computed = _schedule_spy(monkeypatch)
+    computed = _schedule_spy(monkeypatch)
     ctx = _Context(net, {"n4": 0}, "n2")
     loops.evaluate(net, full_active(net), ctx, {})
-    assert sorted(expanded) == sorted(computed) == [
+    assert sorted(computed) == [
         ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("pi_val", "n1"), ("pi_val", "n2"),
     ]
     run = _Run(ctx, full_active(net), ctx.evidence, {})
@@ -577,21 +570,20 @@ def test_an_alias_is_named_by_its_source_and_never_expanded(monkeypatch):
 
 def test_a_message_that_reads_no_message_is_never_expanded_computed_or_cached(monkeypatch, figure_net):
     # A root's pi value and an observed node's messages read no other
-    # message: each is its shared constant, and the schedule never
-    # expands, computes or caches it.
+    # message: each is its shared constant, never computed or cached.
     net = build_net("chain5", CHAIN5, seed=3)
-    expanded, computed = _schedule_spy(monkeypatch)
+    computed = _schedule_spy(monkeypatch)
     ctx = _Context(net, {"n4": 0}, "n2")
     cache = {}
     loops.evaluate(net, full_active(net), ctx, cache)
     for key in [("pi_val", "n0"), ("lam_val", "n4")]:
-        assert key not in expanded and key not in computed and key not in cache, key
+        assert key not in computed and key not in cache, key
     run = _Run(ctx, full_active(net), ctx.evidence, {})
     assert run.value(("pi_val", "n0")) is net._kernel_tables("n0")[3]
     assert run.value(("lam_val", "n4")) is _pinned(net.state_count("n4"), 0)
     assert not run.visits
     # The clamped node of a conditioned evaluation sends constants too:
-    # its pi messages and its lambda value are listed by their value.
+    # its pi messages and its lambda value.
     cuts = []
     conditioned = loops._conditioned_bel
 
@@ -600,7 +592,7 @@ def test_a_message_that_reads_no_message_is_never_expanded_computed_or_cached(mo
         return conditioned(ctx, active, cut, observed, cache)
 
     monkeypatch.setattr(loops, "_conditioned_bel", spy)
-    del expanded[:], computed[:]
+    del computed[:]
     cache = {}
     bel, visits = loops.evaluate(figure_net, full_active(figure_net), _Context(figure_net, {"X": 0}, "D"), cache)
     assert cuts and visits == len(computed) > 0
@@ -608,7 +600,50 @@ def test_a_message_that_reads_no_message_is_never_expanded_computed_or_cached(mo
     for c in cuts[0]:
         sent = [("lam_val", c)] + [("pi_msg", c, w) for w in figure_net.children(c)]
         for key in sent:
-            assert key not in expanded and key not in computed and key not in cache, key
+            assert key not in computed and key not in cache, key
+
+
+def test_a_sweep_stops_at_the_arcs_that_leave_a_pinned_node(monkeypatch):
+    # n2 observed: it sends n1 its lambda message from its indicator, so
+    # nothing below it is read, though n3 and n4 are active.
+    net = build_net("chain5", CHAIN5, seed=3)
+    computed = _schedule_spy(monkeypatch)
+    cache = {}
+    bel, _ = loops.evaluate(net, full_active(net), _Context(net, {"n2": 1}, "n1"), cache)
+    assert ("lam_msg", "n2", "n1") in computed
+    for key in [*computed, *cache]:
+        assert key[1] not in ("n3", "n4"), key
+    assert bel.contains_point(enumerate_marginal(net, {"n2": 1}, "n1"), 1e-12)
+
+
+def test_no_message_is_computed_twice_in_one_run(monkeypatch):
+    # The roots of one run, the query and the representatives of the
+    # pieces the clamps touch, lie in different pieces of the working
+    # forest, and each node sends one message toward its root.  With a
+    # cache that keeps nothing, a key evaluated twice is computed twice.
+    runs = []
+
+    class Recording(loops._Run):
+        def __init__(self, ctx, active, pinned, cache):
+            super().__init__(ctx, active, pinned, NoCache())
+            self.computed = []
+            runs.append(self)
+
+        def _compute(self, key, args):
+            self.computed.append(key)
+            return super()._compute(key, args)
+
+    monkeypatch.setattr(loops, "_Run", Recording)
+    for seed in range(12):
+        net = gen_loopy(GenSpec(node_count=14, topology="loopy", arc_ratio=1.3, seed=40 + seed))
+        rng = random.Random(seed)
+        ev = sample_evidence(net, rng)
+        q = rng.choice([v for v in net.node_ids() if v not in ev])
+        answer_query(net, q, ev, strategy="bfs", stop=StopCriterion.width(0.0))
+    conditioned = [r for r in runs if r.pinned.keys() - r.ctx.evidence.keys()]
+    assert len(conditioned) > 20
+    for r in runs:
+        assert len(r.computed) == len(set(r.computed)), r.computed
 
 
 def test_each_constant_message_is_its_kernels_value():

@@ -141,6 +141,9 @@ def test_genspec_validation():
         GenSpec(node_count=5, topology="ring")
     with pytest.raises(ValueError):
         GenSpec(node_count=5, topology="loopy", arc_ratio=0.9)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GenSpec(node_count=5, topology="loopy", arc_ratio=bad)
 
 
 def test_generated_networks_and_evidence_are_pinned():

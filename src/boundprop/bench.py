@@ -51,15 +51,18 @@ def load_suite(text: str) -> dict:
     if not all(isinstance(entry, dict) for entry in suite["networks"]):
         raise ValueError("each of a suite's networks must be a JSON object")
     # Read by ``int`` or ``float``, which take a number or a numeric
-    # string, so ``"3"`` and ``3`` are one seed; null, a list or an object
-    # is rejected here, with the field that holds it.
+    # string, so ``"3"`` and ``3`` are one seed; null, true, false, a list
+    # or an object is rejected here, with the field that holds it.
     numbers = [(f"suite {key!r}", suite[key]) for key in ("seed", "queries_per_network", "budget_ms")]
     numbers += [("suite 'target_widths' entry", w) for w in suite["target_widths"]]
     numbers += [(f"suite network {key!r}", entry[key])
                 for entry in suite["networks"] for key in ("nodes", "ratio", "seed") if key in entry]
     for where, value in numbers:
-        if value is None or isinstance(value, (list, dict)):
+        if value is None or isinstance(value, (bool, list, dict)):
             raise ValueError(f"{where} must be a number, not {json.dumps(value)}")
+    count = suite["queries_per_network"]
+    if int(count) < 0:
+        raise ValueError(f"suite 'queries_per_network' must be nonnegative, not {json.dumps(count)}")
     for entry in suite["networks"]:
         if not isinstance(entry.get("file", ""), str):
             raise ValueError(f"suite network 'file' must be a path, not {json.dumps(entry['file'])}")

@@ -45,7 +45,6 @@ the node's pi value again, and a lambda value with exactly one child
 message would only normalize that message again.  So a sweep takes
 such an alias as its source's ``(vector, scale)`` pair, the message it
 is: an alias is never computed or cached, and it is not a node visit.
-Asked for an alias itself, ``_Run.value`` gives its source's pair.
 That is sound, and up to rounding it is never wider than normalizing
 again:
 
@@ -259,12 +258,20 @@ def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalV
         and math.prod(map(len, parent_msgs)) == len(net._by_id[x].cpt)
     ):
         return net._kernel_tables(x)[3]
+    return _normalized(*_column_bounds(net, x, parent_msgs))
+
+
+def _column_bounds(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
+    """The raw (lows, highs) of x's CPT columns dotted against the joint
+    weights of its parent messages, before any normalization: a pi
+    value normalizes them, and ``loops`` reads a clamped node's column
+    mass from them."""
     columns, orders, _, _, _ = net._kernel_tables(x)
     if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
         weights = parent_msgs[0]
     else:
         weights = _joint_weights(parent_msgs)
-    return _normalized(*_dot_table(columns, columns, orders, weights, _spare(weights, len(columns[0]))))
+    return _dot_table(columns, columns, orders, weights, _spare(weights, len(columns[0])))
 
 
 def _normalized_product(vec: IntervalVector, factors: Iterable[IntervalVector]):
@@ -342,15 +349,16 @@ class _Run:
     instance the evidence on the active set with the instance's clamps
     laid over it.
 
-    Messages are evaluated by sweeps over the working forest: the active
+    A run answers roots only: ``belief`` and ``mass`` of the query and
+    of each piece's representative read a root's lambda value and pi
+    value, from one sweep toward it over the working forest: the active
     arcs minus the arcs that leave a pinned node, whose message is the
-    node's indicator whatever the node is sent.  A sweep toward a root
-    reaches every node of the root's piece breadth first, and then, in
-    reverse breadth-first order, each node sends its one message toward
-    the neighbour it was reached from: a pi message to a child or a
-    lambda message to a parent.  The root's pi value and lambda value
-    come last.  Each message is sent once per sweep and each root is
-    swept once per run.
+    node's indicator whatever the node is sent.  A sweep reaches every
+    node of the root's piece breadth first, and then, in reverse
+    breadth-first order, each node sends its one message toward the
+    neighbour it was reached from: a pi message to a child or a lambda
+    message to a parent.  The root's two values come last.  Each message
+    is sent once per sweep and each root is swept once per run.
 
     ``cache`` maps a message key to ``(signature, value)`` as described
     in the module docstring.  Runs with and without clamps share it.  A
@@ -364,68 +372,45 @@ class _Run:
         self.arcs = active.arcs
         self.pinned = pinned
         self.cache = cache
-        # A key ``value`` or ``_root`` was asked for -> its value.
+        # A root x -> its (lambda value, pi value).
         self._memo: dict = {}
         self.visits = 0
 
-    def value(self, key):
-        """(vector, scale) of one message; an alias has its source's, and
-        a constant is never evaluated.
-
-        Keys are ``("pi_val", x)``, ``("lam_val", x)``, ``("pi_msg", u, x)``
-        and ``("lam_msg", x, u)``.  One sweep evaluates the message and the
-        messages it reads, and no other.
-        """
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self._sweep(key[1], key[2] if len(key) == 3 else None, key[0])
-        return got
-
     def _root(self, x: str):
-        """The lambda value and pi value of x, from one sweep toward x."""
-        memo = self._memo
-        lam, pi = memo.get(("lam_val", x)), memo.get(("pi_val", x))
-        if lam is None or pi is None:
-            lam, pi = memo[("lam_val", x)], memo[("pi_val", x)] = self._sweep(x, None, None)
-        return lam, pi
-
-    def _sweep(self, x: str, t: str | None, kind: str | None):
-        """x's message of ``kind`` toward t, or with t None x's pi value,
-        lambda value or, for kind None, both as a ``(lambda, pi)`` pair.
+        """The lambda value and pi value of x, from one sweep toward x.
 
         First a breadth-first search from x over the working forest
-        lists every node it reaches with the neighbour one step nearer x;
-        for a pi value alone x reaches only its parents, and for a lambda
-        value alone only its children.  Then each node, farthest first,
-        sends its message toward that neighbour, reading its other
-        neighbours' messages from ``sent``.  Each kernel reads its inputs
-        in kernel order: parents in CPT order, children in network
-        order, a message's own node's value first.  An absent arc's input
-        is the state count of the vacuous vector that stands in for it;
-        an absent child arc counts only where it leads to evidence or
-        the query, since otherwise the branch under the child sums out
+        lists every node it reaches with the neighbour one step nearer x.
+        Then each node, farthest first, sends its message toward that
+        neighbour, reading its other neighbours' messages from ``sent``,
+        and x's two values come last.  Each kernel reads its inputs in
+        kernel order: parents in CPT order, children in network order, a
+        message's own node's value first.  An absent arc's input is the
+        state count of the vacuous vector that stands in for it; an
+        absent child arc counts only where it leads to evidence or the
+        query, since otherwise the branch under the child sums out
         exactly.  A node reached twice closes a loop of the working
         forest, which only an active set whose loops were not cut has:
         its messages would depend on themselves.
         """
+        got = self._memo.get(x)
+        if got is not None:
+            return got
         ctx = self.ctx
         net = ctx.net
         by_id, children = net._by_id, net._children
         arcs, pinned = self.arcs, self.pinned
-        if kind == "pi_msg" and x in pinned:
-            return _pinned(len(by_id[x].states), pinned[x])
         # (node, neighbour one step nearer x, the message it sends there)
-        order: list = [(x, t, kind)]
+        order: list = [(x, None, None)]
         reached = {x}
         for v, nxt, _ in order:
-            if nxt is not None or kind != "lam_val":
-                for p in by_id[v].parents:
-                    if p != nxt and (p, v) in arcs and p not in pinned:
-                        if p in reached:
-                            raise RuntimeError(f"message {('pi_msg', p, v)} depends on itself: an uncut loop")
-                        reached.add(p)
-                        order.append((p, v, "pi_msg"))
-            if (nxt is not None or kind != "pi_val") and v not in pinned:
+            for p in by_id[v].parents:
+                if p != nxt and (p, v) in arcs and p not in pinned:
+                    if p in reached:
+                        raise RuntimeError(f"message {('pi_msg', p, v)} depends on itself: an uncut loop")
+                    reached.add(p)
+                    order.append((p, v, "pi_msg"))
+            if v not in pinned:
                 for w in children[v]:
                     if w != nxt and (v, w) in arcs:
                         if w in reached:
@@ -455,13 +440,8 @@ class _Run:
                         else:
                             ins.append(sent[p])
                 sent[v] = self._call(("lam_msg", v, nxt), tuple(ins))
-        if t is not None:
-            return sent[x]
-        if kind == "pi_val":
-            return self._pi_value(x, sent)
-        if kind == "lam_val":
-            return self._lambda_value(x, sent)
-        return self._lambda_value(x, sent), self._pi_value(x, sent)
+        got = self._memo[x] = self._lambda_value(x, sent), self._pi_value(x, sent)
+        return got
 
     def _pi_value(self, x: str, sent: dict):
         """x's pi value from its parents' messages in ``sent``; with every
@@ -664,7 +644,8 @@ class StopCriterion:
     def __post_init__(self) -> None:
         if (self.target_width is None) == (self.threshold is None):
             raise ValueError("exactly one stopping rule must be given")
-        if self.target_width is not None and not 0.0 <= self.target_width <= 1.0:
+        width = self.target_width
+        if width is not None and (isinstance(width, bool) or not 0.0 <= width <= 1.0):
             raise ValueError("target width must lie in [0, 1]")
         if self.threshold is not None:
             state, direction, p = self.threshold
@@ -672,7 +653,7 @@ class StopCriterion:
                 raise ValueError(f"threshold state must be an int, not {state!r}")
             if direction not in (">", "<"):
                 raise ValueError("threshold direction must be '>' or '<'")
-            if not 0.0 <= p <= 1.0:
+            if isinstance(p, bool) or not 0.0 <= p <= 1.0:
                 raise ValueError("threshold probability must lie in [0, 1]")
 
     @staticmethod

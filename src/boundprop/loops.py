@@ -33,7 +33,7 @@ import time
 from collections import Counter
 from typing import Mapping
 
-from .engine import ActiveSet, _BudgetSpent, _Context, _Run, _joint_weights
+from .engine import ActiveSet, _BudgetSpent, _Context, _Run, _column_bounds
 from .intervals import (
     ConflictingEvidenceError,
     IntervalVector,
@@ -112,9 +112,7 @@ def _pinned_column_factor(
             msgs.append(_indicator(net.state_count(p), pinned[p]))
         else:
             msgs.append(_vacuous(net.state_count(p)))
-    columns, orders, _, _, _ = net._kernel_tables(node)
-    weights = _joint_weights(msgs)
-    lows, highs = _dot_table(columns, columns, orders, weights, _spare(weights, len(columns[0])))
+    lows, highs = _column_bounds(net, node, msgs)
     return lows[pinned[node]], highs[pinned[node]]
 
 

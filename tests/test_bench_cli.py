@@ -77,7 +77,7 @@ def test_cli_bench_rejects_a_malformed_suite(tmp_path, capsys, suite):
     assert err.startswith("error: ") and "suite" in err
 
 
-@pytest.mark.parametrize("bad", [None, [1], {"n": 1}])
+@pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True, False])
 @pytest.mark.parametrize("field", [
     "budget_ms", "target_widths", "queries_per_network", "seed",
     "nodes", "ratio", "network seed", "file",
@@ -96,6 +96,15 @@ def test_cli_bench_rejects_a_value_that_is_not_a_number_or_path(tmp_path, capsys
     assert main(["bench", "--suite", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: suite ") and repr(key) in err
+
+
+@pytest.mark.parametrize("count", [-1, "-2"])
+def test_cli_bench_rejects_a_negative_query_count(tmp_path, capsys, count):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({**SUITE, "queries_per_network": count}))
+    assert main(["bench", "--suite", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: suite 'queries_per_network' must be nonnegative"), err
 
 
 def test_bench_suite_reads_numbers_given_as_strings():

@@ -555,17 +555,18 @@ def _schedule_spy(monkeypatch):
 
 def test_an_alias_is_named_by_its_source_and_never_expanded(monkeypatch):
     # The query above: only the 4 messages that read more than one input
-    # are computed, and asking for an alias gives its source's value.
+    # are computed, and a kernel that reads an alias is given its
+    # source's value: n3's lambda value is n4's lambda message, and n1's
+    # pi message to n2 is n1's pi value.
     net = build_net("chain5", CHAIN5, seed=3)
     computed = _schedule_spy(monkeypatch)
-    ctx = _Context(net, {"n4": 0}, "n2")
-    loops.evaluate(net, full_active(net), ctx, {})
+    cache = {}
+    loops.evaluate(net, full_active(net), _Context(net, {"n4": 0}, "n2"), cache)
     assert sorted(computed) == [
         ("lam_msg", "n3", "n2"), ("lam_msg", "n4", "n3"), ("pi_val", "n1"), ("pi_val", "n2"),
     ]
-    run = _Run(ctx, full_active(net), ctx.evidence, {})
-    assert run.value(("lam_val", "n3")) is run.value(("lam_msg", "n4", "n3"))
-    assert run.value(("pi_msg", "n1", "n2")) is run.value(("pi_val", "n1"))
+    assert cache[("lam_msg", "n3", "n2")][0][0] is cache[("lam_msg", "n4", "n3")][1]
+    assert cache[("pi_val", "n2")][0][0] is cache[("pi_val", "n1")][1]
 
 
 def test_a_message_that_reads_no_message_is_never_expanded_computed_or_cached(monkeypatch, figure_net):
@@ -578,10 +579,9 @@ def test_a_message_that_reads_no_message_is_never_expanded_computed_or_cached(mo
     loops.evaluate(net, full_active(net), ctx, cache)
     for key in [("pi_val", "n0"), ("lam_val", "n4")]:
         assert key not in computed and key not in cache, key
-    run = _Run(ctx, full_active(net), ctx.evidence, {})
-    assert run.value(("pi_val", "n0")) is net._kernel_tables("n0")[3]
-    assert run.value(("lam_val", "n4")) is _pinned(net.state_count("n4"), 0)
-    assert not run.visits
+    # The kernels that read them were given the shared constants.
+    assert cache[("pi_val", "n1")][0][0] is net._kernel_tables("n0")[3]
+    assert cache[("lam_msg", "n4", "n3")][0][0] is _pinned(net.state_count("n4"), 0)
     # The clamped node of a conditioned evaluation sends constants too:
     # its pi messages and its lambda value.
     cuts = []
@@ -700,7 +700,7 @@ def test_a_vacuous_parent_prior_is_built_once_per_network():
     for query in "BC":
         active = ActiveSet(frozenset({"B", "C"}), frozenset({("B", "C")}))
         ctx = _Context(net, {}, query)
-        values.append(_Run(ctx, active, ctx.evidence, {}).value(("pi_val", "B")))
+        values.append(_Run(ctx, active, ctx.evidence, {})._root("B")[1])
     assert values[0] is values[1]
     assert pi_hat(net, "A", {}) is pi_hat(net, "A", {})
     assert pi_hat(net, "B", {}) is values[0][0]
@@ -1242,7 +1242,10 @@ def test_stop_criterion_validation():
         StopCriterion(target_width=1.5)
     with pytest.raises(ValueError):
         StopCriterion(threshold=(0, ">=", 0.5))
-    for p in (1.5, -0.1, float("nan"), float("inf")):
+    for w in (True, False):
+        with pytest.raises(ValueError, match="target width"):
+            StopCriterion.width(w)
+    for p in (1.5, -0.1, float("nan"), float("inf"), True, False):
         for direction in "><":
             with pytest.raises(ValueError, match="threshold probability"):
                 StopCriterion.prob_threshold(0, direction, p)

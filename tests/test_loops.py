@@ -439,8 +439,7 @@ def test_anytime_on_loopy_networks_sound_everywhere():
 
 
 def _ref_piece_mass(run, x):
-    lam, ls = run.value(("lam_val", x))
-    pvec, ps = run.value(("pi_val", x))
+    (lam, ls), (pvec, ps) = run._root(x)
     return iv_mul(Interval(ls[0] * ps[0], ls[1] * ps[1]), simplex_dot(lam, pvec))
 
 
@@ -476,7 +475,7 @@ def _ref_conditioned(ctx, active, cut, seen):
         try:
             vec = run.belief(query)
             if query in ctx.evidence:
-                pvec, ps = run.value(("pi_val", query))
+                _, (pvec, ps) = run._root(query)
                 mass = iv_mul(Interval(*ps), pvec[ctx.evidence[query]])
             else:
                 mass = _ref_piece_mass(run, query)

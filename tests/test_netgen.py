@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from boundprop import is_polytree, netgen, serialize_network
+from boundprop import is_polytree, netgen, parse_network, serialize_network
 from boundprop.cli import main
 from boundprop.netgen import (
     GenerationError,
@@ -110,6 +110,25 @@ def test_cli_gen_names_the_dag_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: arc count 7 exceeds the DAG limit n(n-1)/2 = 6 for n = 4\n"
+
+
+def test_cli_gen_without_out_writes_the_network_to_stdout(capsys):
+    assert main(["gen", "--nodes", "3", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(parse_network(captured.out).nodes) == 3
+    assert captured.out == serialize_network(generate(GenSpec(node_count=3, seed=1)))
+
+
+def test_an_edge_no_table_cap_admits_either_way_is_a_generation_error():
+    # A table with one parent holds at least 2 x 2 values, over a cap of 3.
+    with pytest.raises(GenerationError, match="cannot orient edge within the table cap"):
+        generate(GenSpec(node_count=3, cpt_cap=3))
+
+
+def test_a_skewed_row_needs_two_entries():
+    with pytest.raises(ValueError, match="at least two entries"):
+        sample_skewed_row(1, random.Random(0))
 
 
 def test_gen_loopy_is_dag():

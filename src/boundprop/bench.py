@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import time
 from typing import Iterator, Mapping
@@ -52,14 +53,19 @@ def load_suite(text: str) -> dict:
         raise ValueError("each of a suite's networks must be a JSON object")
     # Read by ``int`` or ``float``, which take a number or a numeric
     # string, so ``"3"`` and ``3`` are one seed; null, true, false, a list
-    # or an object is rejected here, with the field that holds it.
-    numbers = [(f"suite {key!r}", suite[key]) for key in ("seed", "queries_per_network", "budget_ms")]
-    numbers += [("suite 'target_widths' entry", w) for w in suite["target_widths"]]
-    numbers += [(f"suite network {key!r}", entry[key])
+    # or an object is rejected here, with the field that holds it.  So is
+    # JSON's NaN anywhere, and its Infinity in a field read by ``int``,
+    # which cannot convert it; an infinite ``budget_ms`` sets no deadline.
+    numbers = [(f"suite {key!r}", suite[key], key != "budget_ms")
+               for key in ("seed", "queries_per_network", "budget_ms")]
+    numbers += [("suite 'target_widths' entry", w, False) for w in suite["target_widths"]]
+    numbers += [(f"suite network {key!r}", entry[key], key != "ratio")
                 for entry in suite["networks"] for key in ("nodes", "ratio", "seed") if key in entry]
-    for where, value in numbers:
+    for where, value, whole in numbers:
         if value is None or isinstance(value, (bool, list, dict)):
             raise ValueError(f"{where} must be a number, not {json.dumps(value)}")
+        if isinstance(value, float) and (math.isnan(value) or whole and math.isinf(value)):
+            raise ValueError(f"{where} must be a finite number, not {json.dumps(value)}")
     count = suite["queries_per_network"]
     if int(count) < 0:
         raise ValueError(f"suite 'queries_per_network' must be nonnegative, not {json.dumps(count)}")

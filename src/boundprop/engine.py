@@ -39,6 +39,16 @@ of each weight vector once and fills each distinct greedy order once.
 No ``Interval`` is built below the public functions, except by the
 public ``simplex_dot`` that a mass calls.
 
+A message with one input, a pi value with one parent or a lambda
+message with no co-parents, costs one table pass: ``_Run._compute``
+hands its one input straight to ``intervals._table_message``, which dots
+the node's table against it and normalizes in one frame, and multiplies
+the input's scale in.  A lambda message with co-parents sorts its outer
+groups' greedy orders only when the co-parent weights leave spare mass;
+against point weights no fill reads an order.  Both give the same
+floats and the same errors as the general body (see the kernel fast
+paths below).
+
 A message whose one input is another message is that input.  A pi
 message from a node with no other child message would only normalize
 the node's pi value again, and a lambda value with exactly one child
@@ -127,6 +137,7 @@ from .intervals import (
     _normalized,
     _orders,
     _spare,
+    _table_message,
     _vacuous,
     simplex_dot,
     vacuous,
@@ -196,16 +207,19 @@ class ActiveSet:
 # (``BeliefNetwork._kernel_tables``); a lambda message groups its inner
 # bounds by that record's rows for each state of the receiving parent.
 # A call checks the coherence of each weight vector once, dots its whole
-# table of columns or rows against it on bare floats with the one
-# constrained dot (``intervals._dot_table``; a lambda message's outer
-# pass is one more call), and builds one ``IntervalVector``.  A
-# greedy fill depends on the weights, the spare mass and the visiting
-# order alone, so the table computes each distinct order's fill once
-# (equal orders are one object in the record) and each bound as one
-# ``sum(map(mul, ...))`` (``intervals._weighted_sum`` says why that is
-# the sum without the zero entries).  A kernel hands its raw bound lists
-# to ``intervals._normalized``, which checks them once, and the vacuous
-# and indicator vectors are shared instances, one per shape.
+# table of columns or rows against it on bare floats, and builds one
+# ``IntervalVector``.  A kernel whose last step dots a table and
+# normalizes it (a pi value, a lambda message without co-parents and a
+# lambda message's outer pass) calls ``intervals._table_message``, which
+# does both in one frame; a lambda message's inner pass calls the
+# constrained dot ``intervals._dot_table`` and hands its raw bound lists
+# to ``intervals._normalized`` or to the outer pass.  A greedy fill
+# depends on the weights, the spare mass and the visiting order alone,
+# so a table computes each distinct order's fill once (equal orders are
+# one object in the record) and each bound as one ``sum(map(mul, ...))``
+# (``intervals._weighted_sum`` says why that is the sum without the zero
+# entries).  The vacuous and indicator vectors are shared instances, one
+# per shape.
 # A sweep reads the network's node and child tables directly, and
 # growth reads a node's skeleton neighbours, its parents then children.
 #
@@ -221,17 +235,38 @@ class ActiveSet:
 #   node's record and every call returns that one pair.
 # - lambda message, no co-parents: the outer pass dots each inner bound
 #   against the point weight (1.0,) with no spare, which returns it.
+#   With a lambda whose lower bounds are nonnegative the inner bounds are
+#   too (rows in [0, 1] against nonnegative fills), so their check cannot
+#   fail and the inner pass is the message's one ``_table_message``.
+# - a message with one input, in ``_Run._compute``: a pi value with one
+#   parent, or a lambda message with no co-parents and a lambda whose
+#   lower bounds are nonnegative, goes straight to ``_table_message``,
+#   with no loop over the inputs, and its scale is the input's scale
+#   times the mass the normalization discarded, as the loop gives.  The
+#   checks keep their order: the vacuous-parent prior is tested in line,
+#   a negative parent bound raises the error of ``_joint_weights``, and
+#   a lambda with a negative lower bound takes the general body, which
+#   checks the inner bounds.
+# - lambda message, co-parents: the outer groups' greedy orders are
+#   sorted only when the co-parent weights leave spare mass.  Point
+#   weights (spare 0) fill every order with their lower bounds, so no
+#   order is read.
 # - lambda value: the product starts from the first child message, not
 #   from ones (1.0 * y is y); with no child message it is the shared
 #   ``_uniform`` pair of its state count.
 # - the constant messages (see the module docstring) are these kernels'
 #   values, built once: the pi value fast path above, ``_uniform``,
 #   ``_vacuous_lambda`` and ``_pinned``.
-# - ``intervals._dot_table`` of a point table against point weights:
-#   both bounds of a row are the one sum over the weights' lower bounds.
-# - ``intervals._dot_table`` sums each bound in line and calls
-#   ``_weighted_sum`` only when that sum is NaN; otherwise the sum is the
-#   one ``_weighted_sum`` would return.
+# - ``intervals._dot_table`` and ``intervals._table_message`` of a point
+#   table against point weights: both bounds of a row are the one sum
+#   over the weights' lower bounds, which ``_table_message`` normalizes
+#   once.
+# - ``intervals._dot_table`` and ``intervals._table_message`` sum each
+#   bound in line and call ``_weighted_sum`` only when that sum is NaN;
+#   otherwise the sum is the one ``_weighted_sum`` would return.
+# - ``intervals._table_message``: a bound list holds a NaN exactly when
+#   its sum does, and no dot leaves a row crossed, so the order check of
+#   ``_normalized`` runs only for a NaN sum.
 # - ``loops.evaluate`` of a connected active set with an arc fewer than
 #   its nodes: that set is a tree, so it has no loop to search for.
 #
@@ -252,25 +287,30 @@ def _joint_weights(msgs: Sequence[IntervalVector]) -> IntervalVector:
     return IntervalVector.from_bounds(los, his)
 
 
+def _parent_weights(parent_msgs: Sequence[IntervalVector]) -> IntervalVector:
+    """The weights of x's CPT columns: the joint weights of the parent
+    messages, which for one parent are its message itself (1.0 * y is y)."""
+    if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
+        return parent_msgs[0]
+    return _joint_weights(parent_msgs)
+
+
 def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
+    columns, orders, _, prior, _ = net._kernel_tables(x)
     if (
         all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
-        and math.prod(map(len, parent_msgs)) == len(net._by_id[x].cpt)
+        and math.prod(map(len, parent_msgs)) == len(columns[0])
     ):
-        return net._kernel_tables(x)[3]
-    return _normalized(*_column_bounds(net, x, parent_msgs))
+        return prior
+    return _table_message(columns, columns, orders, _parent_weights(parent_msgs))
 
 
 def _column_bounds(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
     """The raw (lows, highs) of x's CPT columns dotted against the joint
-    weights of its parent messages, before any normalization: a pi
-    value normalizes them, and ``loops`` reads a clamped node's column
-    mass from them."""
+    weights of its parent messages, before any normalization: ``loops``
+    reads a clamped node's column mass from them."""
     columns, orders, _, _, _ = net._kernel_tables(x)
-    if len(parent_msgs) == 1 and min(parent_msgs[0].lo) >= 0.0:
-        weights = parent_msgs[0]
-    else:
-        weights = _joint_weights(parent_msgs)
+    weights = _parent_weights(parent_msgs)
     return _dot_table(columns, columns, orders, weights, _spare(weights, len(columns[0])))
 
 
@@ -325,6 +365,9 @@ def _lambda_message_kernel(
     their message weights."""
     rows = net._by_id[x].cpt
     _, _, orders, _, rows_by_parent = net._kernel_tables(x)
+    if not coparent_msgs and min(lam.lo) >= 0.0:
+        # Rows in [0, 1] against nonnegative weights give nonnegative inner bounds.
+        return _table_message(rows, rows, orders, lam)
     weights = _joint_weights(coparent_msgs) if coparent_msgs else None
     lows, highs = _dot_table(rows, rows, orders, lam, _spare(lam, len(rows[0])))
     if weights is not None:
@@ -337,7 +380,9 @@ def _lambda_message_kernel(
         return _normalized(lows, highs)
     a_los = [[lows[r] for r in rows_of_y] for rows_of_y in groups]
     a_his = [[highs[r] for r in rows_of_y] for rows_of_y in groups]
-    return _normalized(*_dot_table(a_los, a_his, list(map(_orders, a_los, a_his)), weights, spare))
+    # Point co-parent weights leave no spare mass, so no fill reads an order.
+    group_orders = list(map(_orders, a_los, a_his)) if spare > 0.0 else None
+    return _table_message(a_los, a_his, group_orders, weights)
 
 
 # -- propagation core ---------------------------------------------------------
@@ -506,6 +551,21 @@ class _Run:
         that reads none is a constant."""
         net = self.ctx.net
         kind, x = key[0], key[1]
+        if len(args) == 1:
+            # One input: a pi value with one parent, or a lambda message
+            # with no co-parents (see the kernel fast paths).
+            (m, s), = args
+            if kind == "pi_val":
+                columns, orders, _, prior, _ = net._kernel_tables(x)
+                if not any(m.lo) and m.hi.count(1.0) == len(m.hi) == len(columns[0]):
+                    vec, z = prior
+                else:
+                    vec, z = _table_message(columns, columns, orders, _parent_weights((m,)))
+                return vec, (s[0] * z[0], s[1] * z[1])
+            if kind == "lam_msg" and min(m.lo) >= 0.0:
+                rows = net._by_id[x].cpt
+                vec, z = _table_message(rows, rows, net._kernel_tables(x)[2], m)
+                return vec, (s[0] * z[0], s[1] * z[1])
         msgs: list[IntervalVector] = []
         scale = None
         for a in args:

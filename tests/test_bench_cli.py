@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,49 @@ def test_cli_bench_rejects_a_negative_query_count(tmp_path, capsys, count):
     assert err.startswith("error: suite 'queries_per_network' must be nonnegative"), err
 
 
+def _bench_subprocess(tmp_path, text):
+    """Run ``boundprop bench`` on a suite of this text in a process of its
+    own, so that an uncaught exception shows as a traceback on stderr."""
+    path = tmp_path / "suite.json"
+    path.write_text(text)
+    src = Path(bench.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "boundprop.cli", "bench", "--suite", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("field, number, where", [
+    ("queries_per_network", "Infinity", "suite 'queries_per_network'"),
+    ("seed", "Infinity", "suite 'seed'"),
+    ("nodes", "Infinity", "suite network 'nodes'"),
+    ("seed", "NaN", "suite 'seed'"),
+    ("target_widths", "[NaN]", "suite 'target_widths' entry"),
+])
+def test_cli_bench_names_a_field_that_is_not_finite(tmp_path, field, number, where):
+    # JSON's Infinity reaches int() as inf, an OverflowError the command
+    # would not catch; its NaN would fail far from the field that holds it.
+    suite = {**SUITE, "networks": [{"nodes": 8, "seed": 1}]}
+    if field == "nodes":
+        suite["networks"] = [{"nodes": "PLACEHOLDER"}]
+    else:
+        suite[field] = "PLACEHOLDER"
+    done = _bench_subprocess(tmp_path, json.dumps(suite).replace('"PLACEHOLDER"', number))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    value = number.strip("[]")
+    assert done.stderr.splitlines() == [f"error: {where} must be a finite number, not {value}"]
+
+
+def test_cli_bench_runs_a_suite_with_an_infinite_budget(tmp_path):
+    # An infinite budget sets no deadline, as before.
+    suite = {**SUITE, "budget_ms": "PLACEHOLDER"}
+    done = _bench_subprocess(tmp_path, json.dumps(suite).replace('"PLACEHOLDER"', "Infinity"))
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(records) == 2 * 2 * 2
+    assert {r["status"] for r in records} <= {"satisfied", "saturated"}
+
+
 def test_bench_suite_reads_numbers_given_as_strings():
     suite = {**SUITE, "seed": "3", "queries_per_network": "1", "budget_ms": "30000",
              "target_widths": ["0.5"], "strategies": ["bfs"],
@@ -139,16 +186,20 @@ def test_bench_saturated_records_carry_width():
         assert 0.0 < r["achieved_width"] <= 1.0
 
 
-@pytest.mark.parametrize("flag, number", [("inf", "1e400"), ("nan", "NaN")])
-def test_cli_gen_and_bench_reject_a_ratio_that_is_not_finite(tmp_path, capsys, flag, number):
+@pytest.mark.parametrize("flag, number, suite_error", [
+    ("inf", "1e400", "error: arc ratio must be finite"),
+    ("nan", "NaN", "error: suite network 'ratio' must be a finite number, not NaN"),
+])
+def test_cli_gen_and_bench_reject_a_ratio_that_is_not_finite(tmp_path, capsys, flag, number, suite_error):
     # JSON reads 1e400 as inf.  Either ratio would reach math.ceil in the
-    # generator, where inf is an OverflowError the command does not catch.
+    # generator, where inf is an OverflowError the command does not catch;
+    # a suite's NaN is refused as it is read, with the field that holds it.
     assert main(["gen", "--nodes", "30", "--topology", "loopy", "--ratio", flag]) == 1
     assert capsys.readouterr().err.startswith("error: arc ratio must be finite")
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(SUITE).replace('"ratio": 1.2', f'"ratio": {number}'))
     assert main(["bench", "--suite", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: arc ratio must be finite")
+    assert capsys.readouterr().err.startswith(suite_error)
 
 
 def test_cli_gen_query_exact_roundtrip(tmp_path, capsys):

@@ -12,12 +12,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boundprop import ActiveSet, BeliefNetwork, intervals, lambda_hat, lambda_msg, loops, pi_hat, propagate
 from boundprop.engine import (
     _joint_weights,
+    _Run,
     _lambda_message_kernel,
     _lambda_value_kernel,
     _normalized_product,
@@ -31,11 +32,12 @@ from boundprop.intervals import (
     _orders,
     _outward,
     _spare,
+    _table_message,
     _weighted_sum,
     vacuous,
 )
 from boundprop.netgen import GenSpec, gen_loopy
-from boundprop.network import Node, find_loop_clusters
+from boundprop.network import Node, _Context, find_loop_clusters
 
 # -- the general bodies -------------------------------------------------------
 
@@ -122,9 +124,10 @@ def _message(draw, k, bad=True):
 
 
 @st.composite
-def _net(draw, min_parents=0):
-    """Node x with 0-3 root parents p0, p1, ...; every node has 2-4 states."""
-    m = draw(st.integers(min_parents, 3))
+def _net(draw, min_parents=0, max_parents=3):
+    """Node x with min_parents to max_parents (0-3 by default) root
+    parents p0, p1, ...; every node has 2-4 states."""
+    m = draw(st.integers(min_parents, max_parents))
     counts = draw(st.lists(st.integers(2, 4), min_size=m + 1, max_size=m + 1))
     states = [tuple(f"s{j}" for j in range(k)) for k in counts]
     nodes = [Node(f"p{i}", states[i], (), (draw(_distribution(counts[i])),)) for i in range(m)]
@@ -236,6 +239,98 @@ def test_both_dot_branches_reach_the_nan_fallback(monkeypatch, weights):
     assert sums == [los[0]]
     assert got == _dot_outcome(_general_table_dot, los, los, weights)
     assert got[0][0] == (0.5).hex()
+
+
+@st.composite
+def _table(draw):
+    """A table of 1-4 rows of k entries, a point one (``his is los``) or
+    a box one, with zeros, signed zeros and infinities among the entries,
+    against weights of k entries or, now and then, one entry too many.
+    The weights are a point, a box (an infinite upper bound now and then)
+    or a box whose lower bounds already hold all the mass, so that it has
+    no spare mass though it is not a point."""
+    k = draw(st.integers(2, 4))
+    entries = st.sampled_from((0.0, -0.0, 0.25, 0.5, 2.0, math.inf))
+    los = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=4))
+    his = los
+    if draw(st.booleans()):
+        his = [[v + draw(st.sampled_from((0.0, 0.5, math.inf))) for v in row] for row in los]
+    n = k + (draw(st.integers(0, 5)) == 0)
+    kind = draw(st.sampled_from(("message", "infinite", "full")))
+    weights = draw(_message(n, bad=False))
+    if kind == "infinite":
+        hi = list(weights.hi)
+        hi[draw(st.integers(0, n - 1))] = math.inf
+        weights = IntervalVector.from_bounds(weights.lo, hi)
+    elif kind == "full":
+        lo = [v * (1.0 + 1e-10) for v in draw(_distribution(n))]
+        weights = IntervalVector.from_bounds(lo, [v + 0.25 for v in lo])
+    return los, his, weights
+
+
+def _chained_table_message(los, his, orders, b):
+    return _normalized(*_dot_table(los, his, orders, b, _spare(b, len(los[0]))))
+
+
+# A row of inf and -inf dots to NaN, and the zero row beside it would
+# normalize to 0.0 and hide it: the order check must still raise, in the
+# point table, the box table without spare mass and the greedy loop.
+_NAN_ROW = [[math.inf, -math.inf], [0.0, 0.0]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table())
+@example((_NAN_ROW, _NAN_ROW, IntervalVector.point((0.5, 0.5))))
+@example((_NAN_ROW, [list(row) for row in _NAN_ROW], IntervalVector.point((0.5, 0.5))))
+@example((_NAN_ROW, _NAN_ROW, IntervalVector.from_bounds((0.25, 0.25), (0.75, 0.75))))
+def test_table_message_equals_the_dot_then_the_normalization(case):
+    los, his, weights = case
+    orders = list(map(_orders, los, his))
+    want = _outcome(_chained_table_message, los, his, orders, weights)
+    assert _outcome(_table_message, los, his, orders, weights) == want
+    # With no spare mass no fill reads an order, and weights that fail
+    # their check fail before any is read.
+    try:
+        spare = _spare(weights, len(los[0]))
+    except ValueError:
+        spare = 0.0
+    if spare <= 0.0:
+        assert _outcome(_table_message, los, his, None, weights) == want
+
+
+def _with_scale(kernel, s, *args):
+    vec, z = kernel(*args)
+    return vec, (s[0] * z[0], s[1] * z[1])
+
+
+def _one_input_run(net):
+    ctx = _Context(net, None, "x")
+    return _Run(ctx, ActiveSet(frozenset(net.node_ids()), frozenset(net.arcs)), {}, {})
+
+
+_SCALE = st.tuples(st.sampled_from((0.25, 0.5, 1.0)), st.sampled_from((1.0, 1.5, 3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_net(min_parents=1, max_parents=1), _SCALE, st.data())
+def test_one_input_pi_value_equals_the_general_body(net, s, data):
+    # The one parent's message goes straight to the table; its scale is
+    # multiplied in as the general loop over the inputs multiplies it.
+    k = net.state_count("p0")
+    m = data.draw(st.one_of(_message(k), st.sampled_from((vacuous(k), vacuous(k + 1)))))
+    got = _outcome(_Run._compute, _one_input_run(net), ("pi_val", "x"), ((m, s),))
+    assert got == _outcome(_with_scale, _general_pi_value, s, net, "x", [m])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_net(min_parents=1, max_parents=1), _SCALE, st.data())
+def test_one_input_lambda_message_equals_the_general_body(net, s, data):
+    lam = data.draw(_message(net.state_count("x")))
+    if data.draw(st.integers(0, 4)) == 0:
+        # A negative lower bound, for the inner bounds' own check.
+        lam = IntervalVector.from_bounds((-1.0,) + lam.lo[1:], (2.0,) * len(lam.hi))
+    got = _outcome(_Run._compute, _one_input_run(net), ("lam_msg", "x", "p0"), ((lam, s),))
+    assert got == _outcome(_with_scale, _general_lambda_message, s, net, "x", "p0", lam, [])
 
 
 # -- the checks a fast path skips still raise ---------------------------------

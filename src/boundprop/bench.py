@@ -52,19 +52,26 @@ def load_suite(text: str) -> dict:
     if not all(isinstance(entry, dict) for entry in suite["networks"]):
         raise ValueError("each of a suite's networks must be a JSON object")
     # Read by ``int`` or ``float``, which take a number or a numeric
-    # string, so ``"3"`` and ``3`` are one seed; null, true, false, a list
-    # or an object is rejected here, with the field that holds it.  So is
-    # JSON's NaN anywhere, and its Infinity in a field read by ``int``,
-    # which cannot convert it; an infinite ``budget_ms`` sets no deadline.
+    # string, so ``"3"`` and ``3`` are one seed; null, true, false, a list,
+    # an object or a string that is no number is rejected here, with the
+    # field that holds it.  So is a NaN anywhere, JSON's or a string's,
+    # and an infinity in a field read by ``int``, which cannot convert it;
+    # an infinite ``budget_ms`` sets no deadline.
     numbers = [(f"suite {key!r}", suite[key], key != "budget_ms")
                for key in ("seed", "queries_per_network", "budget_ms")]
     numbers += [("suite 'target_widths' entry", w, False) for w in suite["target_widths"]]
     numbers += [(f"suite network {key!r}", entry[key], key != "ratio")
                 for entry in suite["networks"] for key in ("nodes", "ratio", "seed") if key in entry]
     for where, value, whole in numbers:
-        if value is None or isinstance(value, (bool, list, dict)):
+        number = value
+        if isinstance(value, str):
+            try:
+                number = float(value)
+            except ValueError:
+                number = None
+        if number is None or isinstance(number, (bool, list, dict)):
             raise ValueError(f"{where} must be a number, not {json.dumps(value)}")
-        if isinstance(value, float) and (math.isnan(value) or whole and math.isinf(value)):
+        if isinstance(number, float) and (math.isnan(number) or whole and math.isinf(number)):
             raise ValueError(f"{where} must be a finite number, not {json.dumps(value)}")
     count = suite["queries_per_network"]
     if int(count) < 0:

@@ -41,13 +41,13 @@ public ``simplex_dot`` that a mass calls.
 
 A message with one input, a pi value with one parent or a lambda
 message with no co-parents, costs one table pass: ``_Run._compute``
-hands its one input straight to ``intervals._table_message``, which dots
-the node's table against it and normalizes in one frame, and multiplies
-the input's scale in.  A lambda message with co-parents sorts its outer
-groups' greedy orders only when the co-parent weights leave spare mass;
-against point weights no fill reads an order.  Both give the same
-floats and the same errors as the general body (see the kernel fast
-paths below).
+hands its one input to the kernel with no loop over the inputs, and the
+kernel dots the node's table against it and normalizes in one call of
+``intervals._table_message``.  A lambda message with co-parents sorts
+its outer groups' greedy orders only when the co-parent weights leave
+spare mass; against point weights no fill reads an order.  Both give
+the same floats and the same errors as the general body (see the
+kernel fast paths below).
 
 A message whose one input is another message is that input.  A pi
 message from a node with no other child message would only normalize
@@ -207,13 +207,13 @@ class ActiveSet:
 # (``BeliefNetwork._kernel_tables``); a lambda message groups its inner
 # bounds by that record's rows for each state of the receiving parent.
 # A call checks the coherence of each weight vector once, dots its whole
-# table of columns or rows against it on bare floats, and builds one
-# ``IntervalVector``.  A kernel whose last step dots a table and
-# normalizes it (a pi value, a lambda message without co-parents and a
-# lambda message's outer pass) calls ``intervals._table_message``, which
-# does both in one frame; a lambda message's inner pass calls the
-# constrained dot ``intervals._dot_table`` and hands its raw bound lists
-# to ``intervals._normalized`` or to the outer pass.  A greedy fill
+# table of columns or rows against it on bare floats with the one
+# constrained dot (``intervals._dot_table``), and builds one
+# ``IntervalVector``.  A pi value and a lambda message without
+# co-parents dot and normalize with ``intervals._table_message``; a
+# lambda message with co-parents hands its inner pass's raw bound lists
+# to its outer pass, one more dot, and those to
+# ``intervals._normalized``.  A greedy fill
 # depends on the weights, the spare mass and the visiting order alone,
 # so a table computes each distinct order's fill once (equal orders are
 # one object in the record) and each bound as one ``sum(map(mul, ...))``
@@ -237,36 +237,33 @@ class ActiveSet:
 #   against the point weight (1.0,) with no spare, which returns it.
 #   With a lambda whose lower bounds are nonnegative the inner bounds are
 #   too (rows in [0, 1] against nonnegative fills), so their check cannot
-#   fail and the inner pass is the message's one ``_table_message``.
-# - a message with one input, in ``_Run._compute``: a pi value with one
-#   parent, or a lambda message with no co-parents and a lambda whose
-#   lower bounds are nonnegative, goes straight to ``_table_message``,
-#   with no loop over the inputs, and its scale is the input's scale
-#   times the mass the normalization discarded, as the loop gives.  The
-#   checks keep their order: the vacuous-parent prior is tested in line,
-#   a negative parent bound raises the error of ``_joint_weights``, and
-#   a lambda with a negative lower bound takes the general body, which
+#   fail and the inner pass is the message's one ``_table_message``; a
+#   lambda with a negative lower bound takes the general body, which
 #   checks the inner bounds.
+# - a message with one input, in ``_Run._compute``: with no loop over the
+#   inputs its scale is the input's scale, as the loop gives, times the
+#   mass the kernel's normalization discarded.  A pi value with one
+#   parent tests for the vacuous prior in line, with no generator, and
+#   a negative parent bound still raises the error of ``_joint_weights``.
 # - lambda message, co-parents: the outer groups' greedy orders are
 #   sorted only when the co-parent weights leave spare mass.  Point
-#   weights (spare 0) fill every order with their lower bounds, so no
-#   order is read.
+#   weights (spare 0) fill every order with their lower bounds, so
+#   ``intervals._dot_table`` reads no order.
 # - lambda value: the product starts from the first child message, not
 #   from ones (1.0 * y is y); with no child message it is the shared
 #   ``_uniform`` pair of its state count.
 # - the constant messages (see the module docstring) are these kernels'
 #   values, built once: the pi value fast path above, ``_uniform``,
 #   ``_vacuous_lambda`` and ``_pinned``.
-# - ``intervals._dot_table`` and ``intervals._table_message`` of a point
-#   table against point weights: both bounds of a row are the one sum
-#   over the weights' lower bounds, which ``_table_message`` normalizes
-#   once.
+# - ``intervals._dot_table`` of a point table against point weights:
+#   both bounds of a row are the one sum over the weights' lower bounds.
+#   ``intervals._table_message`` takes that sum itself and normalizes it
+#   once per row in the same frame; a bound list holds a NaN exactly
+#   when its sum does, so the order check of ``_normalized`` runs only
+#   for a NaN sum.
 # - ``intervals._dot_table`` and ``intervals._table_message`` sum each
 #   bound in line and call ``_weighted_sum`` only when that sum is NaN;
 #   otherwise the sum is the one ``_weighted_sum`` would return.
-# - ``intervals._table_message``: a bound list holds a NaN exactly when
-#   its sum does, and no dot leaves a row crossed, so the order check of
-#   ``_normalized`` runs only for a NaN sum.
 # - ``loops.evaluate`` of a connected active set with an arc fewer than
 #   its nodes: that set is a tree, so it has no loop to search for.
 #
@@ -297,10 +294,15 @@ def _parent_weights(parent_msgs: Sequence[IntervalVector]) -> IntervalVector:
 
 def _pi_value_kernel(net: BeliefNetwork, x: str, parent_msgs: Sequence[IntervalVector]):
     columns, orders, _, prior, _ = net._kernel_tables(x)
-    if (
-        all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
-        and math.prod(map(len, parent_msgs)) == len(columns[0])
-    ):
+    if len(parent_msgs) == 1:
+        m = parent_msgs[0]
+        vacuous = not any(m.lo) and m.hi.count(1.0) == len(m.hi) == len(columns[0])
+    else:
+        vacuous = (
+            all(not any(m.lo) and m.hi.count(1.0) == len(m.hi) for m in parent_msgs)
+            and math.prod(map(len, parent_msgs)) == len(columns[0])
+        )
+    if vacuous:
         return prior
     return _table_message(columns, columns, orders, _parent_weights(parent_msgs))
 
@@ -382,7 +384,7 @@ def _lambda_message_kernel(
     a_his = [[highs[r] for r in rows_of_y] for rows_of_y in groups]
     # Point co-parent weights leave no spare mass, so no fill reads an order.
     group_orders = list(map(_orders, a_los, a_his)) if spare > 0.0 else None
-    return _table_message(a_los, a_his, group_orders, weights)
+    return _normalized(*_dot_table(a_los, a_his, group_orders, weights, spare))
 
 
 # -- propagation core ---------------------------------------------------------
@@ -552,28 +554,19 @@ class _Run:
         net = self.ctx.net
         kind, x = key[0], key[1]
         if len(args) == 1:
-            # One input: a pi value with one parent, or a lambda message
-            # with no co-parents (see the kernel fast paths).
-            (m, s), = args
-            if kind == "pi_val":
-                columns, orders, _, prior, _ = net._kernel_tables(x)
-                if not any(m.lo) and m.hi.count(1.0) == len(m.hi) == len(columns[0]):
-                    vec, z = prior
+            # One input, a message: a pi value with one parent or a lambda
+            # message with no co-parents (see the kernel fast paths).
+            (m, scale), = args
+            msgs = (m,)
+        else:
+            msgs = []
+            scale = None
+            for a in args:
+                if type(a) is int:
+                    msgs.append(_vacuous(a))
                 else:
-                    vec, z = _table_message(columns, columns, orders, _parent_weights((m,)))
-                return vec, (s[0] * z[0], s[1] * z[1])
-            if kind == "lam_msg" and min(m.lo) >= 0.0:
-                rows = net._by_id[x].cpt
-                vec, z = _table_message(rows, rows, net._kernel_tables(x)[2], m)
-                return vec, (s[0] * z[0], s[1] * z[1])
-        msgs: list[IntervalVector] = []
-        scale = None
-        for a in args:
-            if type(a) is int:
-                msgs.append(_vacuous(a))
-            else:
-                msgs.append(a[0])
-                scale = a[1] if scale is None else (scale[0] * a[1][0], scale[1] * a[1][1])
+                    msgs.append(a[0])
+                    scale = a[1] if scale is None else (scale[0] * a[1][0], scale[1] * a[1][1])
         if kind == "pi_val":
             out = _pi_value_kernel(net, x, msgs)
         elif kind == "lam_val":

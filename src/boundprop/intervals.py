@@ -10,10 +10,10 @@ containment survives float error at the cost of at most one ulp of width.
 
 Every dot product against a vector that must be a distribution, in the
 kernels, the cutset mixture and the public ``simplex_dot``, is one pass
-over the rows of a table: a call of ``_dot_table``, which returns the
-raw bounds, or, where a kernel normalizes them at once, a call of
-``_table_message``, which does the dot and the normalization in one
-frame with the same floats and the same errors.
+over the rows of a table in ``_dot_table``.  A kernel that normalizes
+those bounds at once calls ``_table_message``, which takes that pass
+itself for a point table against point weights and normalizes in the
+same frame, with the same floats and the same errors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import le, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -263,20 +264,25 @@ def _dot_table(los, his, orders, b: IntervalVector, spare: float) -> tuple[list[
     Row k has the lower bounds ``los[k]``, the upper bounds ``his[k]`` and
     the greedy orders ``orders[k]``; a point table passes ``his is los``.
     A greedy fill depends on b, the spare mass and the order alone, so
-    each distinct order is filled once per call.  Against point weights
-    (no spare) both bounds of a point row are the one sum over b.lo, and
-    a point table's two lists are one list.  So ``orders`` is read unless
-    both the table and the weights are points.
+    each distinct order is filled once per call.  With no spare mass
+    every fill is b.lo, so ``orders`` is read only when b leaves some; a
+    caller may pass None for it otherwise.  Against point weights both
+    bounds of a point row are the one sum over b.lo, and a point table's
+    two lists are one list.
     """
     b_lo, b_hi = b.lo, b.hi
-    if spare <= 0.0 and his is los:
-        lows = [sum(map(mul, v, b_lo)) for v in los]
-        total = sum(lows)
-        if total != total:
-            lows = [_weighted_sum(v, b_lo) for v in los]
-        return lows, lows
-    lows, highs = [], []
     fills: dict = {}
+    if spare <= 0.0:
+        if his is los:
+            lows = [sum(map(mul, v, b_lo)) for v in los]
+            total = sum(lows)
+            if total != total:
+                lows = [_weighted_sum(v, b_lo) for v in los]
+            return lows, lows
+        # Every row reads the one fill b.lo, under the one key None.
+        orders = repeat((None, None))
+        fills[None] = b_lo
+    lows, highs = [], []
     for lo_v, hi_v, (lo_order, hi_order) in zip(los, his, orders):
         fill = fills.get(lo_order)
         if fill is None:
@@ -299,88 +305,35 @@ def _dot_table(los, his, orders, b: IntervalVector, spare: float) -> tuple[list[
 
 def _table_message(los, his, orders, b: IntervalVector) -> tuple[IntervalVector, tuple[float, float]]:
     """``_normalized(*_dot_table(los, his, orders, b, _spare(b, n)))``, n
-    the length of a row, in one frame: the message of a kernel that dots
-    one table against one weight vector, with the same floats and the
-    same errors.
+    the length of a row: the message of a kernel that dots one table
+    against one weight vector.
 
-    The orders are read only when b leaves spare mass: with none, every
-    fill is b.lo, so a caller may pass any value for them then.  A bound
-    list holds a NaN exactly when its sum is NaN, and the dot never
-    leaves a row crossed, so the order check of ``_normalized`` runs only
-    for a NaN sum.  Against point weights a point table's two bounds
-    are one float per row, normalized once.
+    Against point weights a point table's two bounds are one float per
+    row, which this normalizes in the same frame, with the same floats
+    and the same errors: a bound list holds a NaN exactly when its sum
+    is NaN, so the order check of ``_normalized`` runs only then.
     """
     spare = _spare(b, len(los[0]))
+    if spare > 0.0 or his is not los:
+        return _normalized(*_dot_table(los, his, orders, b, spare))
     b_lo = b.lo
-    if spare <= 0.0 and his is los:
-        lows = [sum(map(mul, v, b_lo)) for v in los]
+    lows = [sum(map(mul, v, b_lo)) for v in los]
+    total = sum(lows)
+    if total != total:
+        lows = [_weighted_sum(v, b_lo) for v in los]
         total = sum(lows)
         if total != total:
-            lows = [_weighted_sum(v, b_lo) for v in los]
-            total = sum(lows)
-            if total != total:
-                _check_order(lows, lows)
-        if total <= 0.0:
-            raise ConflictingEvidenceError("cannot normalize an all-zero vector")
-        out = []
-        for v in lows:
-            v = v / (v + (total - v)) if v > 0.0 else 0.0
-            out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
-        if -math.inf < total < math.inf:
-            out = tuple(out)
-            return IntervalVector._of(out, out), (max(total, 0.0), total)
-        return IntervalVector.from_bounds(out, out), (max(total, 0.0), total)
-    lows, highs = [], []
-    if spare <= 0.0:
-        for lo_v, hi_v in zip(los, his):
-            lower = sum(map(mul, lo_v, b_lo))
-            if lower != lower:
-                lower = _weighted_sum(lo_v, b_lo)
-            upper = sum(map(mul, hi_v, b_lo))
-            if upper != upper:
-                upper = _weighted_sum(hi_v, b_lo)
-            if lower > upper:
-                lower, upper = _outward(lower, upper)
-            lows.append(lower)
-            highs.append(upper)
-    else:
-        b_hi = b.hi
-        fills: dict = {}
-        for lo_v, hi_v, (lo_order, hi_order) in zip(los, his, orders):
-            fill = fills.get(lo_order)
-            if fill is None:
-                fill = fills[lo_order] = _fill(b_lo, b_hi, spare, lo_order)
-            lower = sum(map(mul, lo_v, fill))
-            if lower != lower:
-                lower = _weighted_sum(lo_v, fill)
-            fill = fills.get(hi_order)
-            if fill is None:
-                fill = fills[hi_order] = _fill(b_lo, b_hi, spare, hi_order)
-            upper = sum(map(mul, hi_v, fill))
-            if upper != upper:
-                upper = _weighted_sum(hi_v, fill)
-            if lower > upper:
-                lower, upper = _outward(lower, upper)
-            lows.append(lower)
-            highs.append(upper)
-    hi_sum = sum(highs)
-    lo_sum = sum(lows)
-    if hi_sum != hi_sum or lo_sum != lo_sum:
-        _check_order(lows, highs)
-    if hi_sum <= 0.0:
+            _check_order(lows, lows)
+    if total <= 0.0:
         raise ConflictingEvidenceError("cannot normalize an all-zero vector")
-    out_lo, out_hi = [], []
-    for lo, hi in zip(lows, highs):
-        new_lo = lo / (lo + (hi_sum - hi)) if lo > 0.0 else 0.0
-        new_hi = hi / (hi + (lo_sum - lo)) if hi > 0.0 else 0.0
-        if new_lo > new_hi:
-            new_lo, new_hi = _outward(new_lo, new_hi)
-        out_lo.append(0.0 if new_lo < 0.0 else 1.0 if new_lo > 1.0 else new_lo)
-        out_hi.append(0.0 if new_hi < 0.0 else 1.0 if new_hi > 1.0 else new_hi)
-    scale = (max(lo_sum, 0.0), hi_sum)
-    if -math.inf < lo_sum and hi_sum < math.inf:
-        return IntervalVector._of(tuple(out_lo), tuple(out_hi)), scale
-    return IntervalVector.from_bounds(out_lo, out_hi), scale
+    out = []
+    for v in lows:
+        v = v / (v + (total - v)) if v > 0.0 else 0.0
+        out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+    if -math.inf < total < math.inf:
+        out = tuple(out)
+        return IntervalVector._of(out, out), (max(total, 0.0), total)
+    return IntervalVector.from_bounds(out, out), (max(total, 0.0), total)
 
 
 def _normalized(los: Sequence[float], his: Sequence[float]) -> tuple[IntervalVector, tuple[float, float]]:

@@ -1,10 +1,6 @@
 import json
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -111,45 +107,45 @@ def test_cli_bench_rejects_a_negative_query_count(tmp_path, capsys, count):
     assert err.startswith("error: suite 'queries_per_network' must be nonnegative"), err
 
 
-def _bench_subprocess(tmp_path, text):
-    """Run ``boundprop bench`` on a suite of this text in a process of its
-    own, so that an uncaught exception shows as a traceback on stderr."""
-    path = tmp_path / "suite.json"
-    path.write_text(text)
-    src = Path(bench.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-m", "boundprop.cli", "bench", "--suite", str(path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-
-
-@pytest.mark.parametrize("field, number, where", [
-    ("queries_per_network", "Infinity", "suite 'queries_per_network'"),
-    ("seed", "Infinity", "suite 'seed'"),
-    ("nodes", "Infinity", "suite network 'nodes'"),
-    ("seed", "NaN", "suite 'seed'"),
-    ("target_widths", "[NaN]", "suite 'target_widths' entry"),
+@pytest.mark.parametrize("field, value, problem", [
+    ("queries_per_network", math.inf, "a finite number"),
+    ("seed", math.inf, "a finite number"),
+    ("nodes", math.inf, "a finite number"),
+    ("seed", math.nan, "a finite number"),
+    ("target_widths", math.nan, "a finite number"),
+    ("seed", "Infinity", "a finite number"),
+    ("nodes", "nan", "a finite number"),
+    ("budget_ms", "nan", "a finite number"),
+    ("target_widths", "NaN", "a finite number"),
+    ("seed", "three", "a number"),
 ])
-def test_cli_bench_names_a_field_that_is_not_finite(tmp_path, field, number, where):
+def test_cli_bench_names_a_field_that_is_not_a_finite_number(tmp_path, capsys, field, value, problem):
     # JSON's Infinity reaches int() as inf, an OverflowError the command
-    # would not catch; its NaN would fail far from the field that holds it.
-    suite = {**SUITE, "networks": [{"nodes": 8, "seed": 1}]}
+    # would not catch; a NaN would fail far from the field that holds it.
+    # A numeric string is read as its number, so it is refused alike.
+    suite = json.loads(json.dumps(SUITE))
     if field == "nodes":
-        suite["networks"] = [{"nodes": "PLACEHOLDER"}]
+        suite["networks"][0]["nodes"] = value
+        where = "suite network 'nodes'"
+    elif field == "target_widths":
+        suite["target_widths"] = [value]
+        where = "suite 'target_widths' entry"
     else:
-        suite[field] = "PLACEHOLDER"
-    done = _bench_subprocess(tmp_path, json.dumps(suite).replace('"PLACEHOLDER"', number))
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    value = number.strip("[]")
-    assert done.stderr.splitlines() == [f"error: {where} must be a finite number, not {value}"]
+        suite[field] = value
+        where = f"suite {field!r}"
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", "--suite", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {where} must be {problem}, not {json.dumps(value)}"]
 
 
-def test_cli_bench_runs_a_suite_with_an_infinite_budget(tmp_path):
+def test_cli_bench_runs_a_suite_with_an_infinite_budget(tmp_path, capsys):
     # An infinite budget sets no deadline, as before.
-    suite = {**SUITE, "budget_ms": "PLACEHOLDER"}
-    done = _bench_subprocess(tmp_path, json.dumps(suite).replace('"PLACEHOLDER"', "Infinity"))
-    assert done.returncode == 0, done.stderr
-    records = [json.loads(line) for line in done.stdout.splitlines()]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({**SUITE, "budget_ms": math.inf}))
+    assert main(["bench", "--suite", str(path)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(records) == 2 * 2 * 2
     assert {r["status"] for r in records} <= {"satisfied", "saturated"}
 
